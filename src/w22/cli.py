@@ -68,6 +68,25 @@ def token_of(gen):
     return "c" if gen.kind == "C" else "c1"
 
 
+def _int_at_least(least):
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < least:
+            raise argparse.ArgumentTypeError(
+                "not an integer >= %d: %r" % (least, text)
+            )
+        return n
+
+    return parse
+
+
+nonnegative_int = _int_at_least(0)
+positive_int = _int_at_least(1)
+
+
 def rational(text):
     try:
         return rat(text)
@@ -106,7 +125,7 @@ def _add_params(sub):
                      help="highest-weight value of I(0)")
     sub.add_argument("--c1", type=rational, required=True,
                      help="value of the central element C1")
-    sub.add_argument("--max-level", type=int, required=True,
+    sub.add_argument("--max-level", type=nonnegative_int, required=True,
                      help="search depth (levels 1..max-level)")
 
 
@@ -118,7 +137,7 @@ def _add_module_spec(sub, need_window=True):
     sub.add_argument("--mask", type=int_set, default=frozenset(),
                      help="comma-separated weight indices acting as zero")
     if need_window:
-        sub.add_argument("--window", type=int, required=True)
+        sub.add_argument("--window", type=positive_int, required=True)
 
 
 def build_parser():
@@ -135,7 +154,7 @@ def build_parser():
     p.add_argument("--right", type=generator_token, required=True)
 
     p = sub.add_parser("jacobi", help="Jacobi identity sweep on a window")
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=nonnegative_int, required=True)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("vir-embed", help="Virasoro copy element x(n)+n*e*I(n)")
@@ -147,7 +166,7 @@ def build_parser():
                    metavar="GEN", help="factors, e.g. x:2 x:-2")
 
     p = sub.add_parser("verma-basis", help="PBW basis of one Verma level")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=nonnegative_int, required=True)
 
     p = sub.add_parser("verma-singular", help="joint-kernel singular vector search")
     _add_params(p)
@@ -160,7 +179,7 @@ def build_parser():
 
     p = sub.add_parser("im-act", help="weight-module action (table or single)")
     _add_module_spec(p, need_window=False)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=positive_int, default=None)
     p.add_argument("--gen", type=generator_token, default=None,
                    help="single-application mode: generator token")
     p.add_argument("--index", type=int, default=None,

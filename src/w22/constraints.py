@@ -49,12 +49,6 @@ class ConstraintSystem:
     quadratics: list
     meta: dict = field(default_factory=dict)
 
-    def index_of(self, name):
-        try:
-            return self.unknowns.index(name)
-        except ValueError:
-            raise KeyError("unknown name %r" % (name,)) from None
-
     def evaluate_equations(self, assignment):
         """Residual (lhs - rhs) of every linear equation at an assignment."""
         out = []

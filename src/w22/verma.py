@@ -4,13 +4,15 @@ The Verma module M(lambda, c, c0, c1) is spanned by PBW monomials in
 x(-k) and I(-k), k >= 1, applied to the highest-weight vector v.  Level n
 collects the monomials of total degree -n; its dimension is the number of
 two-colored partitions of n.  A vector at level n >= 1 is singular when
-every positive-index generator kills it; since gen(k) drops level n to
-n - k, it suffices to check k = 1..n for both generator kinds.
+every positive-index generator kills it.  Since [x(1), x(n)] = (n-1) x(n+1)
+and [x(1), I(n)] = (n-1) I(n+1), the generators x(1), x(2), I(1), I(2)
+generate the positive part, so it suffices to check gen(1) and gen(2) of
+both kinds (gen(1) alone at level 1).
 
-``find_singular`` computes joint kernels of the raising matrices with
-exact rational elimination.  ``is_verma_irreducible`` reports the kernel
-evidence next to the closed-form root list 2 c0 - (m^2-1)/12 c1 = 0 and
-flags any disagreement between the two rather than suppressing it.
+``find_singular`` computes joint kernels of the raising matrices with the
+certified exact solver in ``linalg``.  ``is_verma_irreducible`` reports the
+kernel evidence next to the closed-form root list 2 c0 - (m^2-1)/12 c1 = 0
+and flags any disagreement between the two rather than suppressing it.
 
 The closed form is the Zhang-Dong criterion 2 h_W + (m^2-1)/12 c_W = 0
 (Comm. Math. Phys. 2009, arXiv:0711.4624), stated for the usual
@@ -90,14 +92,12 @@ class SingularVectorReport:
     params: HighestWeightParams
     level: int
     vector: VermaVector
-    killers_checked: int
 
     def to_json(self):
         return {
             "params": self.params.to_json(),
             "level": self.level,
             "vector": self.vector.to_json(),
-            "killers_checked": self.killers_checked,
         }
 
 
@@ -126,12 +126,16 @@ def raising_matrix(k, n, params, gen_kind, actor=None):
 
 
 def joint_kernel(params, level, actor=None):
-    """Kernel of all raising operators gen(k), k = 1..level, both kinds."""
+    """Kernel of every raising operator at a level: gen(1), gen(2), both kinds.
+
+    These generate the positive part (module docstring), so the kernel is
+    the joint kernel of all gen(k), k = 1..level.
+    """
     if actor is None:
         actor = HighestWeightActor(params)
     dim = len(level_basis(level))
     rows = []
-    for k in range(1, level + 1):
+    for k in range(1, min(level, 2) + 1):
         for kind in ("I", "X"):
             rows.extend(raising_matrix(k, level, params, kind, actor=actor))
     return linalg.nullspace(rows, dim)
@@ -164,7 +168,6 @@ def find_singular(params, max_level):
                 params=params,
                 level=level,
                 vector=VermaVector(level=level, coords=coords),
-                killers_checked=level,
             )
         )
     return reports

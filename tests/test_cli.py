@@ -149,6 +149,28 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "window must be at least 3" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verma-basis", "--level", "-1"),
+            ("im-probe", "--family", "Ba", "--a", "2", "--window", "0"),
+            ("im-act", "--family", "Ba", "--a", "2", "--window", "-1"),
+            ("verma-singular", "--lambda", "1", "--c", "0", "--c0", "1",
+             "--c1", "0", "--max-level", "-1"),
+            ("verma-check", "--lambda", "1", "--c", "0", "--c0", "1",
+             "--c1", "0", "--max-level", "-1"),
+            ("jacobi", "--window", "-1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_of_range_integer_is_usage_error(self, argv):
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "not an integer >=" in errors[0]
+
     def test_integral_alpha_ext_b_reported_as_usage(self):
         proc = run("verify-matrix", "--alpha", "2", "--ext-type", "ext_b",
                    "--window", "4")

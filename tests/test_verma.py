@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from w22 import verma
+from w22 import linalg, verma
 from w22 import (
     I,
+    HighestWeightActor,
     HighestWeightParams,
     UEAElement,
     act_on_highest,
@@ -159,6 +160,31 @@ class TestJointKernel:
             params = HighestWeightParams(lam, F(3), F(1), F(8))
             assert len(joint_kernel(params, 2)) == 1
 
+    def test_generators_one_and_two_give_the_all_k_kernel(self):
+        # x(1), x(2), I(1), I(2) generate the positive part, so joint_kernel
+        # (gen(1) and gen(2) only) must equal the kernel of every gen(k).
+        points = [
+            (HighestWeightParams(F(1), F(2), F(3), F(5)), None),  # generic
+            (HighestWeightParams(F(2), F(1), F(0), F(7)), 1),  # c0 = 0
+            (HighestWeightParams(F(5), F(3), F(1), F(8)), 2),  # c1 = 8 c0
+            (HighestWeightParams(F(2), F(1), F(2), F(6)), 3),  # c1 = 3 c0
+        ]
+        for params, m in points:
+            actor = HighestWeightActor(params)
+            for level in range(1, 6):
+                rows = [
+                    row
+                    for k in range(1, level + 1)
+                    for kind in ("I", "X")
+                    for row in raising_matrix(k, level, params, kind, actor)
+                ]
+                all_k = linalg.nullspace(rows, len(level_basis(level)))
+                assert joint_kernel(params, level, actor) == all_k
+                if level == m:
+                    assert all_k
+                if m is None:
+                    assert all_k == []
+
     def test_generic_parameters_have_no_kernel(self):
         params = HighestWeightParams(F(1), F(2), F(3), F(5))
         for level in (1, 2, 3):
@@ -177,6 +203,7 @@ class TestSingularSearch:
     def test_report_json_shape(self):
         params = HighestWeightParams(F(2), F(0), F(0), F(7))
         data = find_singular(params, 1)[0].to_json()
+        assert set(data) == {"params", "level", "vector"}
         assert data["level"] == 1
         assert data["vector"]["coords"] == {"0": "1"}
         assert data["vector"]["monomials"] == [[{"kind": "I", "index": -1}]]

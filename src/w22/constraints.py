@@ -41,13 +41,16 @@ class ConstraintSystem:
     ``equations`` holds linear constraints as (name -> coeff, rhs) pairs,
     all to be read as sum(coeff * unknown) = rhs.  ``quadratics`` holds
     bilinear constraints as lists of (name, name, coeff) triples, to be
-    read as sum(coeff * unknown1 * unknown2) = 0.
+    read as sum(coeff * unknown1 * unknown2) = 0.  ``spanning`` lists the
+    indices of equations expected to span the linear part (see
+    ``linalg.solve_sparse``); None means every equation.
     """
 
     unknowns: tuple
     equations: list
     quadratics: list
     meta: dict = field(default_factory=dict)
+    spanning: tuple | None = None
 
     def evaluate_equations(self, assignment):
         """Residual (lhs - rhs) of every linear equation at an assignment."""
@@ -98,7 +101,9 @@ def solve_linear(system):
     equations = []
     for coeffs, rhs in system.equations:
         equations.append(({col[n]: v for n, v in coeffs.items()}, rhs))
-    feasible, particular, kernel = solve_sparse(equations, len(system.unknowns))
+    feasible, particular, kernel = solve_sparse(
+        equations, len(system.unknowns), spanning=system.spanning
+    )
     if not feasible:
         return SolutionSpace(False, None, [], 0)
     return SolutionSpace(
@@ -172,7 +177,10 @@ def build_f_system(a, b, window):
     is generated per triple (m, n, t) whose referenced indices all stay
     inside the window; quadratics cover every windowed pair m < n.
     Windows below 3 are rejected: they contain no triple with n = -m and
-    |n| >= 2, so the central unknown C1 would be unconstrained.
+    |n| >= 2, so the central unknown C1 would be unconstrained.  The
+    equations with n = +-1, +-2 are recorded as ``spanning``: x(+-1) and
+    x(+-2) generate every x(n), so they should carry the whole linear
+    part (the solver checks every equation regardless).
     """
     a = rat(a)
     b = rat(b)
@@ -183,6 +191,7 @@ def build_f_system(a, b, window):
     unknowns = tuple(_f_name(m, t) for m in rng for t in rng) + ("C1",)
 
     equations = []
+    spanning = []
     for m in rng:
         for n in rng:
             if abs(n + m) > window:
@@ -190,6 +199,8 @@ def build_f_system(a, b, window):
             for t in rng:
                 if abs(n + t) > window:
                     continue
+                if 1 <= abs(n) <= 2:
+                    spanning.append(len(equations))
                 coeffs = {}
                 _accumulate(coeffs, _f_name(m, t), a + t + m + b * n)
                 _accumulate(coeffs, _f_name(m, n + t), -(a + t + b * n))
@@ -219,7 +230,9 @@ def build_f_system(a, b, window):
         "b": rat_str(b),
         "window": window,
     }
-    return ConstraintSystem(unknowns, equations, quadratics, meta)
+    return ConstraintSystem(
+        unknowns, equations, quadratics, meta, spanning=tuple(spanning)
+    )
 
 
 def _accumulate(coeffs, name, value):
@@ -381,6 +394,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     With ``normalized`` (extension types only) the single inhomogeneous
     pinning equation F(1, 0)[2, 1] = alpha is added; the classification
     question is then whether any I-action meets that normalization.
+    The equations with i = +-1, +-2 and the pinning equation are recorded
+    as ``spanning``, as in ``build_f_system``.
     """
     alpha = rat(alpha)
     window = int(window)
@@ -399,6 +414,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     ) + ("C1",)
 
     equations = []
+    spanning = []
     for i in rng:
         for j in rng:
             if abs(i + j) > window:
@@ -410,6 +426,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
                 a_right = a_mat(i, n)
                 for r in (1, 2):
                     for s in (1, 2):
+                        if 1 <= abs(i) <= 2:
+                            spanning.append(len(equations))
                         coeffs = {}
                         for k in (1, 2):
                             _accumulate(
@@ -430,6 +448,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
                         equations.append((coeffs, Fraction(0)))
 
     if normalized and ext_type != "decomposable":
+        spanning.append(len(equations))
         equations.append(({_mat_name(1, 0, 2, 1): Fraction(1)}, alpha))
 
     quadratics = []
@@ -474,7 +493,9 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         "window": window,
         "normalized": bool(normalized and ext_type != "decomposable"),
     }
-    return ConstraintSystem(unknowns, equations, quadratics, meta)
+    return ConstraintSystem(
+        unknowns, equations, quadratics, meta, spanning=tuple(spanning)
+    )
 
 
 def export_triplets(system):

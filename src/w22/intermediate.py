@@ -135,7 +135,6 @@ class ProbeReport:
     window: int
     verdict: str
     proper_invariant_sets: list  # sorted index lists, distinct proper closures
-    reachable: dict  # seed -> sorted reachable indices
 
     def to_json(self):
         return {
@@ -189,7 +188,6 @@ def simplicity_probe(spec, window):
         window=window,
         verdict=verdict,
         proper_invariant_sets=proper,
-        reachable=reach,
     )
 
 

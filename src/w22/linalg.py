@@ -32,6 +32,23 @@ rank_Q[A|b] >= rank_p[A|b] > rank_p(A) = rank_Q(A), so the system is
 infeasible over Q.  Folding goes on past such a row, because the kernel
 certificate needs the full pivot set of A.
 
+A caller that expects some rows to span the row space (the constraint
+systems pass the rows of the relations with x(+-1) and x(+-2)) can pass
+their indices as ``spanning``; only those rows S are folded, and the
+exact check still runs on every row of A.  A lifted vector that fails a
+row of S takes one more prime, as above.  A kernel vector that passes S
+but fails another row lies in ker(A_S) and not in ker(A), which proves
+that S does not span; the system is then solved again with every row
+folded.  When every kernel vector passes every row, they are independent
+vectors of ker(A), one per free column of A_S mod p, so
+rank_Q(A) <= rank_p(A_S) <= rank_Q(A_S) <= rank_Q(A): the ranks are
+equal, ker(A) = ker(A_S), and the free columns and the answer are those
+of A.  A contradiction 0 = b != 0 mod p among the rows of S then proves
+infeasibility as above.  A particular solution x that is exact on S but
+fails another row proves it too: any solution y of A would solve S, so
+x - y would lie in ker(A_S) = ker(A), and x would meet every row that y
+meets.
+
 A prime is unlucky when it divides a minor that decides a pivot: its
 rank is lower, or its rank is equal and its pivot list (ascending) is
 lexicographically larger, since over Q the k-th pivot is never right of
@@ -229,11 +246,17 @@ def _image(equations, ncols, p):
     return (-len(order), order[::-1]), order, targets, residues
 
 
-def _solve(equations, ncols):
+def _solve(equations, ncols, spanning=None):
     """The certified (feasible, particular, kernel) triple."""
+    if spanning is None:
+        folded, others = equations, ()
+    else:
+        chosen = set(spanning)
+        folded = [equations[i] for i in spanning]
+        others = [row for i, row in enumerate(equations) if i not in chosen]
     key = None  # key of the primes whose residues are kept; lower is luckier
     for p in _primes():
-        image = _image(equations, ncols, p)
+        image = _image(folded, ncols, p)
         if image is None:
             continue
         new_key, order, targets, residues = image
@@ -253,14 +276,23 @@ def _solve(equations, ncols):
         # combined with the next prime.
         lifted = []
         for (f, cols), res in zip(targets, kept):
+            homogeneous = f is not None
             vec = [_ZERO] * ncols
-            if f is not None:
+            if homogeneous:
                 vec[f] = _ONE
             if not (
                 _lift(res, cols, modulus, vec)
-                and _satisfies(equations, vec, f is not None)
+                and _satisfies(folded, vec, homogeneous)
             ):
                 break
+            if not _satisfies(others, vec, homogeneous):
+                if homogeneous:
+                    # The kernel of the folded rows is larger than that of
+                    # A: the hint does not span, so fold every row.
+                    return _solve(equations, ncols)
+                # The kernel vectors came first and passed every row, so
+                # ker(A) = ker(A_S) and no solution meets this row.
+                return False, None, []
             lifted.append(vec)
         else:
             if len(lifted) == ncols - len(order):
@@ -268,7 +300,7 @@ def _solve(equations, ncols):
             return True, lifted[-1], lifted[:-1]
 
 
-def solve_sparse(equations, ncols):
+def solve_sparse(equations, ncols, spanning=None):
     """Solve a sparse linear system given as [(col -> coeff dict, rhs), ...].
 
     Coefficients and right-hand sides are ints or Fractions.  Returns
@@ -277,9 +309,13 @@ def solve_sparse(equations, ncols):
     is 0 on the free columns, and the kernel vector of free column f is 1
     at f and 0 on the other free columns, so the answer is unique and
     fully deterministic.  Every returned vector has passed an exact check
-    (see the module docstring).
+    against every row (see the module docstring).
+
+    spanning, when given, lists the indices of rows expected to span the
+    row space; only those rows are folded.  A wrong hint costs a second
+    solve with every row folded, never a different answer.
     """
-    return _solve(equations, ncols)
+    return _solve(equations, ncols, spanning)
 
 
 def nullspace(rows, ncols):

@@ -26,10 +26,16 @@ so on a highest-weight vector lambda = -h, c0 = h_W and c1 = -c_W.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .liecore import I, x
-from .pbw import HighestWeightActor, HighestWeightParams, monomial_to_json
+from .pbw import (
+    HighestWeightActor,
+    HighestWeightParams,
+    monomial_key,
+    monomial_to_json,
+)
 from .rationals import rat_str
 
 
@@ -49,6 +55,12 @@ def level_basis(n):
     """Ordered PBW monomial basis of level n (degree -n)."""
     if n < 0:
         raise ValueError("level must be nonnegative")
+    return list(_level_basis(n))
+
+
+@lru_cache(maxsize=None)
+def _level_basis(n):
+    """level_basis(n) as a tuple, built once per level."""
     monos = []
     for s in range(n + 1):
         for ipart in _partitions(s):
@@ -56,17 +68,15 @@ def level_basis(n):
             for xpart in _partitions(n - s):
                 xfactors = tuple(x(-k) for k in sorted(xpart, reverse=True))
                 monos.append(ifactors + xfactors)
-    from .pbw import monomial_key
-
     monos.sort(key=monomial_key)
-    return monos
+    return tuple(monos)
 
 
 def character_dims(max_n):
     """Level dimensions 0..max_n, by direct basis enumeration."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    return [len(level_basis(n)) for n in range(max_n + 1)]
+    return [len(_level_basis(n)) for n in range(max_n + 1)]
 
 
 @dataclass
@@ -75,7 +85,7 @@ class VermaVector:
     coords: dict  # basis position -> Fraction
 
     def to_json(self):
-        basis = level_basis(self.level)
+        basis = _level_basis(self.level)
         return {
             "level": self.level,
             "coords": {
@@ -114,8 +124,8 @@ def raising_matrix(k, n, params, gen_kind, actor=None):
     if actor is None:
         actor = HighestWeightActor(params)
     g = x(k) if gen_kind == "X" else I(k)
-    source = level_basis(n)
-    target = level_basis(n - k)
+    source = _level_basis(n)
+    target = _level_basis(n - k)
     target_pos = {mono: i for i, mono in enumerate(target)}
     matrix = [[Fraction(0)] * len(source) for _ in target]
     for col, mono in enumerate(source):
@@ -133,7 +143,7 @@ def joint_kernel(params, level, actor=None):
     """
     if actor is None:
         actor = HighestWeightActor(params)
-    dim = len(level_basis(level))
+    dim = len(_level_basis(level))
     rows = []
     for k in range(1, min(level, 2) + 1):
         for kind in ("I", "X"):

@@ -1,9 +1,11 @@
 """Constraint-system generators, solvers, and classification results."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from w22 import linalg
 from w22 import (
     EXT_TYPES,
     ModuleSpec,
@@ -342,6 +344,59 @@ class TestMatrixSystem:
         assert data["infeasible"] is True
         assert data["dimension"] == 0
         assert "quadratic_survivors" not in data
+
+
+class TestSpanningRows:
+    """The solver folds only the rows of x(+-1) and x(+-2)."""
+
+    @staticmethod
+    def folded_rows(monkeypatch):
+        seen = []
+        fold = linalg._fold
+
+        def recording_fold(equations, p):
+            seen.append(list(equations))
+            return fold(equations, p)
+
+        monkeypatch.setattr(linalg, "_fold", recording_fold)
+        return seen
+
+    @pytest.mark.parametrize(
+        "build, size",
+        [
+            # 4 (9 - |i|)^2 rows for each i = +-1, +-2 at a non-integral
+            # alpha (every triple regular), plus the pinning row
+            (
+                lambda: build_matrix_system(F(9, 8), (F(0), F(0)), "ext_a", 4),
+                2 * 4 * (8**2 + 7**2) + 1,
+            ),
+            (
+                lambda: build_matrix_system(
+                    F(9, 8), (F(0), F(0)), "decomposable", 4
+                ),
+                2 * 4 * (8**2 + 7**2),
+            ),
+            # (11 - |n|)^2 rows for each n = +-1, +-2
+            (lambda: build_f_system(F(1, 2), F(1, 3), 5), 2 * (10**2 + 9**2)),
+        ],
+        ids=["matrix-ext_a", "matrix-decomposable", "f-system"],
+    )
+    def test_only_spanning_rows_are_folded(self, monkeypatch, build, size):
+        system = build()
+        assert len(system.spanning) == size
+        col = {name: i for i, name in enumerate(system.unknowns)}
+        expected = [
+            ({col[n]: v for n, v in system.equations[k][0].items()},
+             system.equations[k][1])
+            for k in system.spanning
+        ]
+        seen = self.folded_rows(monkeypatch)
+        hinted = solve_linear(system)
+        assert seen and all(rows == expected for rows in seen)
+        seen.clear()
+        unhinted = solve_linear(dataclasses.replace(system, spanning=None))
+        assert len(seen[0]) == len(system.equations)
+        assert hinted == unhinted
 
 
 def _parse_mat_name(name):

@@ -5,7 +5,10 @@ systems) the rref-normalised answer of sympy's DomainMatrix over QQ, an
 implementation written independently of this package.  The certificate
 cases force the paths the first prime cannot settle alone: entries too
 large for one modulus, a coefficient or denominator divisible by the
-first prime, and an infeasibility that shows only after later rows.
+first prime, and an infeasibility that shows only after later rows.  The
+spanning-row cases force the paths of a fold restricted to some rows: a
+hint that does not span, an infeasibility that only an unfolded row
+shows, and a contradiction inside the folded rows.
 """
 
 import random
@@ -32,6 +35,19 @@ def count_primes(monkeypatch):
         result = fold(equations, p)
         seen.append(p)
         return result
+
+    monkeypatch.setattr(linalg, "_fold", recording_fold)
+    return seen
+
+
+def count_folded_rows(monkeypatch):
+    """Record the number of rows of every fold the solver runs."""
+    seen = []
+    fold = linalg._fold
+
+    def recording_fold(equations, p):
+        seen.append(len(equations))
+        return fold(equations, p)
 
     monkeypatch.setattr(linalg, "_fold", recording_fold)
     return seen
@@ -170,6 +186,49 @@ def test_infeasibility_after_later_rows():
     assert kernel == []
 
 
+def test_hint_that_does_not_span_falls_back(monkeypatch):
+    # Folding x + y = 1 alone gives the kernel vector (-1, 1), which fails
+    # y = 2: the hint misses a row, so every row is folded again.
+    seen = count_folded_rows(monkeypatch)
+    equations = [({0: F(1), 1: F(1)}, F(1)), ({1: F(1)}, F(2))]
+    answer = (True, [F(-1), F(2)], [])
+    assert solve_sparse(equations, 2, spanning=(0,)) == answer
+    assert seen == [1, 2]
+    assert solve_sparse(equations, 2) == answer
+
+
+def test_infeasibility_seen_only_by_an_unfolded_row(monkeypatch):
+    # The hint x + y = 1 spans 2x + 2y = 3: the kernel vector (-1, 1)
+    # passes both rows.  The particular solution (1, 0) is exact on the
+    # hint and gives 2 != 3 on the other row, so no solution exists.
+    seen = count_folded_rows(monkeypatch)
+    equations = [({0: F(1), 1: F(1)}, F(1)), ({0: F(2), 1: F(2)}, F(3))]
+    assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
+    assert seen == [1]
+    assert solve_sparse(equations, 2) == (False, None, [])
+    # with the right-hand side 2 the same hint certifies the line
+    equations[1] = ({0: F(2), 1: F(2)}, F(2))
+    assert solve_sparse(equations, 2, spanning=(0,)) == (
+        True,
+        [F(1), F(0)],
+        [[F(-1), F(1)]],
+    )
+
+
+def test_hint_containing_the_inconsistent_row(monkeypatch):
+    # Rows 0 and 1 contradict each other (x + y = 1, 2x + 2y = 3) and are
+    # both folded; row 2 (3x + 3y = 0) is not.  The kernel vector (-1, 1)
+    # passes row 2, so the hint spans and the contradiction decides.
+    seen = count_folded_rows(monkeypatch)
+    equations = [
+        ({0: F(1), 1: F(1)}, F(1)),
+        ({0: F(2), 1: F(2)}, F(3)),
+        ({0: F(3), 1: F(3)}, F(0)),
+    ]
+    assert solve_sparse(equations, 2, spanning=(0, 1)) == (False, None, [])
+    assert seen == [2]
+
+
 def _sympy_answer(rows, rhs, ncols):
     """(feasible, particular, kernel) in rref-normalised form, by sympy."""
     from sympy import QQ
@@ -206,6 +265,7 @@ def _sympy_answer(rows, rhs, ncols):
 def test_solve_sparse_matches_dense_on_random_systems():
     pytest.importorskip("sympy")
     rng = random.Random(1724)
+    hints = random.Random(4271)  # apart from rng, so the systems stay fixed
     for trial in range(60):
         nrows = rng.randint(1, 7)
         ncols = rng.randint(1, 6)
@@ -220,14 +280,18 @@ def test_solve_sparse_matches_dense_on_random_systems():
             for _ in range(nrows)
         ]
         rhs = [F(rng.randint(-3, 3)) for _ in range(nrows)]
-        sparse = solve_sparse(
-            [
-                ({j: row[j] for j in range(ncols) if row[j]}, b)
-                for row, b in zip(rows, rhs)
-            ],
-            ncols,
+        equations = [
+            ({j: row[j] for j in range(ncols) if row[j]}, b)
+            for row, b in zip(rows, rhs)
+        ]
+        answer = _sympy_answer(rows, rhs, ncols)
+        assert solve_sparse(equations, ncols) == answer, (trial, rows, rhs)
+        # any subset of the rows as the hint gives the same answer
+        hint = sorted(hints.sample(range(nrows), hints.randint(0, nrows)))
+        assert solve_sparse(equations, ncols, spanning=hint) == answer, (
+            trial,
+            hint,
         )
-        assert sparse == _sympy_answer(rows, rhs, ncols), (trial, rows, rhs)
         assert nullspace(rows, ncols) == _sympy_answer(
             rows, [F(0)] * nrows, ncols
         )[2]

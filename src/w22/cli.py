@@ -27,16 +27,19 @@ from .verma import find_singular, is_verma_irreducible, level_basis
 
 
 class Parser(argparse.ArgumentParser):
-    """ArgumentParser that accepts negative fractions like -1/2 as values.
+    """ArgumentParser that accepts negative values like -1/2 or -1/2,1.
 
     Stock argparse only recognizes -<digits> as a value rather than an
-    option; widening the matcher covers -p/q tokens too (the = form,
-    --e=-1/2, works either way).
+    option; widening the matcher covers -p/q tokens and comma lists of
+    p or p/q that start with a negative entry too (the = form,
+    --betas=-1/2,1, works either way).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(?:/\d+)?(?:,-?\d+(?:/\d+)?)*$"
+        )
 
 
 def generator_token(text):
@@ -129,15 +132,13 @@ def _add_params(sub):
                      help="search depth (levels 1..max-level)")
 
 
-def _add_module_spec(sub, need_window=True):
+def _add_module_spec(sub):
     sub.add_argument("--family", choices=im.FAMILIES, required=True)
     sub.add_argument("--a", type=rational, required=True)
     sub.add_argument("--b", type=rational, default=None,
                      help="second parameter (family Aab only)")
     sub.add_argument("--mask", type=int_set, default=frozenset(),
                      help="comma-separated weight indices acting as zero")
-    if need_window:
-        sub.add_argument("--window", type=positive_int, required=True)
 
 
 def build_parser():
@@ -150,35 +151,43 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("bracket", help="bracket of two basis generators")
+    p.set_defaults(run=_run_bracket)
     p.add_argument("--left", type=generator_token, required=True)
     p.add_argument("--right", type=generator_token, required=True)
 
     p = sub.add_parser("jacobi", help="Jacobi identity sweep on a window")
+    p.set_defaults(run=_run_jacobi)
     p.add_argument("--window", type=nonnegative_int, required=True)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("vir-embed", help="Virasoro copy element x(n)+n*e*I(n)")
+    p.set_defaults(run=_run_vir_embed)
     p.add_argument("--e", type=rational, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("normal-order", help="straighten a product of generators")
+    p.set_defaults(run=_run_normal_order)
     p.add_argument("generators", nargs="+", type=generator_token,
                    metavar="GEN", help="factors, e.g. x:2 x:-2")
 
     p = sub.add_parser("verma-basis", help="PBW basis of one Verma level")
+    p.set_defaults(run=_run_verma_basis)
     p.add_argument("--level", type=nonnegative_int, required=True)
 
     p = sub.add_parser("verma-singular", help="joint-kernel singular vector search")
+    p.set_defaults(run=_run_verma_singular)
     _add_params(p)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("verma-check",
                        help="irreducibility verdict with closed-form roots")
+    p.set_defaults(run=_run_verma_check)
     _add_params(p)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("im-act", help="weight-module action (table or single)")
-    _add_module_spec(p, need_window=False)
+    p.set_defaults(run=_run_im_act)
+    _add_module_spec(p)
     p.add_argument("--window", type=positive_int, default=None)
     p.add_argument("--gen", type=generator_token, default=None,
                    help="single-application mode: generator token")
@@ -187,11 +196,14 @@ def build_parser():
     p.add_argument("--output", choices=("json", "tsv"), default="json")
 
     p = sub.add_parser("im-probe", help="windowed reachability probe")
+    p.set_defaults(run=_run_im_probe)
     _add_module_spec(p)
+    p.add_argument("--window", type=positive_int, required=True)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("verify-f",
                        help="solve the scalar I-action system on a window")
+    p.set_defaults(run=_run_verify, build=_f_system)
     p.add_argument("--a", type=rational, required=True)
     p.add_argument("--b", type=rational, required=True)
     p.add_argument("--window", type=int, required=True)
@@ -200,6 +212,7 @@ def build_parser():
 
     p = sub.add_parser("verify-matrix",
                        help="solve the 2x2 matrix I-action system on a window")
+    p.set_defaults(run=_run_verify, build=_matrix_system)
     p.add_argument("--alpha", type=rational, required=True)
     p.add_argument("--betas", type=rational_pair, default=(Fraction(0), Fraction(0)),
                    help="diagonal parameters, e.g. 0,1 (decomposable only)")
@@ -222,57 +235,53 @@ def _module_spec(parser, args):
     return im.ModuleSpec(args.family, args.a, args.b, masked=args.mask)
 
 
-def _run_bracket(args):
+def _run_bracket(parser, args):
     emit(bracket(args.left, args.right).to_json())
-    return 0
 
 
-def _run_jacobi(args):
+def _run_jacobi(parser, args):
     violations = jacobi_check(args.window)
     emit({
         "window": args.window,
         "violations": [[token_of(g) for g in triple] for triple in violations],
     })
-    return 1 if args.strict and violations else 0
+    return bool(violations)
 
 
-def _run_vir_embed(args):
+def _run_vir_embed(parser, args):
     emit(vir_embed(args.e, args.n).to_json())
-    return 0
 
 
-def _run_normal_order(args):
+def _run_normal_order(parser, args):
     emit(normal_order(tuple(args.generators)).to_json())
-    return 0
 
 
-def _run_verma_basis(args):
+def _run_verma_basis(parser, args):
     basis = level_basis(args.level)
     emit({
         "level": args.level,
         "dimension": len(basis),
         "monomials": [monomial_to_json(m) for m in basis],
     })
-    return 0
 
 
 def _params(args):
     return HighestWeightParams(args.lam, args.c, args.c0, args.c1)
 
 
-def _run_verma_singular(args):
+def _run_verma_singular(parser, args):
     reports = find_singular(_params(args), args.max_level)
     emit({
         "max_level": args.max_level,
         "reports": [r.to_json() for r in reports],
     })
-    return 1 if args.strict and reports else 0
+    return bool(reports)
 
 
-def _run_verma_check(args):
+def _run_verma_check(parser, args):
     verdict = is_verma_irreducible(_params(args), args.max_level)
     emit(verdict.to_json())
-    return 1 if args.strict and verdict.verdict == "reducible" else 0
+    return verdict.verdict == "reducible"
 
 
 def _run_im_act(parser, args):
@@ -289,14 +298,14 @@ def _run_im_act(parser, args):
             "index": args.index,
             "result": {str(j): rat_str(result[j]) for j in sorted(result)},
         })
-        return 0
+        return
     if args.window is None:
         parser.error("table mode requires --window")
     rows = im.action_table_rows(spec, args.window)
     if args.output == "tsv":
         for kind, m, i, coeff in rows:
             sys.stdout.write("%s\t%d\t%d\t%s\n" % (kind, m, i, rat_str(coeff)))
-        return 0
+        return
     emit({
         "family": spec.family,
         "a": rat_str(spec.a),
@@ -304,15 +313,13 @@ def _run_im_act(parser, args):
         "window": args.window,
         "rows": [[kind, m, i, rat_str(coeff)] for kind, m, i, coeff in rows],
     })
-    return 0
 
 
 def _run_im_probe(parser, args):
     spec = _module_spec(parser, args)
     probe = im.simplicity_probe(spec, args.window)
     emit(probe.to_json())
-    bad = probe.verdict != "no-proper-invariant-window-subspace"
-    return 1 if args.strict and bad else 0
+    return probe.verdict != "no-proper-invariant-window-subspace"
 
 
 def _solved_summary(system, solution, survivors, full):
@@ -327,63 +334,32 @@ def _solved_summary(system, solution, survivors, full):
     return out
 
 
-def _run_verify_f(parser, args):
+def _f_system(args):
+    return con.build_f_system(args.a, args.b, args.window)
+
+
+def _matrix_system(args):
+    return con.build_matrix_system(args.alpha, args.betas, args.ext_type,
+                                   args.window, normalized=not args.no_normalize)
+
+
+def _run_verify(parser, args):
     try:
-        system = con.build_f_system(args.a, args.b, args.window)
+        system = args.build(args)
     except ValueError as exc:
         parser.error(str(exc))
     solution = con.solve_linear(system)
     survivors = con.check_quadratic(system, solution)
     emit(_solved_summary(system, solution, survivors, args.full))
-    findings = (not solution.feasible) or bool(survivors)
-    return 1 if args.strict and findings else 0
-
-
-def _run_verify_matrix(parser, args):
-    try:
-        system = con.build_matrix_system(
-            args.alpha,
-            args.betas,
-            args.ext_type,
-            args.window,
-            normalized=not args.no_normalize,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    solution = con.solve_linear(system)
-    survivors = con.check_quadratic(system, solution)
-    emit(_solved_summary(system, solution, survivors, args.full))
-    findings = (not solution.feasible) or bool(survivors)
-    return 1 if args.strict and findings else 0
+    return (not solution.feasible) or bool(survivors)
 
 
 def main(argv=None):
+    """Run one verb; each runner returns whether it found something."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    verb = args.verb
-    if verb == "bracket":
-        return _run_bracket(args)
-    if verb == "jacobi":
-        return _run_jacobi(args)
-    if verb == "vir-embed":
-        return _run_vir_embed(args)
-    if verb == "normal-order":
-        return _run_normal_order(args)
-    if verb == "verma-basis":
-        return _run_verma_basis(args)
-    if verb == "verma-singular":
-        return _run_verma_singular(args)
-    if verb == "verma-check":
-        return _run_verma_check(args)
-    if verb == "im-act":
-        return _run_im_act(parser, args)
-    if verb == "im-probe":
-        return _run_im_probe(parser, args)
-    if verb == "verify-f":
-        return _run_verify_f(parser, args)
-    if verb == "verify-matrix":
-        return _run_verify_matrix(parser, args)
-    parser.error("unknown verb: %r" % (verb,))
+    found = args.run(parser, args)
+    return 1 if found and getattr(args, "strict", False) else 0
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ class LieElement:
 ZERO = LieElement()
 
 
-def _central_term(kind, n, central):
+def _central_term(n, central):
     """delta(n, -m) (n^3 - n)/12 on the central generator, for m = -n."""
     coeff = Fraction(n**3 - n, 12)
     return {central: coeff} if coeff else {}
@@ -173,12 +173,12 @@ def pair_bracket(g, h):
         if m != n:
             terms[x(n + m)] = Fraction(m - n)
         if m == -n:
-            terms.update(_central_term(X_KIND, n, C))
+            terms.update(_central_term(n, C))
     else:
         if m != n:
             terms[I(n + m)] = Fraction(m - n)
         if m == -n:
-            terms.update(_central_term(I_KIND, n, C1))
+            terms.update(_central_term(n, C1))
     return LieElement(terms)
 
 
@@ -188,13 +188,13 @@ def _as_element(a):
     return a
 
 
-def bracket(a, b, pair=pair_bracket):
+def bracket(a, b):
     """Bilinear extension of the defining brackets."""
     a, b = _as_element(a), _as_element(b)
     out = ZERO
     for g, cg in a.terms.items():
         for h, ch in b.terms.items():
-            out = out + (cg * ch) * pair(g, h)
+            out = out + (cg * ch) * pair_bracket(g, h)
     return out
 
 

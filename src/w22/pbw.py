@@ -126,9 +126,8 @@ class UEAElement:
         return cls(terms)
 
 
-def normal_order(word, pair=None):
+def normal_order(word):
     """Straighten a word of generators into ordered PBW monomials."""
-    kwargs = {} if pair is None else {"pair": pair}
     result = {}
     stack = [(tuple(word), Fraction(1))]
     while stack:
@@ -143,7 +142,7 @@ def normal_order(word, pair=None):
             continue
         g, h = w[spot], w[spot + 1]
         stack.append((w[:spot] + (h, g) + w[spot + 2 :], coeff))
-        for b, cb in bracket(g, h, **kwargs).terms.items():
+        for b, cb in bracket(g, h).terms.items():
             stack.append((w[:spot] + (b,) + w[spot + 2 :], coeff * cb))
     return UEAElement(result)
 

@@ -98,6 +98,23 @@ def test_two_runs_are_byte_identical(argv):
         json.loads(first.stdout)  # every json-mode line parses
 
 
+@pytest.mark.parametrize(
+    "head, option, value, tail",
+    [
+        (("im-probe", "--family", "Ba", "--a", "2"), "--mask", "-1,2",
+         ("--window", "3")),
+        (("verify-matrix", "--alpha", "1/3"), "--betas", "-1/2,1",
+         ("--ext-type", "decomposable", "--window", "4")),
+    ],
+    ids=["mask", "betas"],
+)
+def test_negative_list_as_separate_token(head, option, value, tail):
+    joined = run(*head, "%s=%s" % (option, value), *tail)
+    separate = run(*head, option, value, *tail)
+    assert joined.returncode == separate.returncode == 0
+    assert separate.stdout == joined.stdout
+
+
 class TestExitCodes:
     def test_strict_probe_finding(self):
         clean = run("im-probe", "--family", "Aab", "--a", "1/2", "--b", "1/3",

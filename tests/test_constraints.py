@@ -398,6 +398,27 @@ class TestSpanningRows:
         assert len(seen[0]) == len(system.equations)
         assert hinted == unhinted
 
+    # At integral alpha the triples with a zero weight factor are skipped,
+    # and with distinct betas the rows of x(+-1), x(+-2) then miss part of
+    # the row space: the exact check sees a kernel vector fail an unfolded
+    # row, and the solver folds every row again.
+    @pytest.mark.parametrize(
+        "alpha, spanning, rows",
+        [(0, 512, 1008), (1, 528, 1072), (2, 552, 1148)],
+    )
+    def test_hint_that_does_not_span_falls_back_to_every_row(
+        self, monkeypatch, alpha, spanning, rows
+    ):
+        system = build_matrix_system(
+            F(alpha), (F(1, 2), F(-1, 3)), "decomposable", 4
+        )
+        assert (len(system.spanning), len(system.equations)) == (spanning, rows)
+        seen = self.folded_rows(monkeypatch)
+        hinted = solve_linear(system)
+        assert [len(rows) for rows in seen] == [spanning, rows]
+        unhinted = solve_linear(dataclasses.replace(system, spanning=None))
+        assert hinted == unhinted
+
 
 def _parse_mat_name(name):
     # F(i,n)[r,s]

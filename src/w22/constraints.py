@@ -19,14 +19,18 @@ two-dimensional weight spaces V_n = span(v_n^1, v_n^2): the x-action is a
 F(i, n), and each index triple contributes four scalar equations (one per
 matrix entry).  Quadratic constraints again come from [I, I] = 0.
 
-Unknowns are referred to by name ("f(m,t)", "F(i,n)[k,l]", "C1") so that
-reports and solution assignments stay readable.
+Inside a system, unknowns are integer columns: equation rows and
+quadratic terms index ``ConstraintSystem.unknowns``, which holds the
+names ("f(m,t)", "F(i,n)[k,l]", "C1").  Names appear only there and in
+what ``solve_linear`` and ``report`` return, so solution assignments and
+reports stay readable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import solve_sparse
 from .rationals import rat, rat_str
@@ -36,14 +40,16 @@ EXT_TYPES = ("decomposable", "ext_a", "ext_b")
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """A finite linear-plus-quadratic constraint system over named unknowns.
+    """A finite linear-plus-quadratic constraint system.
 
-    ``equations`` holds linear constraints as (name -> coeff, rhs) pairs,
-    all to be read as sum(coeff * unknown) = rhs.  ``quadratics`` holds
-    bilinear constraints as lists of (name, name, coeff) triples, to be
-    read as sum(coeff * unknown1 * unknown2) = 0.  ``spanning`` lists the
-    indices of equations expected to span the linear part (see
-    ``linalg.solve_sparse``); None means every equation.
+    ``unknowns`` names the columns.  ``equations`` holds linear
+    constraints as (col -> coeff, rhs) pairs, all to be read as
+    sum(coeff * unknown[col]) = rhs.  ``quadratics`` holds bilinear
+    constraints as lists of (col, col, coeff) triples, to be read as
+    sum(coeff * unknown[col1] * unknown[col2]) = 0.  Coefficients are
+    exact ints or Fractions, and zero coefficients are omitted.
+    ``spanning`` lists the indices of equations expected to span the
+    linear part (see ``linalg.solve_sparse``); None means every equation.
     """
 
     unknowns: tuple
@@ -52,27 +58,29 @@ class ConstraintSystem:
     meta: dict = field(default_factory=dict)
     spanning: tuple | None = None
 
+    def _values(self, assignment):
+        return [assignment.get(name, 0) for name in self.unknowns]
+
     def evaluate_equations(self, assignment):
-        """Residual (lhs - rhs) of every linear equation at an assignment."""
+        """Residual (lhs - rhs) of every linear equation at an assignment
+        (name -> value; missing names are 0)."""
+        values = self._values(assignment)
         out = []
         for coeffs, rhs in self.equations:
-            acc = -rhs
-            for name, coeff in coeffs.items():
-                acc += coeff * assignment.get(name, Fraction(0))
+            acc = Fraction(-rhs)
+            for col, coeff in coeffs.items():
+                acc += coeff * values[col]
             out.append(acc)
         return out
 
     def evaluate_quadratics(self, assignment):
         """Residual of every quadratic constraint at an assignment."""
+        values = self._values(assignment)
         out = []
         for terms in self.quadratics:
             acc = Fraction(0)
             for left, right, coeff in terms:
-                acc += (
-                    coeff
-                    * assignment.get(left, Fraction(0))
-                    * assignment.get(right, Fraction(0))
-                )
+                acc += coeff * values[left] * values[right]
             out.append(acc)
         return out
 
@@ -96,13 +104,13 @@ def _assignment_from_vector(unknowns, vector):
 
 
 def solve_linear(system):
-    """Solve the linear part of a ConstraintSystem exactly."""
-    col = {name: i for i, name in enumerate(system.unknowns)}
-    equations = []
-    for coeffs, rhs in system.equations:
-        equations.append(({col[n]: v for n, v in coeffs.items()}, rhs))
+    """Solve the linear part of a ConstraintSystem exactly.
+
+    The answer is rendered by name: the particular solution and each
+    basis ray are name -> value dicts without zero values.
+    """
     feasible, particular, kernel = solve_sparse(
-        equations, len(system.unknowns), spanning=system.spanning
+        system.equations, len(system.unknowns), spanning=system.spanning
     )
     if not feasible:
         return SolutionSpace(False, None, [], 0)
@@ -119,11 +127,25 @@ def check_quadratic(system, solution):
 
     Each basis ray is tested on its own (scaled by 1); for homogeneous
     quadratics this decides, for each ray direction, whether the whole
-    ray lies on the quadratic variety.
+    ray lies on the quadratic variety.  The test is exact and runs on
+    integers: each ray, a name -> value dict, becomes one integer vector
+    over the columns by clearing its common denominator, which scales
+    every homogeneous quadratic residual by the same nonzero square.
     """
+    col = {name: i for i, name in enumerate(system.unknowns)}
     survivors = []
     for i, ray in enumerate(solution.basis):
-        if all(r == 0 for r in system.evaluate_quadratics(ray)):
+        den = lcm(*(value.denominator for value in ray.values()))
+        vec = [0] * len(col)
+        for name, value in ray.items():
+            vec[col[name]] = value.numerator * (den // value.denominator)
+        for terms in system.quadratics:
+            acc = 0
+            for left, right, coeff in terms:
+                acc += coeff * vec[left] * vec[right]
+            if acc:
+                break
+        else:
             survivors.append(i)
     return survivors
 
@@ -189,6 +211,16 @@ def build_f_system(a, b, window):
         raise ValueError("window must be at least 3, got %d" % window)
     rng = range(-window, window + 1)
     unknowns = tuple(_f_name(m, t) for m in rng for t in rng) + ("C1",)
+    side = 2 * window + 1
+    c1 = side * side
+
+    def col(m, t):
+        return (m + window) * side + t + window
+
+    # x(n) v_s = act[n][s] v_{n+s}, for |n| <= window and |s| <= 2 window
+    act = {n: {s: a + s + b * n for s in range(-2 * window, 2 * window + 1)}
+           for n in rng}
+    minus = {n: {s: -v for s, v in act_n.items()} for n, act_n in act.items()}
 
     equations = []
     spanning = []
@@ -196,18 +228,30 @@ def build_f_system(a, b, window):
         for n in rng:
             if abs(n + m) > window:
                 continue
+            act_n, minus_n = act[n], minus[n]
+            central = -Fraction(n**3 - n, 12) if n + m == 0 else 0
             for t in rng:
                 if abs(n + t) > window:
                     continue
                 if 1 <= abs(n) <= 2:
                     spanning.append(len(equations))
-                coeffs = {}
-                _accumulate(coeffs, _f_name(m, t), a + t + m + b * n)
-                _accumulate(coeffs, _f_name(m, n + t), -(a + t + b * n))
-                _accumulate(coeffs, _f_name(n + m, t), Fraction(-(m - n)))
-                if n + m == 0:
-                    _accumulate(coeffs, "C1", -Fraction(n**3 - n, 12))
-                equations.append((coeffs, Fraction(0)))
+                if n == 0:
+                    # the three columns coincide
+                    coeffs = {}
+                    _accumulate(coeffs, col(m, t), act_n[m + t])
+                    _accumulate(coeffs, col(m, t), minus_n[t])
+                    _accumulate(coeffs, col(m, t), -m)
+                else:
+                    coeffs = {
+                        col(m, t): act_n[m + t],
+                        col(m, n + t): minus_n[t],
+                        col(n + m, t): n - m,
+                    }
+                    if central:
+                        coeffs[c1] = central
+                    if not all(coeffs.values()):
+                        coeffs = {k: v for k, v in coeffs.items() if v}
+                equations.append((coeffs, 0))
 
     quadratics = []
     for m in rng:
@@ -219,8 +263,8 @@ def build_f_system(a, b, window):
                     continue
                 quadratics.append(
                     [
-                        (_f_name(m, t), _f_name(n, m + t), Fraction(1)),
-                        (_f_name(n, t), _f_name(m, n + t), Fraction(-1)),
+                        (col(m, t), col(n, m + t), 1),
+                        (col(n, t), col(m, n + t), -1),
                     ]
                 )
 
@@ -235,12 +279,14 @@ def build_f_system(a, b, window):
     )
 
 
-def _accumulate(coeffs, name, value):
-    acc = coeffs.get(name, Fraction(0)) + value
-    if acc:
-        coeffs[name] = acc
+def _accumulate(coeffs, col, value):
+    """Add value to coeffs[col], keeping only nonzero coefficients."""
+    if col in coeffs:
+        value += coeffs[col]
+    if value:
+        coeffs[col] = value
     else:
-        coeffs.pop(name, None)
+        coeffs.pop(col, None)
 
 
 def f_family_assignment(a, b, window, scale=1):
@@ -351,8 +397,32 @@ def make_x_matrices(alpha, betas, ext_type):
 
 
 def _regular(alpha, i, j, n):
-    d = alpha + n
+    """(alpha+n)(alpha+n+i)(alpha+n+j)(alpha+n+i+j) != 0, which can fail
+    only at an integral alpha."""
+    if alpha.denominator != 1:
+        return True
+    d = alpha.numerator + n
     return bool(d and (d + i) and (d + j) and (d + i + j))
+
+
+def _exact_matrix(mat):
+    """A 2x2 matrix of ints or Fractions as (integer entries, den) with
+    mat = entries / den: four ints, row by row."""
+    den = lcm(*(v.denominator for row in mat for v in row))
+    entries = tuple(
+        v.numerator * (den // v.denominator) for row in mat for v in row
+    )
+    return entries, den
+
+
+def _int_mul(p, q):
+    """Product of two 2x2 integer matrices given as four ints, row by row."""
+    return (
+        p[0] * q[0] + p[1] * q[2],
+        p[0] * q[1] + p[1] * q[3],
+        p[2] * q[0] + p[3] * q[2],
+        p[2] * q[1] + p[3] * q[3],
+    )
 
 
 def verify_x_action(a_mat, alpha, window):
@@ -360,8 +430,20 @@ def verify_x_action(a_mat, alpha, window):
 
     Raises ValueError at the first windowed triple (with all four shifted
     weights regular) where the candidate x-action breaks the x-bracket.
+    The check is exact and runs on integers: each A(i, n) is cleared of
+    denominators once, as P / d, and with A(i, j+n) = P/p, A(j, n) = Q/q,
+    A(j, i+n) = U/u, A(i, n) = V/v and A(i+j, n) = W/w the relation is
+    checked in the form (PQ uv - UV pq) w = (j - i) W pquv.
     """
     alpha = rat(alpha)
+    cache = {}
+
+    def exact(i, n):
+        key = (i, n)
+        if key not in cache:
+            cache[key] = _exact_matrix(a_mat(i, n))
+        return cache[key]
+
     rng = range(-window, window + 1)
     for i in rng:
         for j in rng:
@@ -370,15 +452,27 @@ def verify_x_action(a_mat, alpha, window):
             for n in rng:
                 if not _regular(alpha, i, j, n):
                     continue
-                lhs = _mat_sub(
-                    _mat_mul(a_mat(i, j + n), a_mat(j, n)),
-                    _mat_mul(a_mat(j, i + n), a_mat(i, n)),
-                )
-                if lhs != _mat_scale(Fraction(j - i), a_mat(i + j, n)):
+                mp, p = exact(i, j + n)
+                mq, q = exact(j, n)
+                mu, u = exact(j, i + n)
+                mv, v = exact(i, n)
+                mw, w = exact(i + j, n)
+                pq, uv = p * q, u * v
+                left = [
+                    (x * uv - y * pq) * w
+                    for x, y in zip(_int_mul(mp, mq), _int_mul(mu, mv))
+                ]
+                scale = (j - i) * pq * uv
+                if left != [scale * z for z in mw]:
                     raise ValueError(
                         "x-action matrices violate the x-bracket at "
                         "(i, j, n) = (%d, %d, %d)" % (i, j, n)
                     )
+
+
+def _put(coeffs, col, value):
+    if value:
+        coeffs[col] = value
 
 
 def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
@@ -412,44 +506,47 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         for r in (1, 2)
         for s in (1, 2)
     ) + ("C1",)
+    side = 2 * window + 1
+    c1 = 4 * side * side
+
+    def col(i, n, r, s):
+        return ((i + window) * side + n + window) * 4 + 2 * r + s - 3
+
+    minus = {}  # -A(i, n), negated once per matrix
 
     equations = []
     spanning = []
     for i in rng:
+        # with i = 0 the columns of a row coincide
+        add = _accumulate if i == 0 else _put
         for j in rng:
             if abs(i + j) > window:
                 continue
+            central = -Fraction(i**3 - i, 12) if i + j == 0 else 0
             for n in rng:
                 if abs(i + n) > window or not _regular(alpha, i, j, n):
                     continue
                 a_left = a_mat(i, j + n)
-                a_right = a_mat(i, n)
+                if (i, n) not in minus:
+                    minus[i, n] = _mat_scale(-1, a_mat(i, n))
+                neg_right = minus[i, n]
                 for r in (1, 2):
                     for s in (1, 2):
                         if 1 <= abs(i) <= 2:
                             spanning.append(len(equations))
                         coeffs = {}
                         for k in (1, 2):
-                            _accumulate(
-                                coeffs,
-                                _mat_name(j, n, k, s),
-                                a_left[r - 1][k - 1],
-                            )
-                            _accumulate(
-                                coeffs,
-                                _mat_name(j, i + n, r, k),
-                                -a_right[k - 1][s - 1],
-                            )
-                        _accumulate(
-                            coeffs, _mat_name(i + j, n, r, s), Fraction(-(j - i))
-                        )
-                        if i + j == 0 and r == s:
-                            _accumulate(coeffs, "C1", -Fraction(i**3 - i, 12))
-                        equations.append((coeffs, Fraction(0)))
+                            add(coeffs, col(j, n, k, s), a_left[r - 1][k - 1])
+                            add(coeffs, col(j, i + n, r, k),
+                                neg_right[k - 1][s - 1])
+                        add(coeffs, col(i + j, n, r, s), i - j)
+                        if r == s:
+                            add(coeffs, c1, central)
+                        equations.append((coeffs, 0))
 
     if normalized and ext_type != "decomposable":
         spanning.append(len(equations))
-        equations.append(({_mat_name(1, 0, 2, 1): Fraction(1)}, alpha))
+        equations.append(({col(1, 0, 2, 1): 1}, alpha))
 
     quadratics = []
     for i in rng:
@@ -468,18 +565,10 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
                         terms = []
                         for k in (1, 2):
                             terms.append(
-                                (
-                                    _mat_name(i, j + n, r, k),
-                                    _mat_name(j, n, k, s),
-                                    Fraction(1),
-                                )
+                                (col(i, j + n, r, k), col(j, n, k, s), 1)
                             )
                             terms.append(
-                                (
-                                    _mat_name(j, i + n, r, k),
-                                    _mat_name(i, n, k, s),
-                                    Fraction(-1),
-                                )
+                                (col(j, i + n, r, k), col(i, n, k, s), -1)
                             )
                         quadratics.append(terms)
 
@@ -496,24 +585,6 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     return ConstraintSystem(
         unknowns, equations, quadratics, meta, spanning=tuple(spanning)
     )
-
-
-def export_triplets(system):
-    """Render the linear equations as sparse text triplets.
-
-    One line per nonzero coefficient: row index, unknown name, coefficient
-    (tab-separated, fractions rendered without decimals).  Inhomogeneous
-    rows get an extra line with the reserved name "rhs".  The format is
-    meant for cross-checking against an external solver.
-    """
-    lines = []
-    for row, (coeffs, rhs) in enumerate(system.equations):
-        for name in system.unknowns:
-            if name in coeffs:
-                lines.append("%d\t%s\t%s" % (row, name, rat_str(coeffs[name])))
-        if rhs:
-            lines.append("%d\trhs\t%s" % (row, rat_str(rhs)))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def matrix_family_assignment(alpha, window, d_matrix):

@@ -12,13 +12,18 @@ rows with rhs 0.  No elimination runs over Fraction:
    input denominator is skipped.
 2. Back-substitution mod p gives the particular solution (free unknowns
    0) and one kernel vector per free column f (1 at f, 0 at the other
-   free columns).
+   free columns).  When every right-hand side is 0 the particular
+   solution is 0 and is neither computed nor checked.
 3. The residues of every prime with the same pivot columns are lifted by
    CRT and Wang's rational reconstruction (Wang, SYMSAC 1981; Monagan,
    ISSAC 2004).
-4. The lift is returned only after an exact Fraction check: A k = 0 for
-   every kernel vector and A x = b for the particular solution.  A lift
-   that fails takes one more prime.
+4. The lift is returned only after an exact check: A k = 0 for every
+   kernel vector and A x = b for the particular solution.  A lift that
+   fails takes one more prime.  The check runs on integers: each row is
+   cleared of its denominators once per solve (when the first lifted
+   vector needs it) and each lifted vector once, as ints / den, and a
+   row (pairs, rhs) holds when its integer dot product with the ints
+   equals rhs * den (0 for a kernel vector).
 
 The check is a certificate, not a heuristic.  A verified kernel vector
 of free column f has k[f] = 1 and is supported on f and the pivots left
@@ -58,7 +63,7 @@ with a smaller key discards the residues gathered before it.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 _FIRST_PRIME = 2**61 - 1
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -201,28 +206,52 @@ def _lift(residues, cols, modulus, vec):
     return True
 
 
-def _satisfies(equations, vec, homogeneous):
-    """Exact check of A vec = 0 (homogeneous) or A vec = b."""
+def _exact_rows(equations):
+    """Each row cleared of denominators once: ((col, int), ...), int rhs.
+
+    A row is scaled by the lcm of its own denominators (rhs included),
+    so it keeps its solutions and every entry stays exact.
+    """
+    out = []
     for coeffs, rhs in equations:
+        den = lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
+        pairs = [(c, v.numerator * (den // v.denominator))
+                 for c, v in coeffs.items()]
+        out.append((pairs, rhs.numerator * (den // rhs.denominator)))
+    return out
+
+
+def _exact_vector(vec):
+    """vec cleared of denominators once: (ints, den) with vec = ints / den."""
+    den = lcm(*[v.denominator for v in vec])
+    return [v.numerator * (den // v.denominator) for v in vec], den
+
+
+def _satisfies(rows, vector, homogeneous):
+    """Exact check of A vec = 0 (homogeneous) or A vec = b.
+
+    rows come from _exact_rows and vector from _exact_vector; the check
+    is row . ints == rhs * den, all in integers.
+    """
+    ints, den = vector
+    for pairs, rhs in rows:
         acc = 0
-        for c, coeff in coeffs.items():
-            value = vec[c]
-            if value:
-                acc += coeff * value
-        if acc != (0 if homogeneous else rhs):
+        for c, coeff in pairs:
+            acc += coeff * ints[c]
+        if acc != (0 if homogeneous else rhs * den):
             return False
     return True
 
 
-def _image(equations, ncols, p):
+def _image(equations, ncols, p, zero_rhs):
     """The answer mod p, or None when p divides an input denominator.
 
     Returns (key, order, targets, residues).  key is (-rank, ascending
     pivot list); order lists the pivots in descending order.  targets
     holds (f, cols) for each free column f (the vector is 1 at f and has
     entries at the pivots cols left of f), then (None, order) for the
-    particular solution when the system is consistent mod p; residues
-    holds the matching vectors mod p.  The echelon basis is dropped on
+    particular solution when the system is consistent mod p and not
+    zero_rhs; residues holds the matching vectors mod p.  The echelon basis is dropped on
     return, so two of them are never held at once.
     """
     try:
@@ -235,7 +264,7 @@ def _image(equations, ncols, p):
         for f in range(ncols)
         if f not in pivots
     ]
-    if consistent:
+    if consistent and not zero_rhs:
         targets.append((None, order))
     residues = []
     for f, cols in targets:
@@ -254,9 +283,12 @@ def _solve(equations, ncols, spanning=None):
         chosen = set(spanning)
         folded = [equations[i] for i in spanning]
         others = [row for i, row in enumerate(equations) if i not in chosen]
+    # With every rhs 0 the particular solution is 0: no lift, no check.
+    zero_rhs = not any(rhs for _, rhs in equations)
+    exact = None  # folded and others cleared of denominators, once needed
     key = None  # key of the primes whose residues are kept; lower is luckier
     for p in _primes():
-        image = _image(folded, ncols, p)
+        image = _image(folded, ncols, p, zero_rhs)
         if image is None:
             continue
         new_key, order, targets, residues = image
@@ -280,12 +312,14 @@ def _solve(equations, ncols, spanning=None):
             vec = [_ZERO] * ncols
             if homogeneous:
                 vec[f] = _ONE
-            if not (
-                _lift(res, cols, modulus, vec)
-                and _satisfies(folded, vec, homogeneous)
-            ):
+            if not _lift(res, cols, modulus, vec):
                 break
-            if not _satisfies(others, vec, homogeneous):
+            if exact is None:
+                exact = _exact_rows(folded), _exact_rows(others)
+            vector = _exact_vector(vec)
+            if not _satisfies(exact[0], vector, homogeneous):
+                break
+            if not _satisfies(exact[1], vector, homogeneous):
                 if homogeneous:
                     # The kernel of the folded rows is larger than that of
                     # A: the hint does not span, so fold every row.
@@ -295,6 +329,8 @@ def _solve(equations, ncols, spanning=None):
                 return False, None, []
             lifted.append(vec)
         else:
+            if zero_rhs:
+                return True, [_ZERO] * ncols, lifted
             if len(lifted) == ncols - len(order):
                 return False, None, []
             return True, lifted[-1], lifted[:-1]

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from w22 import linalg
+from w22 import constraints, linalg
 from w22 import (
     EXT_TYPES,
+    ConstraintSystem,
     ModuleSpec,
+    SolutionSpace,
     build_f_system,
     build_matrix_system,
     c1_is_forced_zero,
     check_quadratic,
     coefficient,
-    export_triplets,
     f_family_assignment,
     make_x_matrices,
     matrix_family_assignment,
@@ -168,26 +169,13 @@ class TestFSystemOracle:
                 ("f(%d,%d)" % (n + m, t), -F(m - n)),
             ]:
                 if val:
-                    expected[name] = expected.get(name, F(0)) + val
+                    col = system.unknowns.index(name)
+                    expected[col] = expected.get(col, F(0)) + val
             if n + m == 0 and n**3 != n:
-                expected["C1"] = -F(n**3 - n, 12)
+                expected[system.unknowns.index("C1")] = -F(n**3 - n, 12)
             expected = {k: v for k, v in expected.items() if v}
             assert coeffs == expected, (m, n, t)
             assert rhs == 0
-
-
-def test_export_triplets_round_trip():
-    system = build_f_system(F(1), F(0), 3)
-    lines = export_triplets(system).splitlines()
-    assert all(len(line.split("\t")) == 3 for line in lines)
-    # reconstruct row 0 from the export and compare
-    row0 = {}
-    for line in lines:
-        row, name, value = line.split("\t")
-        if row == "0" and name != "rhs":
-            row0[name] = Fraction(value)
-    expected = {k: v for k, v in system.equations[0][0].items()}
-    assert row0 == expected
 
 
 class TestXMatrices:
@@ -224,6 +212,37 @@ class TestXMatrices:
 
         with pytest.raises(ValueError, match="violate the x-bracket"):
             verify_x_action(corrupted, F(1, 3), 3)
+
+    def test_recursion_entry_off_by_2_pow_minus_80_is_caught(self):
+        # ext_b takes A(3, n) from the recursion; its corner moved by 2^-80
+        # breaks the bracket by that much, far below any float resolution
+        clean = make_x_matrices(F(1, 3), (F(0), F(0)), "ext_b")
+
+        def corrupted(i, n):
+            m = clean(i, n)
+            if (i, n) == (3, 0):
+                return ((m[0][0], m[0][1] + F(1, 2**80)), m[1])
+            return m
+
+        with pytest.raises(ValueError, match="violate the x-bracket"):
+            verify_x_action(corrupted, F(1, 3), 4)
+
+    def test_bracket_side_off_by_2_pow_minus_80_is_caught(self):
+        # The first triple that reads A(-3, 0) is (i, j, n) = (-4, 1, 0),
+        # where it is only the (j - i) A(i + j, n) side: the products
+        # read A(-4, 1), A(1, 0), A(1, -4) and A(-4, 0).
+        clean = make_x_matrices(F(1, 3), (F(0), F(0)), "ext_b")
+
+        def corrupted(i, n):
+            m = clean(i, n)
+            if (i, n) == (-3, 0):
+                return ((m[0][0] + F(1, 2**80), m[0][1]), m[1])
+            return m
+
+        with pytest.raises(
+            ValueError, match=r"x-bracket at \(i, j, n\) = \(-4, 1, 0\)"
+        ):
+            verify_x_action(corrupted, F(1, 3), 4)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="non-integral alpha"):
@@ -346,6 +365,34 @@ class TestMatrixSystem:
         assert "quadratic_survivors" not in data
 
 
+def test_check_quadratic_on_rays_with_mixed_denominators():
+    # a b - c^2 = 0 over the columns (a, b, c): the ray (1/2, 2, 1) gives
+    # 1 - 1 = 0 and survives, the ray (1/3, 1, 1) gives 1/3 - 1 and does
+    # not; their numerators alone would give the opposite answers
+    system = ConstraintSystem(("a", "b", "c"), [], [[(0, 1, 1), (2, 2, -1)]])
+    rays = [{"a": F(1, 2), "b": F(2), "c": F(1)},
+            {"a": F(1, 3), "b": F(1), "c": F(1)}]
+    solution = SolutionSpace(True, {}, rays, 2)
+    assert check_quadratic(system, solution) == [0]
+
+
+def test_solve_linear_hands_the_rows_over_unchanged(monkeypatch):
+    system = build_matrix_system(F(9, 8), (F(0), F(0)), "ext_a", 4)
+    seen = []
+    solve_sparse = constraints.solve_sparse
+
+    def recording(equations, ncols, spanning=None):
+        seen.append((equations, ncols, spanning))
+        return solve_sparse(equations, ncols, spanning=spanning)
+
+    monkeypatch.setattr(constraints, "solve_sparse", recording)
+    solve_linear(system)
+    [(equations, ncols, spanning)] = seen
+    assert equations is system.equations
+    assert ncols == len(system.unknowns)
+    assert spanning == system.spanning
+
+
 class TestSpanningRows:
     """The solver folds only the rows of x(+-1) and x(+-2)."""
 
@@ -384,12 +431,7 @@ class TestSpanningRows:
     def test_only_spanning_rows_are_folded(self, monkeypatch, build, size):
         system = build()
         assert len(system.spanning) == size
-        col = {name: i for i, name in enumerate(system.unknowns)}
-        expected = [
-            ({col[n]: v for n, v in system.equations[k][0].items()},
-             system.equations[k][1])
-            for k in system.spanning
-        ]
+        expected = [system.equations[k] for k in system.spanning]
         seen = self.folded_rows(monkeypatch)
         hinted = solve_linear(system)
         assert seen and all(rows == expected for rows in seen)

@@ -304,3 +304,88 @@ def test_solve_sparse_deterministic():
     assert first == second
     assert first[1] == [F(0), F(2), F(0), F(0)]
     assert first[2] == [[F(1), F(0), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
+
+
+# The exact certificate runs on integers: each row is cleared of its own
+# denominators once per solve, each lifted vector once, and a row holds
+# when its integer dot product equals rhs * den.  The cases below pin the
+# scaling of rows, right-hand sides and vectors with answers worked by hand.
+
+
+def certified(equations, vec, homogeneous):
+    """The solver's exact check of one vector against every row."""
+    return linalg._satisfies(
+        linalg._exact_rows(equations), linalg._exact_vector(vec), homogeneous
+    )
+
+
+# (1/3) x + (1/2) y + (5/6) z = 1/5 and (1/2) x + (5/6) y = 1/7.  Times 6
+# the pivot block reads 2x + 3y, 3x + 5y, of determinant 1, so with z = 0
+# x = 30/5 - 18/7 = 24/7 and y = -18/5 + 12/7 = -66/35; with z = 1 and
+# right-hand sides 0, x = -25 and y = 15.
+MIXED = [
+    ({0: F(1, 3), 1: F(1, 2), 2: F(5, 6)}, F(1, 5)),
+    ({0: F(1, 2), 1: F(5, 6)}, F(1, 7)),
+]
+MIXED_PARTICULAR = [F(24, 7), F(-66, 35), F(0)]
+MIXED_KERNEL = [F(-25), F(15), F(1)]
+
+
+def test_certificate_rows_are_cleared_row_by_row():
+    # row 0 by lcm(3, 2, 6, 5) = 30, row 1 by lcm(2, 6, 7) = 42
+    assert linalg._exact_rows(MIXED) == [
+        ([(0, 10), (1, 15), (2, 25)], 6),
+        ([(0, 21), (1, 35)], 6),
+    ]
+    # the particular solution is (120, -66, 0) / 35
+    assert linalg._exact_vector(MIXED_PARTICULAR) == ([120, -66, 0], 35)
+
+
+def test_certificate_on_mixed_denominators():
+    assert certified(MIXED, MIXED_PARTICULAR, homogeneous=False)
+    assert certified(MIXED, MIXED_KERNEL, homogeneous=True)
+    # the kernel vector does not solve the inhomogeneous rows
+    assert not certified(MIXED, MIXED_KERNEL, homogeneous=False)
+    assert solve_sparse(MIXED, 3) == (True, MIXED_PARTICULAR, [MIXED_KERNEL])
+
+
+def test_certificate_rejects_a_residual_of_2_pow_minus_80():
+    # z moved by (6/5) 2^-80 leaves row 1 exact and row 0 off by 2^-80
+    off = MIXED_PARTICULAR[:2] + [F(6, 5 * 2**80)]
+    assert not certified(MIXED, off, homogeneous=False)
+    off = [MIXED_PARTICULAR[0] + F(1, 2**80)] + MIXED_PARTICULAR[1:]
+    assert not certified(MIXED, off, homogeneous=False)
+    off = MIXED_KERNEL[:2] + [F(1) + F(6, 5 * 2**80)]
+    assert not certified(MIXED, off, homogeneous=True)
+
+
+def test_certificate_on_kernel_vectors_with_large_coprime_denominators():
+    # a x + z = 0 and b y + z = 0 with the Mersenne primes a = 2^89 - 1
+    # and b = 2^107 - 1: the kernel vector (-1/a, -1/b, 1) clears to
+    # (-b, -a, ab) / ab, and its lift needs a 196-bit modulus
+    a, b = 2**89 - 1, 2**107 - 1
+    equations = [({0: F(a), 2: F(1)}, F(0)), ({1: F(b), 2: F(1)}, F(0))]
+    kernel = [F(-1, a), F(-1, b), F(1)]
+    assert linalg._exact_vector(kernel) == ([-b, -a, a * b], a * b)
+    assert certified(equations, kernel, homogeneous=True)
+    assert not certified(
+        equations, [F(-1, a) + F(1, 2**80), F(-1, b), F(1)], homogeneous=True
+    )
+    assert solve_sparse(equations, 3) == (True, [F(0)] * 3, [kernel])
+
+
+def test_certificate_on_the_nullspace_path():
+    # nullspace hands the rows over with the int right-hand side 0;
+    # (1/3) x + (1/2) y + (5/6) z = 0 clears by 6 to 2x + 3y + 5z = 0,
+    # so x = -(3/2) y - (5/2) z
+    row = [F(1, 3), F(1, 2), F(5, 6)]
+    assert linalg._exact_rows([({0: row[0], 1: row[1], 2: row[2]}, 0)]) == [
+        ([(0, 2), (1, 3), (2, 5)], 0)
+    ]
+    kernel = [[F(-3, 2), F(1), F(0)], [F(-5, 2), F(0), F(1)]]
+    assert nullspace([row], 3) == kernel
+    equations = [({0: row[0], 1: row[1], 2: row[2]}, 0)]
+    assert all(certified(equations, vec, homogeneous=True) for vec in kernel)
+    assert not certified(
+        equations, [F(-3, 2), F(1), F(1, 2**80)], homogeneous=True
+    )

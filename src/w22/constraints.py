@@ -1,23 +1,20 @@
-"""Constraint systems that pin down I(m)-actions on weight modules.
+"""Constraint systems that pin down I-actions on weight modules.
 
-Both generators in this module start from a module on which the x-action
-is already known and treat the I-action as unknown, imposing the defining
-relation [x(n), I(m)] = (m - n) I(n + m) + delta(n, -m) (n^3 - n)/12 C1
-on a finite window of indices.  Solving the resulting linear system and
-then filtering by the quadratic constraints coming from [I, I] = 0
-recovers every I-action compatible with the given x-action on that
-window.
+Both generators start from a module whose x-action is known, x(i) v =
+A(i, n) v on the weight space V_n, and treat the I-action I(j) v =
+F(j, n) v as unknown.  With d = dim V_n, A(i, n) and F(j, n) are d x d
+matrices, and one builder (``_build``) imposes the defining relation
+[x(i), I(j)] = (j - i) I(i + j) + delta(i, -j) (i^3 - i)/12 C1 on V_n:
+one linear equation per matrix entry of every index triple (i, j, n) on
+a finite window.  Solving the linear system and then filtering by the
+quadratic constraints coming from [I, I] = 0 recovers every I-action
+compatible with the given x-action on that window.
 
-``build_f_system(a, b, window)`` handles one-dimensional weight spaces:
-with x(n) v_t = (a + t + b n) v_{n+t}, the unknown I-action must have the
-shape I(m) v_t = f(m, t) v_{m+t} for scalars f(m, t), and the relation
-above becomes one linear equation per index triple (m, n, t).
+``build_f_system(a, b, window)`` is d = 1, one-dimensional weight
+spaces: x(n) v_t = (a + t + b n) v_{n+t} and I(m) v_t = f(m, t) v_{m+t}.
 
-``build_matrix_system(alpha, betas, ext_type, window)`` handles
-two-dimensional weight spaces V_n = span(v_n^1, v_n^2): the x-action is a
-2x2 matrix A(i, n) per index pair, the unknown I-action a 2x2 matrix
-F(i, n), and each index triple contributes four scalar equations (one per
-matrix entry).  Quadratic constraints again come from [I, I] = 0.
+``build_matrix_system(alpha, betas, ext_type, window)`` is d = 2,
+V_n = span(v_n^1, v_n^2), with one of the known x-actions A(i, n).
 
 Inside a system, unknowns are integer columns: equation rows and
 quadratic terms index ``ConstraintSystem.unknowns``, which holds the
@@ -184,6 +181,136 @@ def report(system, solution, survivors=None):
 
 
 # ---------------------------------------------------------------------------
+# The defining relation on d x d blocks.
+# ---------------------------------------------------------------------------
+
+
+def _build(act, d, window, names):
+    """Rows of [x(i), I(j)] = (j - i) I(i + j) + delta (i^3 - i)/12 C1.
+
+    ``act(i, n)`` is the d x d matrix A(i, n) of x(i) on V_n (a tuple of
+    rows), and ``names(j, n, r, s)`` names entry (r, s) of the unknown
+    F(j, n), counting from 0.  Applied to V_n the relation reads
+
+        A(i, j+n) F(j, n) - F(j, i+n) A(i, n) + (i - j) F(i+j, n)
+            - delta(i, -j) (i^3 - i)/12 C1 = 0,
+
+    one row per entry (r, s) of every triple (i, j, n) whose indices all
+    stay inside the window, in the order j, i, n, (r, s).  The rows with
+    1 <= |i| <= 2 are listed as ``spanning``: x(+-1) and x(+-2) generate
+    every x(i), so they should carry the whole linear part (the solver
+    checks every row regardless).  Quadratics are the entries of
+    [I(i), I(j)] v = F(i, j+n) F(j, n) - F(j, i+n) F(i, n) = 0 for i < j.
+
+    Returns (unknowns, equations, quadratics, spanning).
+    """
+    rng = range(-window, window + 1)
+    dd = d * d
+    blocks = range(d)
+    unknowns = tuple(
+        names(j, n, r, s) for j in rng for n in rng for r in blocks
+        for s in blocks
+    ) + ("C1",)
+    # F(j, n) holds columns base(j, n) + r d + s, base(j, n) = origin +
+    # j step + n dd, and C1 comes last
+    step = (2 * window + 1) * dd
+    origin = window * (step + dd)
+    c1 = len(unknowns) - 1
+    # Entry e = r d + s of a product P Q is the sum over k of P[r][k] Q[k][s]:
+    # products[e] lists the flat index pairs (r d + k, k d + s).
+    products = [
+        [(r * d + k, k * d + s) for k in blocks] for r in blocks for s in blocks
+    ]
+    diagonal = range(0, dd, d + 1)
+
+    # tables[i][n] holds, per entry e, the nonzero terms of A(i, n) F and of
+    # -F A(i, n) as (flat index into F, coefficient), built once per
+    # matrix the rows read: j and n run over [lo, hi], so the rows read
+    # A(i, j + n) and A(i, n) for weights in [2 lo, 2 hi].
+    tables = {}
+    for i in rng:
+        lo, hi = max(-window, -window - i), min(window, window - i)
+        tables[i] = table = {}
+        for n in range(2 * lo, 2 * hi + 1):
+            flat = [v for row in act(i, n) for v in row]
+            table[n] = (
+                [tuple((y, flat[x]) for x, y in prod if flat[x])
+                 for prod in products],
+                [tuple((x, -flat[y]) for x, y in prod if flat[y])
+                 for prod in products],
+            )
+
+    equations = []
+    spanning = []
+    for j in rng:
+        bj = origin + j * step
+        for i in rng:
+            if abs(i + j) > window:
+                continue
+            central = -Fraction(i**3 - i, 12) if i + j == 0 else 0
+            spans = 1 <= abs(i) <= 2
+            table = tables[i]
+            bij = bj + i * step
+            for n in rng:
+                if abs(i + n) > window:
+                    continue
+                a_left, a_right = table[j + n][0], table[n][1]
+                bjn, bijn = bj + n * dd, bij + n * dd
+                bjin = bjn + i * dd
+                if spans:
+                    spanning.extend(range(len(equations), len(equations) + dd))
+                for e in range(dd):
+                    coeffs = {}
+                    if i:
+                        for y, v in a_left[e]:
+                            coeffs[bjn + y] = v
+                        for x, v in a_right[e]:
+                            coeffs[bjin + x] = v
+                        if i != j:
+                            coeffs[bijn + e] = i - j
+                        if central and e in diagonal:
+                            coeffs[c1] = central
+                    else:
+                        # the three blocks coincide
+                        for y, v in a_left[e]:
+                            _accumulate(coeffs, bjn + y, v)
+                        for x, v in a_right[e]:
+                            _accumulate(coeffs, bjn + x, v)
+                        _accumulate(coeffs, bjn + e, -j)
+                    equations.append((coeffs, 0))
+
+    quadratics = []
+    for i in rng:
+        for j in rng:
+            if j <= i:
+                continue
+            bi, bj = origin + i * step, origin + j * step
+            for n in rng:
+                if abs(i + n) > window or abs(j + n) > window:
+                    continue
+                # the blocks F(i, j+n), F(j, n), F(j, i+n) and F(i, n)
+                p, q = bi + (j + n) * dd, bj + n * dd
+                u, v = bj + (i + n) * dd, bi + n * dd
+                for prod in products:
+                    quad = []
+                    for x, y in prod:
+                        quad.append((p + x, q + y, 1))
+                        quad.append((u + x, v + y, -1))
+                    quadratics.append(quad)
+    return unknowns, equations, quadratics, spanning
+
+
+def _accumulate(coeffs, col, value):
+    """Add value to coeffs[col], keeping only nonzero coefficients."""
+    if col in coeffs:
+        value += coeffs[col]
+    if value:
+        coeffs[col] = value
+    else:
+        coeffs.pop(col, None)
+
+
+# ---------------------------------------------------------------------------
 # One-dimensional weight spaces: the f(m, t) system.
 # ---------------------------------------------------------------------------
 
@@ -195,79 +322,23 @@ def _f_name(m, t):
 def build_f_system(a, b, window):
     """Linear/quadratic system for I(m) v_t = f(m, t) v_{m+t}.
 
-    The x-action is x(n) v_t = (a + t + b n) v_{n+t}.  One linear equation
-    is generated per triple (m, n, t) whose referenced indices all stay
-    inside the window; quadratics cover every windowed pair m < n.
-    Windows below 3 are rejected: they contain no triple with n = -m and
-    |n| >= 2, so the central unknown C1 would be unconstrained.  The
-    equations with n = +-1, +-2 are recorded as ``spanning``: x(+-1) and
-    x(+-2) generate every x(n), so they should carry the whole linear
-    part (the solver checks every equation regardless).
+    The x-action is x(n) v_t = (a + t + b n) v_{n+t}, so this is the
+    d = 1 case of ``_build``, with f(m, t) the 1x1 matrix F(m, t): one
+    linear equation per windowed triple (m, n, t), in the order m, n, t,
+    and one quadratic per windowed triple with m < n.  Windows below 3 are
+    rejected: they contain no triple with n = -m and |n| >= 2, so the
+    central unknown C1 would be unconstrained.
     """
     a = rat(a)
     b = rat(b)
     window = int(window)
     if window < 3:
         raise ValueError("window must be at least 3, got %d" % window)
-    rng = range(-window, window + 1)
-    unknowns = tuple(_f_name(m, t) for m in rng for t in rng) + ("C1",)
-    side = 2 * window + 1
-    c1 = side * side
-
-    def col(m, t):
-        return (m + window) * side + t + window
-
-    # x(n) v_s = act[n][s] v_{n+s}, for |n| <= window and |s| <= 2 window
-    act = {n: {s: a + s + b * n for s in range(-2 * window, 2 * window + 1)}
-           for n in rng}
-    minus = {n: {s: -v for s, v in act_n.items()} for n, act_n in act.items()}
-
-    equations = []
-    spanning = []
-    for m in rng:
-        for n in rng:
-            if abs(n + m) > window:
-                continue
-            act_n, minus_n = act[n], minus[n]
-            central = -Fraction(n**3 - n, 12) if n + m == 0 else 0
-            for t in rng:
-                if abs(n + t) > window:
-                    continue
-                if 1 <= abs(n) <= 2:
-                    spanning.append(len(equations))
-                if n == 0:
-                    # the three columns coincide
-                    coeffs = {}
-                    _accumulate(coeffs, col(m, t), act_n[m + t])
-                    _accumulate(coeffs, col(m, t), minus_n[t])
-                    _accumulate(coeffs, col(m, t), -m)
-                else:
-                    coeffs = {
-                        col(m, t): act_n[m + t],
-                        col(m, n + t): minus_n[t],
-                        col(n + m, t): n - m,
-                    }
-                    if central:
-                        coeffs[c1] = central
-                    if not all(coeffs.values()):
-                        coeffs = {k: v for k, v in coeffs.items() if v}
-                equations.append((coeffs, 0))
-
-    quadratics = []
-    for m in rng:
-        for n in rng:
-            if n <= m:
-                continue
-            for t in rng:
-                if abs(m + t) > window or abs(n + t) > window:
-                    continue
-                quadratics.append(
-                    [
-                        (col(m, t), col(n, m + t), 1),
-                        (col(n, t), col(m, n + t), -1),
-                    ]
-                )
-
+    shift = {n: a + b * n for n in range(-window, window + 1)}
+    unknowns, equations, quadratics, spanning = _build(
+        lambda n, t: ((shift[n] + t,),), 1, window,
+        lambda m, t, r, s: _f_name(m, t),
+    )
     meta = {
         "kind": "f-system",
         "a": rat_str(a),
@@ -277,16 +348,6 @@ def build_f_system(a, b, window):
     return ConstraintSystem(
         unknowns, equations, quadratics, meta, spanning=tuple(spanning)
     )
-
-
-def _accumulate(coeffs, col, value):
-    """Add value to coeffs[col], keeping only nonzero coefficients."""
-    if col in coeffs:
-        value += coeffs[col]
-    if value:
-        coeffs[col] = value
-    else:
-        coeffs.pop(col, None)
 
 
 def f_family_assignment(a, b, window, scale=1):
@@ -396,15 +457,6 @@ def make_x_matrices(alpha, betas, ext_type):
     return a_mat
 
 
-def _regular(alpha, i, j, n):
-    """(alpha+n)(alpha+n+i)(alpha+n+j)(alpha+n+i+j) != 0, which can fail
-    only at an integral alpha."""
-    if alpha.denominator != 1:
-        return True
-    d = alpha.numerator + n
-    return bool(d and (d + i) and (d + j) and (d + i + j))
-
-
 def _exact_matrix(mat):
     """A 2x2 matrix of ints or Fractions as (integer entries, den) with
     mat = entries / den: four ints, row by row."""
@@ -425,17 +477,16 @@ def _int_mul(p, q):
     )
 
 
-def verify_x_action(a_mat, alpha, window):
+def verify_x_action(a_mat, window):
     """Check A(i, j+n) A(j, n) - A(j, i+n) A(i, n) = (j - i) A(i+j, n).
 
-    Raises ValueError at the first windowed triple (with all four shifted
-    weights regular) where the candidate x-action breaks the x-bracket.
+    Raises ValueError at the first windowed triple where the candidate
+    x-action breaks the x-bracket.
     The check is exact and runs on integers: each A(i, n) is cleared of
     denominators once, as P / d, and with A(i, j+n) = P/p, A(j, n) = Q/q,
     A(j, i+n) = U/u, A(i, n) = V/v and A(i+j, n) = W/w the relation is
     checked in the form (PQ uv - UV pq) w = (j - i) W pquv.
     """
-    alpha = rat(alpha)
     cache = {}
 
     def exact(i, n):
@@ -450,8 +501,6 @@ def verify_x_action(a_mat, alpha, window):
             if abs(i + j) > window:
                 continue
             for n in rng:
-                if not _regular(alpha, i, j, n):
-                    continue
                 mp, p = exact(i, j + n)
                 mq, q = exact(j, n)
                 mu, u = exact(j, i + n)
@@ -470,108 +519,39 @@ def verify_x_action(a_mat, alpha, window):
                     )
 
 
-def _put(coeffs, col, value):
-    if value:
-        coeffs[col] = value
-
-
 def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     """Linear/quadratic system for a 2x2-matrix I-action F(i, n).
 
     The x-action A(i, n) is fixed by (alpha, betas, ext_type); unknowns are
-    the four entries of F(i, n) for |i|, |n| <= window plus C1.  Before any
-    equation is emitted the A-matrices themselves are checked against the
-    x-bracket on the window (a consistency failure raises ValueError).
-    Index triples with (alpha+n)(alpha+n+i)(alpha+n+j)(alpha+n+i+j) = 0 are
-    skipped: on those weights the derivation of the equations degenerates.
+    the four entries of F(i, n) for |i|, |n| <= window plus C1, and the
+    rows are those of ``_build`` with d = 2.  Before any equation is
+    emitted the A-matrices themselves are checked against the x-bracket
+    on the window (a consistency failure raises ValueError).
 
     With ``normalized`` (extension types only) the single inhomogeneous
-    pinning equation F(1, 0)[2, 1] = alpha is added; the classification
-    question is then whether any I-action meets that normalization.
-    The equations with i = +-1, +-2 and the pinning equation are recorded
-    as ``spanning``, as in ``build_f_system``.
+    pinning equation F(1, 0)[2, 1] = alpha is appended and recorded as
+    ``spanning``; the classification question is then whether any
+    I-action meets that normalization.  At alpha = 0 the pin is
+    homogeneous and normalizes nothing, so it is refused there.
     """
     alpha = rat(alpha)
     window = int(window)
     if window < 4:
         raise ValueError("window must be at least 4, got %d" % window)
     a_mat = make_x_matrices(alpha, betas, ext_type)
-    verify_x_action(a_mat, alpha, window)
-
-    rng = range(-window, window + 1)
-    unknowns = tuple(
-        _mat_name(i, n, r, s)
-        for i in rng
-        for n in rng
-        for r in (1, 2)
-        for s in (1, 2)
-    ) + ("C1",)
-    side = 2 * window + 1
-    c1 = 4 * side * side
-
-    def col(i, n, r, s):
-        return ((i + window) * side + n + window) * 4 + 2 * r + s - 3
-
-    minus = {}  # -A(i, n), negated once per matrix
-
-    equations = []
-    spanning = []
-    for i in rng:
-        # with i = 0 the columns of a row coincide
-        add = _accumulate if i == 0 else _put
-        for j in rng:
-            if abs(i + j) > window:
-                continue
-            central = -Fraction(i**3 - i, 12) if i + j == 0 else 0
-            for n in rng:
-                if abs(i + n) > window or not _regular(alpha, i, j, n):
-                    continue
-                a_left = a_mat(i, j + n)
-                if (i, n) not in minus:
-                    minus[i, n] = _mat_scale(-1, a_mat(i, n))
-                neg_right = minus[i, n]
-                for r in (1, 2):
-                    for s in (1, 2):
-                        if 1 <= abs(i) <= 2:
-                            spanning.append(len(equations))
-                        coeffs = {}
-                        for k in (1, 2):
-                            add(coeffs, col(j, n, k, s), a_left[r - 1][k - 1])
-                            add(coeffs, col(j, i + n, r, k),
-                                neg_right[k - 1][s - 1])
-                        add(coeffs, col(i + j, n, r, s), i - j)
-                        if r == s:
-                            add(coeffs, c1, central)
-                        equations.append((coeffs, 0))
-
-    if normalized and ext_type != "decomposable":
+    normalized = bool(normalized and ext_type != "decomposable")
+    if normalized and not alpha:
+        raise ValueError(
+            "a normalized extension needs alpha != 0: at alpha = 0 the pin "
+            "F(1,0)[2,1] = alpha is homogeneous"
+        )
+    verify_x_action(a_mat, window)
+    unknowns, equations, quadratics, spanning = _build(
+        a_mat, 2, window, lambda i, n, r, s: _mat_name(i, n, r + 1, s + 1)
+    )
+    if normalized:
         spanning.append(len(equations))
-        equations.append(({col(1, 0, 2, 1): 1}, alpha))
-
-    quadratics = []
-    for i in rng:
-        for j in rng:
-            if j <= i:
-                continue
-            for n in rng:
-                if (
-                    abs(i + n) > window
-                    or abs(j + n) > window
-                    or not _regular(alpha, i, j, n)
-                ):
-                    continue
-                for r in (1, 2):
-                    for s in (1, 2):
-                        terms = []
-                        for k in (1, 2):
-                            terms.append(
-                                (col(i, j + n, r, k), col(j, n, k, s), 1)
-                            )
-                            terms.append(
-                                (col(j, i + n, r, k), col(i, n, k, s), -1)
-                            )
-                        quadratics.append(terms)
-
+        equations.append(({unknowns.index(_mat_name(1, 0, 2, 1)): 1}, alpha))
     meta = {
         "kind": "matrix-system",
         "alpha": rat_str(alpha),
@@ -580,7 +560,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         else ["0", "0"],
         "ext_type": ext_type,
         "window": window,
-        "normalized": bool(normalized and ext_type != "decomposable"),
+        "normalized": normalized,
     }
     return ConstraintSystem(
         unknowns, equations, quadratics, meta, spanning=tuple(spanning)

@@ -194,6 +194,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "non-integral alpha" in proc.stderr
 
+    def test_normalized_extension_at_alpha_zero_reported_as_usage(self):
+        proc = run("verify-matrix", "--alpha", "0", "--ext-type", "ext_a",
+                   "--window", "4")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "alpha != 0" in errors[0]
+
+    def test_unnormalized_extension_at_alpha_zero_runs(self):
+        proc = run("verify-matrix", "--alpha", "0", "--ext-type", "ext_a",
+                   "--window", "4", "--no-normalize")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            '{"dimension":2,"c1_forced_zero":true,"quadratic_survivors":1}\n'
+        )
+
 
 class TestRoundTrips:
     def test_bracket_output_parses_as_lie_element(self):

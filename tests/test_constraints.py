@@ -178,6 +178,56 @@ class TestFSystemOracle:
             assert rhs == 0
 
 
+class TestMatrixSystemOracle:
+    def test_rows_match_the_relation_on_2x2_blocks(self):
+        # Independent regeneration from make_x_matrices: entry (r, s) of
+        # A(i, j+n) F(j, n) - F(j, i+n) A(i, n) + (i - j) F(i+j, n)
+        # - delta(i, -j) (i^3 - i)/12 C1 for every windowed triple, in the
+        # order j, i, n, r, s, and then the pinning row F(1,0)[2,1] = alpha.
+        alpha, window = F(1, 2), 4
+        a_mat = make_x_matrices(alpha, (F(0), F(0)), "ext_b")
+        system = build_matrix_system(alpha, (F(0), F(0)), "ext_b", window)
+
+        def col(i, n, r, s):
+            return system.unknowns.index("F(%d,%d)[%d,%d]" % (i, n, r, s))
+
+        rng = range(-window, window + 1)
+        expected = []
+        for j in rng:
+            for i in rng:
+                if abs(i + j) > window:
+                    continue
+                for n in rng:
+                    if abs(i + n) > window:
+                        continue
+                    left, right = a_mat(i, j + n), a_mat(i, n)
+                    for r in (1, 2):
+                        for s in (1, 2):
+                            terms = [(col(i + j, n, r, s), F(i - j))]
+                            for k in (1, 2):
+                                terms.append(
+                                    (col(j, n, k, s), left[r - 1][k - 1])
+                                )
+                                terms.append(
+                                    (col(j, i + n, r, k), -right[k - 1][s - 1])
+                                )
+                            if i + j == 0 and r == s:
+                                terms.append(
+                                    (system.unknowns.index("C1"),
+                                     -F(i**3 - i, 12))
+                                )
+                            row = {}
+                            for c, v in terms:
+                                row[c] = row.get(c, F(0)) + v
+                            expected.append(
+                                ({c: v for c, v in row.items() if v}, 0)
+                            )
+        expected.append(({col(1, 0, 2, 1): 1}, alpha))
+        assert len(expected) == len(system.equations)
+        for k, (row, want) in enumerate(zip(system.equations, expected)):
+            assert row == want, k
+
+
 class TestXMatrices:
     def test_decomposable_is_diagonal(self):
         a_mat = make_x_matrices(F(1, 3), (F(1), F(2)), "decomposable")
@@ -199,7 +249,7 @@ class TestXMatrices:
             ("ext_b", (F(0), F(0))),
         ]:
             a_mat = make_x_matrices(F(1, 3), betas, ext_type)
-            verify_x_action(a_mat, F(1, 3), 4)
+            verify_x_action(a_mat, 4)
 
     def test_fault_injection_is_caught(self):
         clean = make_x_matrices(F(1, 3), (F(0), F(0)), "ext_a")
@@ -211,7 +261,7 @@ class TestXMatrices:
             return m
 
         with pytest.raises(ValueError, match="violate the x-bracket"):
-            verify_x_action(corrupted, F(1, 3), 3)
+            verify_x_action(corrupted, 3)
 
     def test_recursion_entry_off_by_2_pow_minus_80_is_caught(self):
         # ext_b takes A(3, n) from the recursion; its corner moved by 2^-80
@@ -225,7 +275,7 @@ class TestXMatrices:
             return m
 
         with pytest.raises(ValueError, match="violate the x-bracket"):
-            verify_x_action(corrupted, F(1, 3), 4)
+            verify_x_action(corrupted, 4)
 
     def test_bracket_side_off_by_2_pow_minus_80_is_caught(self):
         # The first triple that reads A(-3, 0) is (i, j, n) = (-4, 1, 0),
@@ -242,7 +292,7 @@ class TestXMatrices:
         with pytest.raises(
             ValueError, match=r"x-bracket at \(i, j, n\) = \(-4, 1, 0\)"
         ):
-            verify_x_action(corrupted, F(1, 3), 4)
+            verify_x_action(corrupted, 4)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="non-integral alpha"):
@@ -440,26 +490,40 @@ class TestSpanningRows:
         assert len(seen[0]) == len(system.equations)
         assert hinted == unhinted
 
-    # At integral alpha the triples with a zero weight factor are skipped,
-    # and with distinct betas the rows of x(+-1), x(+-2) then miss part of
-    # the row space: the exact check sees a kernel vector fail an unfolded
-    # row, and the solver folds every row again.
-    @pytest.mark.parametrize(
-        "alpha, spanning, rows",
-        [(0, 512, 1008), (1, 528, 1072), (2, 552, 1148)],
-    )
-    def test_hint_that_does_not_span_falls_back_to_every_row(
-        self, monkeypatch, alpha, spanning, rows
+    # The relation holds on every weight, so an integral alpha gets every
+    # row: the answers are those of alpha = 1/3 (dimension 4 / 3 / 2 for
+    # the three betas), and the x(+-1), x(+-2) rows span, folded once.
+    @pytest.mark.parametrize("alpha", [0, 1, -1, 2, -2])
+    def test_integral_alpha_folds_the_spanning_rows_once(
+        self, monkeypatch, alpha
     ):
-        system = build_matrix_system(
-            F(alpha), (F(1, 2), F(-1, 3)), "decomposable", 4
-        )
-        assert (len(system.spanning), len(system.equations)) == (spanning, rows)
         seen = self.folded_rows(monkeypatch)
-        hinted = solve_linear(system)
-        assert [len(rows) for rows in seen] == [spanning, rows]
-        unhinted = solve_linear(dataclasses.replace(system, spanning=None))
-        assert hinted == unhinted
+        for betas, dimension, survivors in [
+            ((F(0), F(0)), 4, 2),
+            ((F(1), F(2)), 3, 1),
+            ((F(1, 2), F(-1, 3)), 2, 0),
+        ]:
+            system = build_matrix_system(F(alpha), betas, "decomposable", 4)
+            solution = solve_linear(system)
+            assert [len(rows) for rows in seen] == [904]
+            assert solution.dimension == dimension
+            assert len(check_quadratic(system, solution)) == survivors
+            seen.clear()
+        if alpha:
+            system = build_matrix_system(F(alpha), (F(0), F(0)), "ext_a", 4)
+            assert not solve_linear(system).feasible
+            assert [len(rows) for rows in seen] == [905]
+
+    def test_normalized_extension_refused_at_alpha_zero(self):
+        # the pin F(1,0)[2,1] = alpha would be homogeneous
+        with pytest.raises(ValueError, match="alpha != 0"):
+            build_matrix_system(F(0), (F(0), F(0)), "ext_a", 4)
+        system = build_matrix_system(
+            F(0), (F(0), F(0)), "ext_a", 4, normalized=False
+        )
+        solution = solve_linear(system)
+        assert solution.dimension == 2
+        assert len(check_quadratic(system, solution)) == 1
 
 
 def _parse_mat_name(name):

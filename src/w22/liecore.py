@@ -17,6 +17,7 @@ kept in the canonical term order C < C1 < I(n) (ascending n) < x(n)
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .rationals import rat_str
 
@@ -159,8 +160,13 @@ def _central_term(n, central):
     return {central: coeff} if coeff else {}
 
 
+@lru_cache(maxsize=None)
 def pair_bracket(g, h):
-    """Bracket of two basis generators, as a LieElement."""
+    """Bracket of two basis generators, as a LieElement.
+
+    Memoized: each pair is computed once per process and every caller gets
+    the same shared table entry, so the result must not be mutated.
+    """
     if g.is_central or h.is_central:
         return ZERO
     if g.kind == I_KIND and h.kind == I_KIND:
@@ -189,7 +195,9 @@ def _as_element(a):
 
 
 def bracket(a, b):
-    """Bilinear extension of the defining brackets."""
+    """Bilinear extension of the defining brackets (``pair_bracket`` table)."""
+    if isinstance(a, BasisElement) and isinstance(b, BasisElement):
+        return pair_bracket(a, b)
     a, b = _as_element(a), _as_element(b)
     out = ZERO
     for g, cg in a.terms.items():
@@ -210,24 +218,16 @@ def jacobi_check(window, pair=pair_bracket):
     """Evaluate the Jacobi identity on every generator triple in the window.
 
     Returns the list of violating triples; empty means the structure
-    constants are consistent on the window.  Pairwise brackets are
-    tabulated once so the triple sweep only merges small term dicts.
+    constants are consistent on the window.  Pairwise brackets come from
+    ``pair``, by default the memoized ``pair_bracket`` table.
     """
     gens = basis_window(window)
-    table = {}
-    for g in gens:
-        for h in gens:
-            table[(g, h)] = pair(g, h)
 
-    def accumulate(out, g, inner, sign=1):
-        # out += sign * [g, inner] using the table where possible; inner
-        # brackets can leave the window, so fall back to pair() for those.
+    def accumulate(out, g, inner):
+        # out += [g, inner]
         for h, ch in inner.terms.items():
-            elem = table.get((g, h))
-            if elem is None:
-                elem = pair(g, h)
-            for k, ck in elem.terms.items():
-                acc = out.get(k, Fraction(0)) + sign * ch * ck
+            for k, ck in pair(g, h).terms.items():
+                acc = out.get(k, 0) + ch * ck
                 if acc:
                     out[k] = acc
                 else:
@@ -238,9 +238,9 @@ def jacobi_check(window, pair=pair_bracket):
         for b in gens:
             for c in gens:
                 total = {}
-                accumulate(total, a, table[(b, c)])
-                accumulate(total, b, table[(c, a)])
-                accumulate(total, c, table[(a, b)])
+                accumulate(total, a, pair(b, c))
+                accumulate(total, b, pair(c, a))
+                accumulate(total, c, pair(a, b))
                 if total:
                     violations.append((a, b, c))
     return violations

@@ -11,6 +11,8 @@ combination of ordered monomials by adjacent transpositions
 applied to the leftmost out-of-order pair first.  Each swap strictly
 reduces the inversion count or the word length, so the rewriting
 terminates; the result is independent of the swap strategy (tested).
+Both the rewriting and the action below read the memoized
+``liecore.pair_bracket`` table for [g, h], never rebuilding a bracket.
 
 ``act_on_highest`` evaluates a word or enveloping-algebra element on the
 highest-weight vector v of the module with parameters (lambda, c, c0, c1):
@@ -22,12 +24,7 @@ strictly negative indices.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liecore import (
-    BasisElement,
-    LieElement,
-    bracket,
-    term_key,
-)
+from .liecore import BasisElement, pair_bracket, term_key
 from .rationals import rat_str
 
 
@@ -138,11 +135,11 @@ def normal_order(word):
                 spot = i
                 break
         if spot is None:
-            result[w] = result.get(w, Fraction(0)) + coeff
+            result[w] = result.get(w, 0) + coeff
             continue
         g, h = w[spot], w[spot + 1]
         stack.append((w[:spot] + (h, g) + w[spot + 2 :], coeff))
-        for b, cb in bracket(g, h).terms.items():
+        for b, cb in pair_bracket(g, h).terms.items():
             stack.append((w[:spot] + (b,) + w[spot + 2 :], coeff * cb))
     return UEAElement(result)
 
@@ -226,10 +223,10 @@ class HighestWeightActor:
             out = {}
             for m2, c2 in self.apply_generator(g, rest).items():
                 for m3, c3 in self.apply_generator(head, m2).items():
-                    out[m3] = out.get(m3, Fraction(0)) + c2 * c3
-            for b, cb in bracket(g, head).terms.items():
+                    out[m3] = out.get(m3, 0) + c2 * c3
+            for b, cb in pair_bracket(g, head).terms.items():
                 for m2, c2 in self.apply_generator(b, rest).items():
-                    out[m2] = out.get(m2, Fraction(0)) + cb * c2
+                    out[m2] = out.get(m2, 0) + cb * c2
             out = {m: c for m, c in out.items() if c}
         self._cache[key] = out
         return out
@@ -240,14 +237,14 @@ class HighestWeightActor:
         for g, cg in elem.terms.items():
             for mono, cm in state.items():
                 for m2, c2 in self.apply_generator(g, mono).items():
-                    out[m2] = out.get(m2, Fraction(0)) + cg * cm * c2
+                    out[m2] = out.get(m2, 0) + cg * cm * c2
         return {m: c for m, c in out.items() if c}
 
     def apply_basis(self, g, state):
         out = {}
         for mono, cm in state.items():
             for m2, c2 in self.apply_generator(g, mono).items():
-                out[m2] = out.get(m2, Fraction(0)) + cm * c2
+                out[m2] = out.get(m2, 0) + cm * c2
         return {m: c for m, c in out.items() if c}
 
     def apply_word(self, factors, coeff=Fraction(1)):

@@ -19,11 +19,16 @@ from w22 import (
     C1,
     I,
     BasisElement,
+    HighestWeightParams,
     LieElement,
+    ModuleSpec,
     ZERO,
     basis_window,
     bracket,
+    bracket_compatibility_check,
+    find_singular,
     jacobi_check,
+    normal_order,
     pair_bracket,
     term_key,
     vir_embed,
@@ -118,6 +123,22 @@ def test_jacobi_detects_corrupted_structure_constant():
     violations = jacobi_check(2, pair=broken)
     assert violations
     assert (x(1), x(-1), x(2)) in [tuple(t) for t in violations]
+
+
+def test_shared_pair_table_is_never_mutated():
+    # Every consumer reads the one memoized pair_bracket table; after a run
+    # of each, every entry on the window must still equal a fresh bracket.
+    params = HighestWeightParams(Fraction(1, 3), Fraction(2), Fraction(1), 8)
+    find_singular(params, 5)
+    jacobi_check(4)
+    spec = ModuleSpec("Aab", Fraction(1, 2), 1)
+    assert bracket_compatibility_check(spec, 3) == []
+    for word in [(x(2), x(-2)), (x(3), I(-1), x(-2)), (I(2), x(1), x(-3))]:
+        normal_order(word)
+    gens = basis_window(8)
+    for g in gens:
+        for h in gens:
+            assert pair_bracket(g, h) == pair_bracket.__wrapped__(g, h), (g, h)
 
 
 class TestVirasoroCopy:

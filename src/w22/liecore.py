@@ -196,8 +196,6 @@ def _as_element(a):
 
 def bracket(a, b):
     """Bilinear extension of the defining brackets (``pair_bracket`` table)."""
-    if isinstance(a, BasisElement) and isinstance(b, BasisElement):
-        return pair_bracket(a, b)
     a, b = _as_element(a), _as_element(b)
     out = ZERO
     for g, cg in a.terms.items():

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .linalg import solve_sparse
-from .rationals import rat, rat_str
+from .rationals import clear_denominators, rat, rat_str
 
 EXT_TYPES = ("decomposable", "ext_a", "ext_b")
 
@@ -132,10 +131,10 @@ def check_quadratic(system, solution):
     col = {name: i for i, name in enumerate(system.unknowns)}
     survivors = []
     for i, ray in enumerate(solution.basis):
-        den = lcm(*(value.denominator for value in ray.values()))
+        ints, _ = clear_denominators(ray.values())
         vec = [0] * len(col)
-        for name, value in ray.items():
-            vec[col[name]] = value.numerator * (den // value.denominator)
+        for name, value in zip(ray, ints):
+            vec[col[name]] = value
         for terms in system.quadratics:
             acc = 0
             for left, right, coeff in terms:
@@ -457,16 +456,6 @@ def make_x_matrices(alpha, betas, ext_type):
     return a_mat
 
 
-def _exact_matrix(mat):
-    """A 2x2 matrix of ints or Fractions as (integer entries, den) with
-    mat = entries / den: four ints, row by row."""
-    den = lcm(*(v.denominator for row in mat for v in row))
-    entries = tuple(
-        v.numerator * (den // v.denominator) for row in mat for v in row
-    )
-    return entries, den
-
-
 def _int_mul(p, q):
     """Product of two 2x2 integer matrices given as four ints, row by row."""
     return (
@@ -492,7 +481,9 @@ def verify_x_action(a_mat, window):
     def exact(i, n):
         key = (i, n)
         if key not in cache:
-            cache[key] = _exact_matrix(a_mat(i, n))
+            cache[key] = clear_denominators(
+                [v for row in a_mat(i, n) for v in row]
+            )
         return cache[key]
 
     rng = range(-window, window + 1)

@@ -12,7 +12,9 @@ The grading is deg x(n) = deg I(n) = n and deg C = deg C1 = 0.
 
 Elements are finite rational linear combinations of basis generators,
 kept in the canonical term order C < C1 < I(n) (ascending n) < x(n)
-(ascending n) with zero coefficients dropped.
+(ascending n) with zero coefficients dropped.  ``Combination`` is the
+linear-combination class shared with ``pbw.UEAElement``; ``LieElement``
+only fixes its keys to be generators.
 """
 
 from dataclasses import dataclass
@@ -58,6 +60,17 @@ class BasisElement:
             return "I(%d)" % self.index
         return "C" if self.kind == C_KIND else "C1"
 
+    def to_json(self):
+        """The JSON record: the kind, then the index when there is one."""
+        rec = {"kind": self.kind}
+        if self.index is not None:
+            rec["index"] = self.index
+        return rec
+
+    @classmethod
+    def from_json(cls, rec):
+        return cls(rec["kind"], rec.get("index"))
+
 
 def x(n):
     return BasisElement(X_KIND, n)
@@ -76,40 +89,39 @@ def term_key(b):
     return (_KIND_RANK[b.kind], b.index or 0)
 
 
-class LieElement:
-    """A finite linear combination of basis generators."""
+class Combination:
+    """A finite rational linear combination, kept as a key -> Fraction dict.
+
+    Zero coefficients are dropped.  A subclass fixes what a key is by
+    supplying ``sort_key`` (the order of ``items``), ``term_str`` (how one
+    key is shown in ``repr``) and ``term_to_json`` / ``term_from_json``
+    (the JSON record of one key, to which ``coeff`` is appended).
+    Elements of two different subclasses are never equal.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for b, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[b] = clean.get(b, Fraction(0)) + coeff
-                if not clean[b]:
-                    del clean[b]
-        self.terms = clean
-
-    @classmethod
-    def from_basis(cls, b, coeff=1):
-        return cls({b: Fraction(coeff)})
+        self.terms = {
+            k: c for k, v in (terms or {}).items() if (c := Fraction(v))
+        }
 
     def items(self):
-        return [(b, self.terms[b]) for b in sorted(self.terms, key=term_key)]
+        keys = sorted(self.terms, key=self.sort_key)
+        return [(k, self.terms[k]) for k in keys]
 
     @property
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, b):
-        return self.terms.get(b, Fraction(0))
+    def coefficient(self, key):
+        return self.terms.get(key, Fraction(0))
 
     def __add__(self, other):
         out = dict(self.terms)
-        for b, c in other.terms.items():
-            out[b] = out.get(b, Fraction(0)) + c
-        return LieElement(out)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -119,36 +131,43 @@ class LieElement:
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
-        return LieElement({b: s * c for b, c in self.terms.items()})
+        return type(self)({k: s * c for k, c in self.terms.items()})
 
     def __eq__(self, other):
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
+        return type(other) is type(self) and self.terms == other.terms
 
     def __repr__(self):
         if self.is_zero:
             return "0"
-        return " + ".join("%s*%r" % (rat_str(c), b) for b, c in self.items())
+        return " + ".join(
+            "%s*%s" % (rat_str(c), self.term_str(k)) for k, c in self.items()
+        )
 
     def to_json(self):
-        out = []
-        for b, c in self.items():
-            rec = {"kind": b.kind}
-            if b.index is not None:
-                rec["index"] = b.index
-            rec["coeff"] = rat_str(c)
-            out.append(rec)
-        return {"terms": out}
+        return {
+            "terms": [
+                {**self.term_to_json(k), "coeff": rat_str(c)}
+                for k, c in self.items()
+            ]
+        }
 
     @classmethod
     def from_json(cls, data):
-        terms = {}
-        for rec in data["terms"]:
-            b = BasisElement(rec["kind"], rec.get("index"))
-            terms[b] = Fraction(rec["coeff"])
-        return cls(terms)
+        return cls({cls.term_from_json(r): r["coeff"] for r in data["terms"]})
+
+
+class LieElement(Combination):
+    """A finite linear combination of basis generators."""
+
+    __slots__ = ()
+    sort_key = staticmethod(term_key)
+    term_str = staticmethod(repr)
+    term_to_json = staticmethod(BasisElement.to_json)
+    term_from_json = staticmethod(BasisElement.from_json)
+
+    @classmethod
+    def from_basis(cls, b, coeff=1):
+        return cls({b: coeff})
 
 
 ZERO = LieElement()

@@ -65,6 +65,8 @@ with a smaller key discards the residues gathered before it.
 from fractions import Fraction
 from math import isqrt, lcm
 
+from .rationals import clear_denominators
+
 _FIRST_PRIME = 2**61 - 1
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ZERO = Fraction(0)
@@ -221,17 +223,11 @@ def _exact_rows(equations):
     return out
 
 
-def _exact_vector(vec):
-    """vec cleared of denominators once: (ints, den) with vec = ints / den."""
-    den = lcm(*[v.denominator for v in vec])
-    return [v.numerator * (den // v.denominator) for v in vec], den
-
-
 def _satisfies(rows, vector, homogeneous):
     """Exact check of A vec = 0 (homogeneous) or A vec = b.
 
-    rows come from _exact_rows and vector from _exact_vector; the check
-    is row . ints == rhs * den, all in integers.
+    rows come from _exact_rows and vector from clear_denominators; the
+    check is row . ints == rhs * den, all in integers.
     """
     ints, den = vector
     for pairs, rhs in rows:
@@ -316,7 +312,7 @@ def _solve(equations, ncols, spanning=None):
                 break
             if exact is None:
                 exact = _exact_rows(folded), _exact_rows(others)
-            vector = _exact_vector(vec)
+            vector = clear_denominators(vec)
             if not _satisfies(exact[0], vector, homogeneous):
                 break
             if not _satisfies(exact[1], vector, homogeneous):

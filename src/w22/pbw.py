@@ -14,6 +14,11 @@ terminates; the result is independent of the swap strategy (tested).
 Both the rewriting and the action below read the memoized
 ``liecore.pair_bracket`` table for [g, h], never rebuilding a bracket.
 
+``UEAElement`` is the shared ``liecore.Combination`` keyed by ordered
+monomials (tuples of generators), sorted by degree and then by the term
+order of their factors; a monomial's JSON record is the list of its
+generators' records, written and read by ``BasisElement``.
+
 ``act_on_highest`` evaluates a word or enveloping-algebra element on the
 highest-weight vector v of the module with parameters (lambda, c, c0, c1):
 x(0) v = lambda v, C v = c v, I(0) v = c0 v, C1 v = c1 v, and every
@@ -24,7 +29,7 @@ strictly negative indices.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liecore import BasisElement, pair_bracket, term_key
+from .liecore import BasisElement, Combination, pair_bracket, term_key
 from .rationals import rat_str
 
 
@@ -42,85 +47,30 @@ def monomial_key(mono):
 
 
 def monomial_to_json(mono):
-    out = []
-    for b in mono:
-        rec = {"kind": b.kind}
-        if b.index is not None:
-            rec["index"] = b.index
-        out.append(rec)
-    return out
+    return [b.to_json() for b in mono]
 
 
 def monomial_from_json(data):
-    return tuple(BasisElement(rec["kind"], rec.get("index")) for rec in data)
+    return tuple(BasisElement.from_json(rec) for rec in data)
 
 
-class UEAElement:
+class UEAElement(Combination):
     """Linear combination of PBW monomials with Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    sort_key = staticmethod(monomial_key)
 
-    def __init__(self, terms=None):
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                mono = tuple(mono)
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-                if not clean[mono]:
-                    del clean[mono]
-        self.terms = clean
+    @staticmethod
+    def term_str(mono):
+        return "*".join(repr(b) for b in mono) if mono else "1"
 
-    def items(self):
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=monomial_key)]
+    @staticmethod
+    def term_to_json(mono):
+        return {"monomial": monomial_to_json(mono)}
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return UEAElement(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
-        return UEAElement({m: s * c for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, UEAElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for m, c in self.items():
-            word = "*".join(repr(b) for b in m) if m else "1"
-            parts.append("%s*%s" % (rat_str(c), word))
-        return " + ".join(parts)
-
-    def to_json(self):
-        return {
-            "terms": [
-                {"monomial": monomial_to_json(m), "coeff": rat_str(c)}
-                for m, c in self.items()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {}
-        for rec in data["terms"]:
-            mono = monomial_from_json(rec["monomial"])
-            terms[mono] = Fraction(rec["coeff"])
-        return cls(terms)
+    @staticmethod
+    def term_from_json(rec):
+        return monomial_from_json(rec["monomial"])
 
 
 def normal_order(word):
@@ -230,15 +180,6 @@ class HighestWeightActor:
             out = {m: c for m, c in out.items() if c}
         self._cache[key] = out
         return out
-
-    def apply_element(self, elem, state):
-        """Apply a LieElement linearly to a state dict."""
-        out = {}
-        for g, cg in elem.terms.items():
-            for mono, cm in state.items():
-                for m2, c2 in self.apply_generator(g, mono).items():
-                    out[m2] = out.get(m2, 0) + cg * cm * c2
-        return {m: c for m, c in out.items() if c}
 
     def apply_basis(self, g, state):
         out = {}

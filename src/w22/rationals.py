@@ -1,12 +1,15 @@
 """Exact scalars.
 
-Every coefficient in this package is a ``fractions.Fraction``.  The two
-helpers here pin down the single accepted text form: ``p`` or ``p/q`` with
-an optional leading minus, no decimals, no whitespace tricks.
+Every coefficient in this package is a ``fractions.Fraction``.  ``rat``
+and ``rat_str`` pin down the single accepted text form: ``p`` or ``p/q``
+with an optional leading minus, no decimals, no whitespace tricks.
+``clear_denominators`` moves a list of rationals to integers for the exact
+checks that run in integer arithmetic.
 """
 
 import re
 from fractions import Fraction
+from math import lcm
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -29,3 +32,13 @@ def rat_str(value):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def clear_denominators(values):
+    """values as (ints, den) with values[i] == ints[i] / den.
+
+    den is the lcm of the denominators (1 when there are none); values is
+    a sequence of ints or Fractions, read twice.
+    """
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -1,10 +1,15 @@
 """Property tests: the bracket is bilinear and antisymmetric, and on two
-generators it is the memoized ``pair_bracket`` table entry.
+generators it is the memoized ``pair_bracket`` table entry; the shared
+``Combination`` arithmetic and JSON form hold for both ``LieElement`` and
+``UEAElement``.
 
 Elements are drawn as small rational combinations of generators, C and C1
-included.  Straightening against a random-swap oracle is covered by
+included, and enveloping-algebra elements as combinations of short words
+over the same generators.  Straightening against a random-swap oracle is covered by
 ``tests/test_pbw.py::test_confluence_against_random_swap_oracle``.
 """
+
+import json
 
 import pytest
 
@@ -13,13 +18,27 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from w22 import C, C1, I, LieElement, bracket, pair_bracket, x  # noqa: E402
+from w22 import (  # noqa: E402
+    C,
+    C1,
+    I,
+    LieElement,
+    UEAElement,
+    bracket,
+    pair_bracket,
+    x,
+)
 
 generators = st.one_of(st.builds(x, st.integers(-4, 4)),
                        st.builds(I, st.integers(-4, 4)),
                        st.sampled_from([C, C1]))
 scalars = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 elements = st.dictionaries(generators, scalars, max_size=4).map(LieElement)
+words = st.lists(generators, max_size=3).map(tuple)
+uea_elements = st.dictionaries(words, scalars, max_size=4).map(UEAElement)
+same_kind_pairs = st.sampled_from([elements, uea_elements]).flatmap(
+    lambda kind: st.tuples(kind, kind)
+)
 
 bounded = settings(max_examples=30, deadline=None)
 
@@ -43,3 +62,20 @@ def test_bracket_is_antisymmetric(u, v):
 def test_bracket_of_generators_is_the_table_entry(g, h, s):
     assert bracket(g, h) == pair_bracket(g, h)
     assert bracket(LieElement.from_basis(g, s), h) == s * pair_bracket(g, h)
+
+
+@bounded
+@given(same_kind_pairs)
+def test_combination_json_round_trip_and_cancellation(pair):
+    u, v = pair
+    assert type(u).from_json(json.loads(json.dumps(u.to_json()))) == u
+    assert (u + v) - v == u
+    assert (u + (-u)).is_zero
+
+
+@bounded
+@given(generators, scalars)
+def test_lie_and_enveloping_elements_are_never_equal(g, s):
+    assert LieElement() != UEAElement()
+    assert LieElement.from_basis(g, s) != UEAElement({(g,): s})
+    assert UEAElement({(g,): s}) != LieElement.from_basis(g, s)

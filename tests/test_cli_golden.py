@@ -1,13 +1,16 @@
-"""Golden stdout digests of the verify verbs.
+"""Golden stdout digests of the verify verbs and of the verbs that render
+Lie and enveloping-algebra elements.
 
 Each command's stdout is pinned by its sha256.  The six non-integral
 alpha digests were taken before the constraint systems moved to integer
 columns and an integer exact check; the integral-alpha digest was taken
 once the builders stopped skipping the triples with a zero weight factor
-(alpha + n)(alpha + n + i)(alpha + n + j)(alpha + n + i + j).  A change
-that keeps the answers keeps these digests; a change of the output
-contract must update them and say so.  Every command runs in under a
-second.
+(alpha + n)(alpha + n + i)(alpha + n + j)(alpha + n + i + j).  The seven
+element-verb digests (bracket, vir-embed, normal-order and the verma
+verbs) were taken before ``LieElement`` and ``UEAElement`` became
+subclasses of one ``liecore.Combination``.  A change that keeps the
+answers keeps these digests; a change of the output contract must update
+them and say so.  Every command runs in under a second.
 """
 
 import hashlib
@@ -36,6 +39,22 @@ GOLDEN = [
     (("verify-matrix", "--alpha", "1", "--betas", "1,2", "--ext-type",
       "decomposable", "--window", "4", "--full"),
      "1efcb98e03044076074fc7aea797fa1f0735f10ea8868d089bfe5e3dd2296cf5"),
+    (("bracket", "--left", "x:3", "--right", "x:-3"),
+     "79eb652c04dd8fff1a5813749ab6cfa31c94da5d687dd213666b4fb5d219c999"),
+    (("bracket", "--left", "i:2", "--right", "x:-2"),
+     "a0cc0c408e15afe1ff01fb8567655d35617604659a4130ec2211c5cda89215ac"),
+    (("vir-embed", "--e", "-1/2", "--n", "3"),
+     "e3c7d6541f770f609ed0183a6e008ad666153502f61c7518a2c8b2ee54cf9ab8"),
+    (("normal-order", "x:2", "x:-2", "i:1", "c", "x:-1"),
+     "375030c3e25beb5d4d0541bc680021e0f293c5e8ee32b05c06bfd157a86a07e4"),
+    (("verma-basis", "--level", "4"),
+     "d79bf5dfa5e88bb29c5b45e0ff74b6645a1a5d3a97e552a6f371a605e9e725ee"),
+    (("verma-singular", "--lambda", "2", "--c", "0", "--c0", "0", "--c1",
+      "7", "--max-level", "3"),
+     "7349f096a374317238dda9a202903655daa4ce80189f84b6112238a7d7a01824"),
+    (("verma-check", "--lambda", "1/3", "--c", "2", "--c0", "1", "--c1",
+      "8", "--max-level", "4"),
+     "28ff260bcb7e7887c38691d5f4e53cd4b8920c13af91fbd2e156d0e8897b6ebd"),
 ]
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from w22 import linalg
 from w22.linalg import nullspace, solve_sparse
+from w22.rationals import clear_denominators
 
 P = 2**61 - 1  # the first prime the solver tries
 
@@ -315,7 +316,7 @@ def test_solve_sparse_deterministic():
 def certified(equations, vec, homogeneous):
     """The solver's exact check of one vector against every row."""
     return linalg._satisfies(
-        linalg._exact_rows(equations), linalg._exact_vector(vec), homogeneous
+        linalg._exact_rows(equations), clear_denominators(vec), homogeneous
     )
 
 
@@ -338,7 +339,7 @@ def test_certificate_rows_are_cleared_row_by_row():
         ([(0, 21), (1, 35)], 6),
     ]
     # the particular solution is (120, -66, 0) / 35
-    assert linalg._exact_vector(MIXED_PARTICULAR) == ([120, -66, 0], 35)
+    assert clear_denominators(MIXED_PARTICULAR) == ([120, -66, 0], 35)
 
 
 def test_certificate_on_mixed_denominators():
@@ -366,7 +367,7 @@ def test_certificate_on_kernel_vectors_with_large_coprime_denominators():
     a, b = 2**89 - 1, 2**107 - 1
     equations = [({0: F(a), 2: F(1)}, F(0)), ({1: F(b), 2: F(1)}, F(0))]
     kernel = [F(-1, a), F(-1, b), F(1)]
-    assert linalg._exact_vector(kernel) == ([-b, -a, a * b], a * b)
+    assert clear_denominators(kernel) == ([-b, -a, a * b], a * b)
     assert certified(equations, kernel, homogeneous=True)
     assert not certified(
         equations, [F(-1, a) + F(1, 2**80), F(-1, b), F(1)], homogeneous=True

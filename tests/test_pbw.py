@@ -190,7 +190,11 @@ class TestHighestWeightAction:
                 for m in set(gh) | set(hg)
             }
             lhs = {m: c for m, c in lhs.items() if c}
-            rhs = actor.apply_element(bracket(g, h), base)
+            rhs = {}
+            for b, cb in bracket(g, h).terms.items():
+                for m, c in actor.apply_basis(b, base).items():
+                    rhs[m] = rhs.get(m, F(0)) + cb * c
+            rhs = {m: c for m, c in rhs.items() if c}
             assert lhs == rhs, (g, h, w)
 
 

@@ -10,7 +10,9 @@ spaces spanned by v_i and with I(n), C, C1 acting as zero:
               x(m) v_{-m} = -m (m + a) v_0
 
 A ModuleSpec may mask an index set; masked indices are excluded from the
-module (sources give zero, flows into masked targets are dropped).  The
+module (sources give zero, flows into masked targets are dropped).
+``coefficient`` alone holds the x-action and applies the mask; ``act``
+and ``bracket_compatibility_check`` read the module only through it.  The
 simple subquotient of Aab(0, 1) -- everything off the v_0 line -- is the
 masked table returned by ``simple_subquotient``.
 """
@@ -18,8 +20,8 @@ masked table returned by ``simple_subquotient``.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liecore import BasisElement, bracket, basis_window
-from .rationals import rat_str
+from .liecore import basis_window, pair_bracket
+from .rationals import rat, rat_str
 
 FAMILIES = ("Aab", "Aa", "Ba")
 
@@ -34,11 +36,11 @@ class ModuleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("unknown family %r (want one of %s)" % (self.family, ", ".join(FAMILIES)))
-        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "a", rat(self.a))
         if self.family == "Aab":
             if self.b is None:
                 raise ValueError("family Aab needs both a and b")
-            object.__setattr__(self, "b", Fraction(self.b))
+            object.__setattr__(self, "b", rat(self.b))
         elif self.b is not None:
             raise ValueError("family %s takes no b parameter" % self.family)
         object.__setattr__(self, "masked", frozenset(self.masked))
@@ -74,15 +76,8 @@ def act(spec, gen, vec):
         raise TypeError("gen must be a BasisElement; index maps are the vectors")
     if gen.kind != "X":
         return {}
-    out = {}
-    for i, coeff in vec.items():
-        if i in spec.masked:
-            continue
-        c = coefficient(spec, gen.index, i)
-        if c and coeff:
-            j = gen.index + i
-            out[j] = out.get(j, Fraction(0)) + c * coeff
-    return {j: c for j, c in out.items() if c}
+    m = gen.index
+    return {m + i: c for i, v in vec.items() if (c := coefficient(spec, m, i) * v)}
 
 
 def act_element(spec, elem, vec):
@@ -94,37 +89,31 @@ def act_element(spec, elem, vec):
     return {j: c for j, c in out.items() if c}
 
 
-def _vec_sub(u, v):
-    out = dict(u)
-    for j, c in v.items():
-        out[j] = out.get(j, Fraction(0)) - c
-    return {j: c for j, c in out.items() if c}
-
-
 def bracket_compatibility_check(spec, window):
     """Check g(h v_i) - h(g v_i) = [g,h] v_i on the window, exactly.
 
     Runs over all generator pairs with |index| <= window (plus C, C1) and
-    all seeds |i| <= window, discarding any check whose intermediate
-    indices would leave [-3*window, 3*window].  Returns violation triples
-    (g, h, i); empty means the table is a Lie module on the window.
+    all seeds |i| <= window.  Both sides are multiples of the one basis
+    vector v_{i + deg g + deg h}, so each check compares two scalars built
+    from ``coefficient`` and the ``pair_bracket`` table.  Returns violation
+    triples (g, h, i); empty means the table is a Lie module on the window.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+
+    def s(g, i):
+        return coefficient(spec, g.index, i) if g.kind == "X" else 0
+
     gens = basis_window(window)
-    bound = 3 * window
     violations = []
     for g in gens:
+        dg = g.index or 0
         for h in gens:
-            com = bracket(g, h)
+            dh = h.index or 0
+            terms = pair_bracket(g, h).terms
             for i in range(-window, window + 1):
-                mids = [i + (g.index or 0), i + (h.index or 0)]
-                if any(abs(t) > bound for t in mids):
-                    continue
-                v = {i: Fraction(1)}
-                lhs = _vec_sub(act(spec, g, act(spec, h, v)), act(spec, h, act(spec, g, v)))
-                rhs = act_element(spec, com, v)
-                if _vec_sub(lhs, rhs):
+                lhs = s(g, i + dh) * s(h, i) - s(h, i + dg) * s(g, i)
+                if lhs != sum(c * s(b, i) for b, c in terms.items()):
                     violations.append((g, h, i))
     return violations
 

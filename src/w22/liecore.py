@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import rat_str
+from .rationals import rat, rat_str
 
 X_KIND = "X"
 I_KIND = "I"
@@ -103,7 +103,7 @@ class Combination:
 
     def __init__(self, terms=None):
         self.terms = {
-            k: c for k, v in (terms or {}).items() if (c := Fraction(v))
+            k: c for k, v in (terms or {}).items() if (c := rat(v))
         }
 
     def items(self):

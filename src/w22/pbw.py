@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liecore import BasisElement, Combination, pair_bracket, term_key
-from .rationals import rat_str
+from .rationals import rat, rat_str
 
 
 def monomial_degree(mono):
@@ -112,7 +112,7 @@ class HighestWeightParams:
 
     def __post_init__(self):
         for name in ("lam", "c", "c0", "c1"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, rat(getattr(self, name)))
 
     def to_json(self):
         return {
@@ -124,12 +124,7 @@ class HighestWeightParams:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            Fraction(data["lambda"]),
-            Fraction(data["c"]),
-            Fraction(data["c0"]),
-            Fraction(data["c1"]),
-        )
+        return cls(data["lambda"], data["c"], data["c0"], data["c1"])
 
 
 class HighestWeightActor:

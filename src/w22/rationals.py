@@ -2,7 +2,8 @@
 
 Every coefficient in this package is a ``fractions.Fraction``.  ``rat``
 and ``rat_str`` pin down the single accepted text form: ``p`` or ``p/q``
-with an optional leading minus, no decimals, no whitespace tricks.
+with an optional leading minus and no decimals or exponents; ``rat``
+strips surrounding whitespace first, so ``" 1/2 "`` reads as 1/2.
 ``clear_denominators`` moves a list of rationals to integers for the exact
 checks that run in integer arithmetic.
 """

@@ -1,5 +1,5 @@
-"""Golden stdout digests of the verify verbs and of the verbs that render
-Lie and enveloping-algebra elements.
+"""Golden stdout digests of the verify verbs, of the verbs that render
+Lie and enveloping-algebra elements, and of the module verbs.
 
 Each command's stdout is pinned by its sha256.  The six non-integral
 alpha digests were taken before the constraint systems moved to integer
@@ -8,10 +8,12 @@ once the builders stopped skipping the triples with a zero weight factor
 (alpha + n)(alpha + n + i)(alpha + n + j)(alpha + n + i + j).  The seven
 element-verb digests (bracket, vir-embed, normal-order and the verma
 verbs) were taken before ``LieElement`` and ``UEAElement`` became
-subclasses of one ``liecore.Combination``.  A change that keeps the
-answers keeps these digests; a change of the output contract must update
-them and say so.  Every command runs in under a second.
-"""
+subclasses of one ``liecore.Combination``.  The seven module-verb digests
+(im-act, im-probe and jacobi) were taken before ``intermediate.act`` and
+the module check came to read the action only through ``coefficient``.
+A change that keeps the answers keeps these digests; a change of the
+output contract must update them and say so.  Every command runs in
+under a second."""
 
 import hashlib
 import subprocess
@@ -55,6 +57,24 @@ GOLDEN = [
     (("verma-check", "--lambda", "1/3", "--c", "2", "--c0", "1", "--c1",
       "8", "--max-level", "4"),
      "28ff260bcb7e7887c38691d5f4e53cd4b8920c13af91fbd2e156d0e8897b6ebd"),
+    (("im-act", "--family", "Aa", "--a", "1/2", "--window", "3"),
+     "dce092bbc729e172555300b5e2b9558afc15b232f35960a58a0a903861c5a59e"),
+    (("im-act", "--family", "Ba", "--a", "-2", "--window", "3", "--output",
+      "tsv"),
+     "c69a60e70599eb0e7a055b9f0017819a57fb1283d756f4053b2ded7231f8a4e2"),
+    (("im-act", "--family", "Aab", "--a", "0", "--b", "1", "--mask", "0",
+      "--gen", "x:-2", "--index", "2"),
+     "ed61052b8fcedae8d8bd19f1e7cb61e4bbe976c30c47b7e13a139ed3a5725cb5"),
+    (("im-act", "--family", "Aab", "--a", "1/2", "--b", "1/3", "--gen",
+      "x:3", "--index", "-1"),
+     "189b3049b9b879f441fc3724de1efc5129cef177c8d6f551b841aa4deb748bb0"),
+    (("im-probe", "--family", "Aab", "--a", "0", "--b", "1", "--window", "4"),
+     "54b88d1a63d402f4579a770e6c71abec59eec4e47668bce831d0765799723793"),
+    (("im-probe", "--family", "Aa", "--a", "1/2", "--mask", "0", "--window",
+      "3"),
+     "0c4946ff588b9a65f9cd1234c9bd62e83272676d1937905a517dfc893e62bf05"),
+    (("jacobi", "--window", "3"),
+     "1216d623e1807f0532c5a79a3ba55945561e0b1d174dbfed4924778372914e40"),
 ]
 
 

@@ -108,22 +108,38 @@ class TestCompatibility:
     def test_families_are_modules_on_window(self, spec):
         assert bracket_compatibility_check(spec, 3) == []
 
-    def test_fault_injection_corrupts_special_case(self, monkeypatch):
-        # Shift the m(m+a) branch of the Aa action by one: the table stops
-        # being a module, and checks sourced at v_0 must expose it.
+    @pytest.mark.parametrize(
+        "spec, corrupt, expected",
+        [
+            # Shift the m(m+a) branch of the Aa action at v_0 by one: every
+            # pair of distinct x-generators fails on the seed v_0.
+            (
+                ModuleSpec("Aa", F(1)),
+                lambda m, i: i == 0,
+                [(x(m), x(n), 0) for m in range(-2, 3) for n in range(-2, 3)
+                 if m != n],
+            ),
+            # Shift the -m(m+a) branch of the Ba action at v_{-m} by one:
+            # x(m), x(n) fail on the seed v_{-m-n} whenever it is windowed.
+            (
+                ModuleSpec("Ba", F(2)),
+                lambda m, i: i == -m,
+                [(x(m), x(n), -m - n) for m in range(-2, 3)
+                 for n in range(-2, 3) if m != n and abs(m + n) <= 2],
+            ),
+        ],
+        ids=["Aa-at-v0", "Ba-at-v-m"],
+    )
+    def test_fault_injection_corrupts_special_case(
+        self, monkeypatch, spec, corrupt, expected
+    ):
         original = intermediate.coefficient
 
         def corrupted(spec, m, i):
-            value = original(spec, m, i)
-            if spec.family == "Aa" and i == 0:
-                return value + 1
-            return value
+            return original(spec, m, i) + (1 if corrupt(m, i) else 0)
 
         monkeypatch.setattr(intermediate, "coefficient", corrupted)
-        violations = bracket_compatibility_check(ModuleSpec("Aa", F(1)), 2)
-        assert violations
-        assert (x(1), x(2), 0) in violations
-        assert all(i == 0 for _, _, i in violations)
+        assert bracket_compatibility_check(spec, 2) == expected
 
 
 class TestProbe:

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from w22 import rat, rat_str
+from w22 import (
+    HighestWeightParams,
+    LieElement,
+    ModuleSpec,
+    UEAElement,
+    rat,
+    rat_str,
+)
 
 
 def test_parses_integers_and_fractions():
@@ -30,6 +37,30 @@ def test_rejects_non_rationals(bad):
 def test_error_message_cites_the_literal():
     with pytest.raises(ValueError, match="0.5"):
         rat("0.5")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LieElement.from_json(
+            {"terms": [{"kind": "X", "index": 1, "coeff": "1.5"}]}
+        ),
+        lambda: UEAElement.from_json(
+            {"terms": [{"monomial": [{"kind": "X", "index": -1}],
+                        "coeff": " 1.5e0 "}]}
+        ),
+        lambda: HighestWeightParams.from_json(
+            {"lambda": "0.1", "c": "0", "c0": "0", "c1": "0"}
+        ),
+        lambda: HighestWeightParams(0.1, 0, 0, 0),
+        lambda: ModuleSpec("Aa", 0.5),
+    ],
+    ids=["lie-decimal", "uea-exponent", "params-json", "params-float",
+         "spec-float"],
+)
+def test_constructors_coerce_through_rat(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_render_round_trip():

@@ -377,32 +377,19 @@ def _mat_name(i, n, row, colm):
     return "F(%d,%d)[%d,%d]" % (i, n, row, colm)
 
 
-def _mat_mul(p, q):
-    return tuple(
-        tuple(sum(p[r][k] * q[k][s] for k in range(2)) for s in range(2))
-        for r in range(2)
-    )
-
-
-def _mat_sub(p, q):
-    return tuple(
-        tuple(p[r][s] - q[r][s] for s in range(2)) for r in range(2)
-    )
-
-
-def _mat_scale(value, p):
-    return tuple(tuple(value * p[r][s] for s in range(2)) for r in range(2))
-
-
 def make_x_matrices(alpha, betas, ext_type):
     """Return a memoized A(i, n) builder for one of the known x-actions.
 
     "decomposable" is diag(alpha + n + i beta1, alpha + n + i beta2); the
     two extension types are the indecomposable actions that exist only for
-    beta1 = beta2 = 0.  ext_a is polynomial in i, n; ext_b is seeded on
-    |i| <= 2 and extended by the recursion forced by the x-bracket,
-    A(i, n) = (A(1, i-1+n) A(i-1, n) - A(i-1, 1+n) A(1, n)) / (i - 2)
-    for i >= 3 and its mirror image for i <= -3.
+    beta1 = beta2 = 0.  ext_a is polynomial in i, n.  Every ext_b matrix
+    is d Id + c(i, n) E12 with d = alpha + n: the corner c is 0 at
+    i = 0, +-1, 1/((d+1)(d+2)) at i = 2 and -1/((d-1)(d-2)) at i = -2, and
+    the recursion forced by the x-bracket, A(i, n) = (A(1, i-1+n) A(i-1, n)
+    - A(i-1, 1+n) A(1, n)) / (i - 2) and its mirror image, acts on the
+    corner alone (A(+-1, n) = d Id):
+    c(i, n) = ((d+i-1) c(i-1, n) - d c(i-1, n+1)) / (i-2) for i >= 3,
+    c(i, n) = (d c(i+1, n-1) - (d+i+1) c(i+1, n)) / (-2-i) for i <= -3.
     """
     alpha = rat(alpha)
     beta1, beta2 = (rat(betas[0]), rat(betas[1])) if betas else (
@@ -427,29 +414,20 @@ def make_x_matrices(alpha, betas, ext_type):
             out = ((d + i * beta1, Fraction(0)), (Fraction(0), d + i * beta2))
         elif ext_type == "ext_a":
             out = ((d, Fraction(-i)), (Fraction(0), d))
-        elif abs(i) <= 2:
-            corner = Fraction(0)
-            if i == 2:
+        else:
+            if i >= 3:
+                corner = ((d + i - 1) * a_mat(i - 1, n)[0][1]
+                          - d * a_mat(i - 1, n + 1)[0][1]) / (i - 2)
+            elif i <= -3:
+                corner = (d * a_mat(i + 1, n - 1)[0][1]
+                          - (d + i + 1) * a_mat(i + 1, n)[0][1]) / (-2 - i)
+            elif i == 2:
                 corner = 1 / ((d + 1) * (d + 2))
             elif i == -2:
                 corner = -1 / ((d - 1) * (d - 2))
+            else:
+                corner = Fraction(0)
             out = ((d, corner), (Fraction(0), d))
-        elif i >= 3:
-            out = _mat_scale(
-                Fraction(1, i - 2),
-                _mat_sub(
-                    _mat_mul(a_mat(1, i - 1 + n), a_mat(i - 1, n)),
-                    _mat_mul(a_mat(i - 1, 1 + n), a_mat(1, n)),
-                ),
-            )
-        else:
-            out = _mat_scale(
-                Fraction(1, -2 - i),
-                _mat_sub(
-                    _mat_mul(a_mat(i + 1, n - 1), a_mat(-1, n)),
-                    _mat_mul(a_mat(-1, n + i + 1), a_mat(i + 1, n)),
-                ),
-            )
         cache[key] = out
         return out
 

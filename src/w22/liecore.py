@@ -130,7 +130,7 @@ class Combination:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        s = Fraction(scalar)
+        s = rat(scalar)
         return type(self)({k: s * c for k, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -270,5 +270,5 @@ def vir_embed(e, n):
     [vir_embed(e,n), vir_embed(e,m)] = (m-n) vir_embed(e,n+m)
                                        + delta(n,-m) (n^3-n)/12 C.
     """
-    e = Fraction(e)
+    e = rat(e)
     return LieElement({x(n): Fraction(1), I(n): n * e})

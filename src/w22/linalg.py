@@ -5,11 +5,14 @@
 with list-of-Fraction vectors.  ``nullspace`` is the same engine on dense
 rows with rhs 0.  No elimination runs over Fraction:
 
-1. The rows are folded, in input order, into an echelon basis keyed by
-   leading column (the smallest column left in the reduced row), over
-   GF(p) on plain ints.  The first prime is 2^61 - 1; the next ones are
-   the primes below 2^62 in descending order.  A prime that divides an
-   input denominator is skipped.
+1. Each row is cleared of its denominators once, on entry: it is scaled
+   by the lcm of its own denominators (rhs included), which keeps its
+   solutions.  The integer rows are folded, in input order, into an
+   echelon basis keyed by leading column (the smallest column left in
+   the reduced row), over GF(p) on plain ints.  The first prime is
+   2^61 - 1; the next ones are the primes below 2^62 in descending order.
+   Every prime is used: a prime that divides a row's lcm is at worst
+   unlucky (see below).
 2. Back-substitution mod p gives the particular solution (free unknowns
    0) and one kernel vector per free column f (1 at f, 0 at the other
    free columns).  When every right-hand side is 0 the particular
@@ -19,20 +22,20 @@ rows with rhs 0.  No elimination runs over Fraction:
    ISSAC 2004).
 4. The lift is returned only after an exact check: A k = 0 for every
    kernel vector and A x = b for the particular solution.  A lift that
-   fails takes one more prime.  The check runs on integers: each row is
-   cleared of its denominators once per solve (when the first lifted
-   vector needs it) and each lifted vector once, as ints / den, and a
-   row (pairs, rhs) holds when its integer dot product with the ints
-   equals rhs * den (0 for a kernel vector).
+   fails takes one more prime.  The check reads the same integer rows as
+   the fold: each lifted vector is cleared once, as ints / den, and a row
+   (pairs, rhs) holds when its integer dot product with the ints equals
+   rhs * den (0 for a kernel vector).
 
 The check is a certificate, not a heuristic.  A verified kernel vector
 of free column f has k[f] = 1 and is supported on f and the pivots left
 of f, so column f is a combination of earlier columns over Q; every free
-column mod p is then free over Q, and since rank over Q is at least rank
-mod p the two free sets are equal.  The pivot columns, the kernel basis
-and the particular solution are therefore the unique ones of the exact
-leading-column echelon form: the answer does not depend on p.  When a
-row reduces to 0 = b != 0 mod p, the certified equality of ranks gives
+column mod p is then free over Q, and since the rows are integer, rank
+over Q is at least rank mod p for every p, so the two free sets are
+equal.  The pivot columns, the kernel basis and the particular solution
+are therefore the unique ones of the exact leading-column echelon form:
+the answer does not depend on p.  When a row reduces to 0 = b != 0 mod
+p, the certified equality of ranks and the integer rows of [A|b] give
 rank_Q[A|b] >= rank_p[A|b] > rank_p(A) = rank_Q(A), so the system is
 infeasible over Q.  Folding goes on past such a row, because the kernel
 certificate needs the full pivot set of A.
@@ -54,8 +57,9 @@ fails another row proves it too: any solution y of A would solve S, so
 x - y would lie in ker(A_S) = ker(A), and x would meet every row that y
 meets.
 
-A prime is unlucky when it divides a minor that decides a pivot: its
-rank is lower, or its rank is equal and its pivot list (ascending) is
+A prime is unlucky when it divides a minor of the integer rows that
+decides a pivot (a prime that divides a row's lcm can be one): its rank
+is lower, or its rank is equal and its pivot list (ascending) is
 lexicographically larger, since over Q the k-th pivot is never right of
 the k-th pivot mod p.  The smallest (-rank, pivot list) seen so far is
 kept; residues from a prime with a larger key are dropped, and a prime
@@ -104,39 +108,19 @@ def _primes():
         n -= 2
 
 
-class _DenominatorDivisible(Exception):
-    """The prime divides an input denominator."""
-
-
-def _residue(value, p, inverses):
-    """An int or Fraction mod p, with denominator inverses cached."""
-    d = value.denominator
-    inv = inverses.get(d)
-    if inv is None:
-        if d % p == 0:
-            raise _DenominatorDivisible
-        inv = inverses[d] = pow(d, -1, p)
-    return value.numerator * inv % p
-
-
-def _fold(equations, p):
-    """Leading-column echelon fold mod p.
+def _fold(rows, p):
+    """Leading-column echelon fold mod p of integer rows from _exact_rows.
 
     Returns (pivots, consistent).  pivots maps each leading column to the
     (tail, rhs) of its monic pivot row; the tail holds the (col, coeff)
     pairs after the leading 1.  Each input row is reduced mod p only when
     it is folded, so no second copy of the system is held.
     """
-    inverses = {1: 1}
     pivots = {}
     consistent = True
-    for coeffs, rhs in equations:
-        row = {}
-        for c, v in coeffs.items():
-            r = _residue(v, p, inverses)
-            if r:
-                row[c] = r
-        b = _residue(rhs, p, inverses)
+    for pairs, rhs in rows:
+        row = {c: r for c, v in pairs if (r := v % p)}
+        b = rhs % p
         # Entries are reduced mod p only when they lead or the row becomes
         # a pivot row, so an entry that cancels is dropped when it leads.
         get = row.get
@@ -239,21 +223,18 @@ def _satisfies(rows, vector, homogeneous):
     return True
 
 
-def _image(equations, ncols, p, zero_rhs):
-    """The answer mod p, or None when p divides an input denominator.
+def _image(rows, ncols, p, zero_rhs):
+    """The answer mod p: (key, order, targets, residues).
 
-    Returns (key, order, targets, residues).  key is (-rank, ascending
-    pivot list); order lists the pivots in descending order.  targets
-    holds (f, cols) for each free column f (the vector is 1 at f and has
-    entries at the pivots cols left of f), then (None, order) for the
-    particular solution when the system is consistent mod p and not
-    zero_rhs; residues holds the matching vectors mod p.  The echelon basis is dropped on
-    return, so two of them are never held at once.
+    key is (-rank, ascending pivot list); order lists the pivots in
+    descending order.  targets holds (f, cols) for each free column f (the
+    vector is 1 at f and has entries at the pivots cols left of f), then
+    (None, order) for the particular solution when the system is
+    consistent mod p and not zero_rhs; residues holds the matching vectors
+    mod p.  The echelon basis is dropped on return, so two of them are
+    never held at once.
     """
-    try:
-        pivots, consistent = _fold(equations, p)
-    except _DenominatorDivisible:
-        return None
+    pivots, consistent = _fold(rows, p)
     order = sorted(pivots, reverse=True)
     targets = [
         (f, [col for col in order if col < f])
@@ -271,23 +252,19 @@ def _image(equations, ncols, p, zero_rhs):
     return (-len(order), order[::-1]), order, targets, residues
 
 
-def _solve(equations, ncols, spanning=None):
-    """The certified (feasible, particular, kernel) triple."""
+def _solve(rows, ncols, spanning=None):
+    """The certified (feasible, particular, kernel) triple of integer rows."""
     if spanning is None:
-        folded, others = equations, ()
+        folded, others = rows, ()
     else:
         chosen = set(spanning)
-        folded = [equations[i] for i in spanning]
-        others = [row for i, row in enumerate(equations) if i not in chosen]
+        folded = [rows[i] for i in spanning]
+        others = [row for i, row in enumerate(rows) if i not in chosen]
     # With every rhs 0 the particular solution is 0: no lift, no check.
-    zero_rhs = not any(rhs for _, rhs in equations)
-    exact = None  # folded and others cleared of denominators, once needed
+    zero_rhs = not any(rhs for _, rhs in rows)
     key = None  # key of the primes whose residues are kept; lower is luckier
     for p in _primes():
-        image = _image(folded, ncols, p, zero_rhs)
-        if image is None:
-            continue
-        new_key, order, targets, residues = image
+        new_key, order, targets, residues = _image(folded, ncols, p, zero_rhs)
         if key is not None and new_key > key:
             continue
         if key is None or new_key < key:
@@ -310,16 +287,14 @@ def _solve(equations, ncols, spanning=None):
                 vec[f] = _ONE
             if not _lift(res, cols, modulus, vec):
                 break
-            if exact is None:
-                exact = _exact_rows(folded), _exact_rows(others)
             vector = clear_denominators(vec)
-            if not _satisfies(exact[0], vector, homogeneous):
+            if not _satisfies(folded, vector, homogeneous):
                 break
-            if not _satisfies(exact[1], vector, homogeneous):
+            if not _satisfies(others, vector, homogeneous):
                 if homogeneous:
                     # The kernel of the folded rows is larger than that of
                     # A: the hint does not span, so fold every row.
-                    return _solve(equations, ncols)
+                    return _solve(rows, ncols)
                 # The kernel vectors came first and passed every row, so
                 # ker(A) = ker(A_S) and no solution meets this row.
                 return False, None, []
@@ -347,7 +322,7 @@ def solve_sparse(equations, ncols, spanning=None):
     row space; only those rows are folded.  A wrong hint costs a second
     solve with every row folded, never a different answer.
     """
-    return _solve(equations, ncols, spanning)
+    return _solve(_exact_rows(equations), ncols, spanning)
 
 
 def nullspace(rows, ncols):
@@ -355,4 +330,4 @@ def nullspace(rows, ncols):
     # _solve rather than solve_sparse, so that wrapping either public name
     # (as perfbench's layer tracer does) times the two callers apart.
     equations = [({c: v for c, v in enumerate(row) if v}, 0) for row in rows]
-    return _solve(equations, ncols)[2]
+    return _solve(_exact_rows(equations), ncols)[2]

@@ -241,6 +241,18 @@ class TestXMatrices:
         a_mat = make_x_matrices(F(1, 2), (F(0), F(0)), "ext_b")
         assert a_mat(3, 0) == ((F(1, 2), F(64, 105)), (F(0), F(1, 2)))
         assert a_mat(-3, 0) == ((F(1, 2), F(-32, 15)), (F(0), F(1, 2)))
+        # corners deeper in the recursion, and off the n = 0 column
+        for alpha, i, n, corner in [
+            (F(1, 2), 5, 2, F(5024, 9009)),
+            (F(1, 2), -5, -2, F(-12416, 15015)),
+            (F(1, 2), 4, -1, F(296, 105)),
+            (F(1, 2), -4, 1, F(-8, 5)),
+            (F(9, 8), 6, -3, F(341056, 19635)),
+            (F(9, 8), -6, 3, F(341056, 8925)),
+        ]:
+            d = alpha + n
+            a_mat = make_x_matrices(alpha, (F(0), F(0)), "ext_b")
+            assert a_mat(i, n) == ((d, corner), (F(0), d)), (alpha, i, n)
 
     def test_every_type_satisfies_the_x_bracket(self):
         for ext_type, betas in [
@@ -481,7 +493,9 @@ class TestSpanningRows:
     def test_only_spanning_rows_are_folded(self, monkeypatch, build, size):
         system = build()
         assert len(system.spanning) == size
-        expected = [system.equations[k] for k in system.spanning]
+        expected = linalg._exact_rows(
+            [system.equations[k] for k in system.spanning]
+        )
         seen = self.folded_rows(monkeypatch)
         hinted = solve_linear(system)
         assert seen and all(rows == expected for rows in seen)

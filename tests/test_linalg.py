@@ -2,13 +2,16 @@
 
 Every answer below is a known one: worked by hand, or (for the random
 systems) the rref-normalised answer of sympy's DomainMatrix over QQ, an
-implementation written independently of this package.  The certificate
-cases force the paths the first prime cannot settle alone: entries too
-large for one modulus, a coefficient or denominator divisible by the
-first prime, and an infeasibility that shows only after later rows.  The
-spanning-row cases force the paths of a fold restricted to some rows: a
-hint that does not span, an infeasibility that only an unfolded row
-shows, and a contradiction inside the folded rows.
+implementation written independently of this package.  The solver
+clears each row of denominators once, on entry, and folds and checks
+those integer rows.  The certificate cases force the paths the first
+prime cannot settle alone: entries too large for one modulus, a
+coefficient or denominator divisible by the first prime (which is then
+an unlucky prime, never a skipped one), and an infeasibility that shows
+only after later rows.  The spanning-row cases force the paths of a
+fold restricted to some rows: a hint that does not span, an
+infeasibility that only an unfolded row shows, and a contradiction
+inside the folded rows.
 """
 
 import random
@@ -155,13 +158,15 @@ def test_right_hand_side_vanishing_mod_the_first_prime(monkeypatch):
 
 
 def test_denominator_divisible_by_the_first_prime(monkeypatch):
-    # 1/P has no residue mod P, so the first prime is skipped
+    # x / P + y = 1 clears to x + P y = P, which reads x = 0 mod P: the
+    # first prime's lift (0, 0) fails the exact check, and x = P is beyond
+    # the reconstruction bound of two primes, so a third one is needed
     seen = count_primes(monkeypatch)
     ok, particular, kernel = solve_sparse(
         [({0: F(1, P), 1: F(1)}, F(1)), ({1: F(1)}, F(0))], 2
     )
     assert ok and particular == [F(P), F(0)] and kernel == []
-    assert P not in seen
+    assert seen == [P, 2**62 - 57, 2**62 - 87]
 
     ok, particular, kernel = solve_sparse([({0: F(1)}, F(3, 2 * P))], 1)
     assert ok and particular == [F(3, 2 * P)] and kernel == []
@@ -308,7 +313,7 @@ def test_solve_sparse_deterministic():
 
 
 # The exact certificate runs on integers: each row is cleared of its own
-# denominators once per solve, each lifted vector once, and a row holds
+# denominators once, on entry, each lifted vector once, and a row holds
 # when its integer dot product equals rhs * den.  The cases below pin the
 # scaling of rows, right-hand sides and vectors with answers worked by hand.
 

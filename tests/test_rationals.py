@@ -4,11 +4,14 @@ import pytest
 
 from w22 import (
     HighestWeightParams,
+    I,
     LieElement,
     ModuleSpec,
     UEAElement,
     rat,
     rat_str,
+    vir_embed,
+    x,
 )
 
 
@@ -61,6 +64,34 @@ def test_error_message_cites_the_literal():
 def test_constructors_coerce_through_rat(build):
     with pytest.raises(ValueError):
         build()
+
+
+# A float scalar would enter as a binary fraction (0.1 has denominator
+# 2^55), so scalar multiplication and vir_embed refuse it as rat does;
+# ints, Fractions and rational strings keep their values.
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: 0.1 * LieElement({x(1): 1}), ValueError),
+        (lambda: 0.5 * UEAElement({(x(-1),): 1}), ValueError),
+        (lambda: vir_embed(0.1, 2), ValueError),
+        (lambda: -1 * LieElement({x(1): 1}), LieElement({x(1): -1})),
+        (lambda: 3 * UEAElement({(x(-1),): 1}), UEAElement({(x(-1),): 3})),
+        (
+            lambda: Fraction(1, 2) * LieElement({I(2): 4}),
+            LieElement({I(2): 2}),
+        ),
+        (lambda: vir_embed("1/2", 2), LieElement({x(2): 1, I(2): 1})),
+    ],
+    ids=["lie-float", "uea-float", "vir-float", "lie-int", "uea-int",
+         "lie-fraction", "vir-string"],
+)
+def test_scalars_coerce_through_rat(build, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            build()
+    else:
+        assert build() == expected
 
 
 def test_render_round_trip():

@@ -92,11 +92,13 @@ def act_element(spec, elem, vec):
 def bracket_compatibility_check(spec, window):
     """Check g(h v_i) - h(g v_i) = [g,h] v_i on the window, exactly.
 
-    Runs over all generator pairs with |index| <= window (plus C, C1) and
-    all seeds |i| <= window.  Both sides are multiples of the one basis
-    vector v_{i + deg g + deg h}, so each check compares two scalars built
-    from ``coefficient`` and the ``pair_bracket`` table.  Returns violation
-    triples (g, h, i); empty means the table is a Lie module on the window.
+    Runs over the x-generator pairs with |index| <= window and all seeds
+    |i| <= window.  I(n), C and C1 act as zero and [x, I] lies in the span
+    of I and C1, so every pair with a non-x side compares 0 with 0.  Both
+    sides are multiples of the one basis vector v_{i + deg g + deg h}, so
+    each check compares two scalars built from ``coefficient`` and the
+    ``pair_bracket`` table.  Returns violation triples (g, h, i); empty
+    means the table is a Lie module on the window.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -104,12 +106,12 @@ def bracket_compatibility_check(spec, window):
     def s(g, i):
         return coefficient(spec, g.index, i) if g.kind == "X" else 0
 
-    gens = basis_window(window)
+    gens = [g for g in basis_window(window) if g.kind == "X"]
     violations = []
     for g in gens:
-        dg = g.index or 0
+        dg = g.index
         for h in gens:
-            dh = h.index or 0
+            dh = h.index
             terms = pair_bracket(g, h).terms
             for i in range(-window, window + 1):
                 lhs = s(g, i + dh) * s(h, i) - s(h, i + dg) * s(g, i)

@@ -17,7 +17,6 @@ linear-combination class shared with ``pbw.UEAElement``; ``LieElement``
 only fixes its keys to be generators.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,19 +30,46 @@ C1_KIND = "C1"
 _KIND_RANK = {C_KIND: 0, C1_KIND: 1, I_KIND: 2, X_KIND: 3}
 
 
-@dataclass(frozen=True)
 class BasisElement:
-    kind: str
-    index: int | None = None
+    """One basis generator; there is one shared instance per (kind, index).
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError("unknown generator kind: %r" % (self.kind,))
-        if self.kind in (C_KIND, C1_KIND):
-            if self.index is not None:
+    Instances are interned, so ``==`` and ``hash`` are the identity
+    defaults and the ``pair_bracket`` and PBW-action caches hash them in C.
+    Validation runs before the pool lookup (``(X, 1.0)`` hashes like
+    ``(X, 1)``), an integer index is stored as ``int`` (so ``x(True)`` is
+    ``x(1)``), instances refuse attribute assignment, and pickling and
+    ``copy`` return the pooled instance.
+    """
+
+    __slots__ = ("kind", "index")
+    _pool = {}
+
+    def __new__(cls, kind, index=None):
+        if kind not in _KIND_RANK:
+            raise ValueError("unknown generator kind: %r" % (kind,))
+        if kind in (C_KIND, C1_KIND):
+            if index is not None:
                 raise ValueError("central generators carry no index")
-        elif not isinstance(self.index, int):
+        elif not isinstance(index, int):
             raise ValueError("x/I generators need an integer index")
+        else:
+            index = int(index)
+        self = cls._pool.get((kind, index))
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "kind", kind)
+            object.__setattr__(self, "index", index)
+            cls._pool[kind, index] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BasisElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("BasisElement is immutable")
+
+    def __reduce__(self):
+        return (BasisElement, (self.kind, self.index))
 
     @property
     def degree(self):

@@ -10,9 +10,11 @@ generate the positive part, so it suffices to check gen(1) and gen(2) of
 both kinds (gen(1) alone at level 1).
 
 ``find_singular`` computes joint kernels of the raising matrices with the
-certified exact solver in ``linalg``.  ``is_verma_irreducible`` reports the
-kernel evidence next to the closed-form root list 2 c0 - (m^2-1)/12 c1 = 0
-and flags any disagreement between the two rather than suppressing it.
+certified exact solver in ``linalg``, at every level up to the maximum.
+``is_verma_irreducible`` stops at the first level with a nonzero kernel and
+reports that evidence next to the closed-form root list
+2 c0 - (m^2-1)/12 c1 = 0, flagging any disagreement between the two rather
+than suppressing it.
 
 The closed form is the Zhang-Dong criterion 2 h_W + (m^2-1)/12 c_W = 0
 (Comm. Math. Phys. 2009, arXiv:0711.4624), stated for the usual
@@ -159,28 +161,31 @@ def _normalize_first_one(vec):
     return vec
 
 
-def find_singular(params, max_level):
-    """One report per level in 1..max_level whose joint kernel is nonzero.
-
-    The reported vector is the first kernel basis vector, rescaled so its
-    first nonzero coordinate (in canonical monomial order) equals 1.
-    """
+def _singular_reports(params, max_level):
+    """The reports of ``find_singular`` in level order, each level built
+    only when the next report is asked for."""
     actor = HighestWeightActor(params)
-    reports = []
     for level in range(1, max_level + 1):
         kernel = joint_kernel(params, level, actor=actor)
         if not kernel:
             continue
         vec = _normalize_first_one(kernel[0])
         coords = {i: v for i, v in enumerate(vec) if v}
-        reports.append(
-            SingularVectorReport(
-                params=params,
-                level=level,
-                vector=VermaVector(level=level, coords=coords),
-            )
+        yield SingularVectorReport(
+            params=params,
+            level=level,
+            vector=VermaVector(level=level, coords=coords),
         )
-    return reports
+
+
+def find_singular(params, max_level):
+    """One report per level in 1..max_level whose joint kernel is nonzero.
+
+    Every level is searched.  The reported vector is the first kernel basis
+    vector, rescaled so its first nonzero coordinate (in canonical monomial
+    order) equals 1.
+    """
+    return list(_singular_reports(params, max_level))
 
 
 def criterion_value(m, c0, c1):
@@ -228,15 +233,16 @@ def is_verma_irreducible(params, max_level):
     """Kernel-based verdict next to the closed-form criterion roots.
 
     The verdict comes from the raising-matrix kernels, which are the
-    ground truth for these conventions.  criterion_roots lists the m in
-    1..max_level with 2 c0 - (m^2-1)/12 c1 = 0; when the smallest root
-    and the first kernel level differ the report says so.
+    ground truth for these conventions.  The search stops at the first
+    level with a nonzero kernel, whose report is the witness; later
+    levels are never built.  criterion_roots lists the m in 1..max_level
+    with 2 c0 - (m^2-1)/12 c1 = 0; when the smallest root and the first
+    kernel level differ the report says so.
     """
-    reports = find_singular(params, max_level)
+    witness = next(_singular_reports(params, max_level), None)
     roots = criterion_roots(params, max_level)
-    if reports:
+    if witness is not None:
         verdict = "reducible"
-        witness = reports[0]
         agrees = bool(roots) and roots[0] == witness.level
     else:
         verdict = "no-singular-vector-up-to-%d" % max_level

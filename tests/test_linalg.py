@@ -11,7 +11,8 @@ an unlucky prime, never a skipped one), and an infeasibility that shows
 only after later rows.  The spanning-row cases force the paths of a
 fold restricted to some rows: a hint that does not span, an
 infeasibility that only an unfolded row shows, and a contradiction
-inside the folded rows.
+inside the folded rows.  The column-order cases force a pivot that the
+natural order would leave free, so the answer must be mapped back.
 """
 
 import random
@@ -233,6 +234,65 @@ def test_hint_containing_the_inconsistent_row(monkeypatch):
     ]
     assert solve_sparse(equations, 2, spanning=(0, 1)) == (False, None, [])
     assert seen == [2]
+
+
+def test_empty_rows_outside_the_hint(monkeypatch):
+    # Row 1 reads 0 = 0 and is never checked; row 2 reads 0 = 3/2 and
+    # proves that x + y = 2 has no solution together with it.
+    checked = []
+    satisfies = linalg._satisfies
+
+    def recording(rows, vector, homogeneous):
+        checked.extend(rows)
+        return satisfies(rows, vector, homogeneous)
+
+    monkeypatch.setattr(linalg, "_satisfies", recording)
+    equations = [({0: F(1), 1: F(1)}, F(2)), ({}, F(0))]
+    answer = (True, [F(2), F(0)], [[F(-1), F(1)]])
+    assert solve_sparse(equations, 2, spanning=(0,)) == answer
+    assert ([], 0) not in checked and ([(0, 1), (1, 1)], 2) in checked
+    checked.clear()
+    equations.append(({}, F(3, 2)))
+    assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
+    assert ([], 0) not in checked and ([], 3) in checked
+    # folded, the same rows give the same answers
+    assert solve_sparse(equations[:2], 2) == answer
+    assert solve_sparse(equations, 2) == (False, None, [])
+
+
+def test_order_changes_the_free_column_but_not_the_answer():
+    # x + 2y = 1 eliminated in the order (y, x) has y as its pivot and x
+    # free: relabelled, it reads 2y' + x' = 1 with the answer particular
+    # (1/2, 0) and kernel (-1/2, 1), which in the natural columns are
+    # (0, 1/2) and (1, -1/2).  Mapped back, the answer is the natural
+    # one: x pivot, y free.
+    equations = [({0: F(1), 1: 2}, 1)]
+    relabelled = [({1: F(1), 0: 2}, 1)]
+    assert solve_sparse(relabelled, 2) == (
+        True, [F(1, 2), F(0)], [[F(-1, 2), F(1)]]
+    )
+    answer = (True, [F(1), F(0)], [[F(-2), F(1)]])
+    assert solve_sparse(equations, 2, order=(1, 0)) == answer
+    assert solve_sparse(equations, 2) == answer
+    # three columns, rank 1: the kernel basis is rebuilt from the free
+    # columns 1 and 2 of the natural order, whatever the permutation
+    equations = [({0: F(2), 1: F(1, 3), 2: -1}, F(5))]
+    natural = solve_sparse(equations, 3)
+    assert natural == (
+        True,
+        [F(5, 2), F(0), F(0)],
+        [[F(-1, 6), F(1), F(0)], [F(1, 2), F(0), F(1)]],
+    )
+    for order in [(2, 1, 0), (1, 2, 0), (2, 0, 1), (1, 0, 2)]:
+        assert solve_sparse(equations, 3, order=order) == natural
+
+
+@pytest.mark.parametrize(
+    "order", [(0, 0), (0,), (0, 1, 2), (1, 2), (-1, 0), (0.0, 1)]
+)
+def test_order_must_be_a_permutation(order):
+    with pytest.raises(ValueError, match="permutation"):
+        solve_sparse([({0: F(1)}, F(1))], 2, order=order)
 
 
 def _sympy_answer(rows, rhs, ncols):

@@ -1,11 +1,18 @@
-"""Property test: the certified solver's answer is a property of the
-system, not of how its rows are written.
+"""Property tests: the certified solver's answer is a property of the
+system, not of how its rows are written or its columns eliminated.
 
 Scaling a row and its right-hand side by a nonzero rational keeps the
 row's solutions, so ``solve_sparse`` must return the identical
 (feasible, particular, kernel) triple.  The scales include 2^61 - 1 and
 its inverse, so a row whose cleared form vanishes or moves a pivot mod
 the first prime is drawn too.
+
+Eliminating the columns in another order changes the pivots mod p but
+not the answer mapped back to the natural columns.  The systems mix int
+and Fraction values, repeat combinations of their rows (rank-deficient),
+take right-hand sides either from a hidden solution (feasible, often
+inhomogeneous) or at random (often inconsistent), and carry a spanning
+hint half of the time.
 """
 
 from fractions import Fraction
@@ -14,7 +21,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from w22.linalg import solve_sparse  # noqa: E402
@@ -43,3 +50,51 @@ def test_scaled_rows_give_the_identical_answer(system):
         for (coeffs, rhs), s in system
     ]
     assert solve_sparse(scaled, NCOLS) == solve_sparse(equations, NCOLS)
+
+
+values = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+)
+
+
+@st.composite
+def ordered_systems(draw):
+    """(equations, ncols, spanning, order) with a random permutation."""
+    ncols = draw(st.integers(1, 6))
+    coeffs = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), values, max_size=3),
+        max_size=5,
+    ))
+    # a row that is a combination of two others keeps the rank down
+    for _ in range(draw(st.integers(0, 2)) if coeffs else 0):
+        u, v = draw(st.sampled_from(coeffs)), draw(st.sampled_from(coeffs))
+        s, t = draw(values), draw(values)
+        combo = {c: s * u.get(c, 0) + t * v.get(c, 0) for c in {*u, *v}}
+        coeffs.append({c: x for c, x in combo.items() if x})
+    if draw(st.booleans()):
+        hidden = draw(st.lists(values, min_size=ncols, max_size=ncols))
+        rhs = [sum(x * hidden[c] for c, x in row.items()) for row in coeffs]
+    else:
+        rhs = draw(st.lists(values, min_size=len(coeffs),
+                            max_size=len(coeffs)))
+    spanning = draw(st.none() | st.sets(
+        st.integers(0, max(len(coeffs) - 1, 0)), max_size=len(coeffs)
+    ).map(sorted).map(tuple))
+    order = tuple(draw(st.permutations(range(ncols))))
+    return list(zip(coeffs, rhs)), ncols, spanning, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_systems())
+# rank 1 with a hint and the free columns moved to the front
+@example(([({0: 1, 1: Fraction(1, 2), 2: -3}, 4),
+           ({0: 2, 1: 1, 2: -6}, 8)], 3, (0,), (2, 1, 0)))
+# inconsistent rows outside the hint
+@example(([({0: 1, 1: 1}, 1), ({0: 3, 1: 3}, Fraction(7, 2))], 2, (0,),
+          (1, 0)))
+def test_any_column_order_gives_the_identical_answer(case):
+    equations, ncols, spanning, order = case
+    assert solve_sparse(equations, ncols, spanning, order=order) == (
+        solve_sparse(equations, ncols, spanning)
+    )

@@ -150,43 +150,47 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("bracket", help="bracket of two basis generators")
-    p.set_defaults(run=_run_bracket)
+    def verb(name, run, **kwargs):
+        # The runner gets its own subparser, so that its errors show the
+        # verb's usage line, as parse-time errors do.
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run, parser=p)
+        return p
+
+    p = verb("bracket", _run_bracket, help="bracket of two basis generators")
     p.add_argument("--left", type=generator_token, required=True)
     p.add_argument("--right", type=generator_token, required=True)
 
-    p = sub.add_parser("jacobi", help="Jacobi identity sweep on a window")
-    p.set_defaults(run=_run_jacobi)
+    p = verb("jacobi", _run_jacobi, help="Jacobi identity sweep on a window")
     p.add_argument("--window", type=nonnegative_int, required=True)
     p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("vir-embed", help="Virasoro copy element x(n)+n*e*I(n)")
-    p.set_defaults(run=_run_vir_embed)
+    p = verb("vir-embed", _run_vir_embed,
+             help="Virasoro copy element x(n)+n*e*I(n)")
     p.add_argument("--e", type=rational, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("normal-order", help="straighten a product of generators")
-    p.set_defaults(run=_run_normal_order)
+    p = verb("normal-order", _run_normal_order,
+             help="straighten a product of generators")
     p.add_argument("generators", nargs="+", type=generator_token,
                    metavar="GEN", help="factors, e.g. x:2 x:-2")
 
-    p = sub.add_parser("verma-basis", help="PBW basis of one Verma level")
-    p.set_defaults(run=_run_verma_basis)
+    p = verb("verma-basis", _run_verma_basis,
+             help="PBW basis of one Verma level")
     p.add_argument("--level", type=nonnegative_int, required=True)
 
-    p = sub.add_parser("verma-singular", help="joint-kernel singular vector search")
-    p.set_defaults(run=_run_verma_singular)
+    p = verb("verma-singular", _run_verma_singular,
+             help="joint-kernel singular vector search")
     _add_params(p)
     p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("verma-check",
-                       help="irreducibility verdict with closed-form roots")
-    p.set_defaults(run=_run_verma_check)
+    p = verb("verma-check", _run_verma_check,
+             help="irreducibility verdict with closed-form roots")
     _add_params(p)
     p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("im-act", help="weight-module action (table or single)")
-    p.set_defaults(run=_run_im_act)
+    p = verb("im-act", _run_im_act,
+             help="weight-module action (table or single)")
     _add_module_spec(p)
     p.add_argument("--window", type=positive_int, default=None)
     p.add_argument("--gen", type=generator_token, default=None,
@@ -195,24 +199,23 @@ def build_parser():
                    help="single-application mode: source weight index")
     p.add_argument("--output", choices=("json", "tsv"), default="json")
 
-    p = sub.add_parser("im-probe", help="windowed reachability probe")
-    p.set_defaults(run=_run_im_probe)
+    p = verb("im-probe", _run_im_probe, help="windowed reachability probe")
     _add_module_spec(p)
     p.add_argument("--window", type=positive_int, required=True)
     p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("verify-f",
-                       help="solve the scalar I-action system on a window")
-    p.set_defaults(run=_run_verify, build=_f_system)
+    p = verb("verify-f", _run_verify,
+             help="solve the scalar I-action system on a window")
+    p.set_defaults(build=_f_system)
     p.add_argument("--a", type=rational, required=True)
     p.add_argument("--b", type=rational, required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--full", action="store_true")
     p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("verify-matrix",
-                       help="solve the 2x2 matrix I-action system on a window")
-    p.set_defaults(run=_run_verify, build=_matrix_system)
+    p = verb("verify-matrix", _run_verify,
+             help="solve the 2x2 matrix I-action system on a window")
+    p.set_defaults(build=_matrix_system)
     p.add_argument("--alpha", type=rational, required=True)
     p.add_argument("--betas", type=rational_pair, default=(Fraction(0), Fraction(0)),
                    help="diagonal parameters, e.g. 0,1 (decomposable only)")
@@ -299,6 +302,8 @@ def _run_im_act(parser, args):
             "result": {str(j): rat_str(result[j]) for j in sorted(result)},
         })
         return
+    if args.index is not None:
+        parser.error("--index requires --gen")
     if args.window is None:
         parser.error("table mode requires --window")
     rows = im.action_table_rows(spec, args.window)
@@ -358,7 +363,7 @@ def main(argv=None):
     """Run one verb; each runner returns whether it found something."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    found = args.run(parser, args)
+    found = args.run(args.parser, args)
     return 1 if found and getattr(args, "strict", False) else 0
 
 

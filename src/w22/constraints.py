@@ -331,6 +331,16 @@ def _accumulate(coeffs, col, value):
 # ---------------------------------------------------------------------------
 
 
+def _check_window(window, least):
+    """Refuse a window that is not an int of at least least."""
+    if not isinstance(window, int):
+        raise ValueError("window must be an int, got %r" % (window,))
+    if window < least:
+        raise ValueError(
+            "window must be at least %d, got %d" % (least, window)
+        )
+
+
 def _f_name(m, t):
     return "f(%d,%d)" % (m, t)
 
@@ -341,15 +351,14 @@ def build_f_system(a, b, window):
     The x-action is x(n) v_t = (a + t + b n) v_{n+t}, so this is the
     d = 1 case of ``_build``, with f(m, t) the 1x1 matrix F(m, t): one
     linear equation per windowed triple (m, n, t), in the order m, n, t,
-    and one quadratic per windowed triple with m < n.  Windows below 3 are
-    rejected: they contain no triple with n = -m and |n| >= 2, so the
-    central unknown C1 would be unconstrained.
+    and one quadratic per windowed triple with m < n.  A window that is
+    not an int raises ValueError, and so does one below 3: it contains no
+    triple with n = -m and |n| >= 2, so the central unknown C1 would be
+    unconstrained.
     """
     a = rat(a)
     b = rat(b)
-    window = int(window)
-    if window < 3:
-        raise ValueError("window must be at least 3, got %d" % window)
+    _check_window(window, 3)
     shift = {n: a + b * n for n in range(-window, window + 1)}
     unknowns, equations, quadratics, spanning, order = _build(
         lambda n, t: ((shift[n] + t,),), 1, window,
@@ -513,7 +522,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     the four entries of F(i, n) for |i|, |n| <= window plus C1, and the
     rows are those of ``_build`` with d = 2.  Before any equation is
     emitted the A-matrices themselves are checked against the x-bracket
-    on the window (a consistency failure raises ValueError).
+    on the window (a consistency failure raises ValueError).  A window
+    that is not an int, or is below 4, raises ValueError too.
 
     With ``normalized`` (extension types only) the single inhomogeneous
     pinning equation F(1, 0)[2, 1] = alpha is appended and recorded as
@@ -522,9 +532,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     homogeneous and normalizes nothing, so it is refused there.
     """
     alpha = rat(alpha)
-    window = int(window)
-    if window < 4:
-        raise ValueError("window must be at least 4, got %d" % window)
+    _check_window(window, 4)
     a_mat = make_x_matrices(alpha, betas, ext_type)
     normalized = bool(normalized and ext_type != "decomposable")
     if normalized and not alpha:

@@ -1,85 +1,90 @@
-"""Exact linear algebra: one certified multi-modular solver.
+"""Exact linear algebra: one certified multi-modular kernel engine.
 
 ``solve_sparse`` solves A u = b for a system given as rows
 (col -> coeff dict, rhs) and returns (feasible, particular, kernel_basis)
-with list-of-Fraction vectors.  ``nullspace`` is the same engine on dense
-rows with rhs 0.  No elimination runs over Fraction:
+with list-of-Fraction vectors.  ``nullspace`` returns the kernel basis of
+dense rows.  Both read one routine, which computes only kernels: A u = b
+is solved as the kernel of M = [A | -b], the matrix A with -b as column
+ncols.  The system is feasible exactly when column ncols of M is free;
+its kernel vector is then (x, 1), and x is the particular solution, 0 on
+the free columns of A.  The other kernel vectors of M are 0 at column
+ncols and form the kernel basis of A.  When every rhs is 0 the column of
+-b is left out, since its kernel vector would be (0, 1).  No elimination
+runs over Fraction:
 
-1. Each row is cleared of its denominators once, on entry: it is scaled
-   by the lcm of its own denominators (rhs included), which keeps its
-   solutions.  The integer rows are folded, in input order, into an
+1. Each row of M is cleared of its denominators once, on entry: it is
+   scaled by the lcm of its own denominators (b included), which keeps
+   its kernel.  The integer rows are folded, in input order, into an
    echelon basis keyed by leading column (the smallest column left in
    the reduced row), over GF(p) on plain ints.  The first prime is
    2^61 - 1; the next ones are the primes below 2^62 in descending order.
    Every prime is used: a prime that divides a row's lcm is at worst
    unlucky (see below).
-2. Back-substitution mod p gives the particular solution (free unknowns
-   0) and one kernel vector per free column f (1 at f, 0 at the other
-   free columns).  When every right-hand side is 0 the particular
-   solution is 0 and is neither computed nor checked.
+2. Back-substitution mod p gives one kernel vector per free column f (1
+   at f, 0 at the other free columns).
 3. The residues of every prime with the same pivot columns are lifted by
    CRT and Wang's rational reconstruction (Wang, SYMSAC 1981; Monagan,
    ISSAC 2004).
-4. The lift is returned only after an exact check: A k = 0 for every
-   kernel vector and A x = b for the particular solution.  A lift that
-   fails takes one more prime.  The check reads the same integer rows as
-   the fold: each lifted vector is cleared once, as ints / den, and a row
-   (pairs, rhs) holds when its integer dot product with the ints equals
-   rhs * den (0 for a kernel vector).
+4. The lift is returned only after an exact check: M k = 0 for every
+   kernel vector, (x, 1) included.  A lift that fails takes one more
+   prime.  The check reads the same integer rows as the fold: each lifted
+   vector is cleared once to ints over a common denominator, and a row
+   holds when its integer dot product with the ints is 0.
 
 The check is a certificate, not a heuristic.  A verified kernel vector
 of free column f has k[f] = 1 and is supported on f and the pivots left
 of f, so column f is a combination of earlier columns over Q; every free
 column mod p is then free over Q, and since the rows are integer, rank
 over Q is at least rank mod p for every p, so the two free sets are
-equal.  The pivot columns, the kernel basis and the particular solution
-are therefore the unique ones of the exact leading-column echelon form:
-the answer does not depend on p.  When a row reduces to 0 = b != 0 mod
-p, the certified equality of ranks and the integer rows of [A|b] give
-rank_Q[A|b] >= rank_p[A|b] > rank_p(A) = rank_Q(A), so the system is
-infeasible over Q.  Folding goes on past such a row, because the kernel
-certificate needs the full pivot set of A.
+equal.  The pivot columns and the kernel basis are therefore the unique
+ones of the exact leading-column echelon form of M: the answer does not
+depend on p.  Whether column ncols is free, and so whether the system is
+feasible, is certified with the rest.
 
 A caller that expects some rows to span the row space (the constraint
 systems pass the rows of the relations with x(+-1) and x(+-2)) can pass
 their indices as ``spanning``; only those rows S are folded, and the
-exact check still runs on every row of A.  A lifted vector that fails a
-row of S takes one more prime, as above.  A kernel vector that passes S
-but fails another row lies in ker(A_S) and not in ker(A), which proves
-that S does not span; the system is then solved again with every row
-folded.  When every kernel vector passes every row, they are independent
-vectors of ker(A), one per free column of A_S mod p, so
-rank_Q(A) <= rank_p(A_S) <= rank_Q(A_S) <= rank_Q(A): the ranks are
-equal, ker(A) = ker(A_S), and the free columns and the answer are those
-of A.  A contradiction 0 = b != 0 mod p among the rows of S then proves
-infeasibility as above.  A particular solution x that is exact on S but
-fails another row proves it too: any solution y of A would solve S, so
-x - y would lie in ker(A_S) = ker(A), and x would meet every row that y
-meets.
+exact check still runs on every row of M.  A lifted vector that fails a
+row of S takes one more prime, as above.  The vectors are checked in
+ascending free column.  When every vector passes every row, they are
+independent vectors of ker(M), one per free column of M_S mod p, so
+rank_Q(M) <= rank_p(M_S) <= rank_Q(M_S) <= rank_Q(M): the ranks are
+equal, ker(M) = ker(M_S), and the free columns and the answer are those
+of M.  A vector of free column f that passes S but fails another row
+lies in ker(M_S) and not in ker(M).  If f is the last column of M and
+every earlier vector passed every row, the same count on the columns
+left of f, call them M', gives ker(M') = ker(M'_S), and f is a pivot of
+M: a kernel vector (y, 1) of M would put (x - y) in ker(M'_S) = ker(M'),
+and the failing vector (x, 1) = (y, 1) + (x - y, 0) would lie in ker(M).
+The earlier vectors are then the answer, with nothing folded again;
+for A u = b this proves infeasibility.  Otherwise S does not span, and
+the system is solved again with every row folded.
 
-A caller can also pass ``order``, a permutation of the columns: column
-order[k] is relabelled k as the rows are cleared, so the fold takes its
-pivots in that order, and the certified answer of the relabelled rows is
-mapped back over Q.  The natural answer depends only on ker(A) and the
-solution set: the vector of free column f is the only vector of ker(A)
-that is 1 at f, 0 at the other free columns and 0 right of f, and the
-particular solution is the only solution that is 0 on the free columns.
-The relabelled answer, un-permuted, is a certified basis of ker(A) and a
-certified solution (above).  So its reduced trailing-column echelon form
+A caller can also pass ``order``, a permutation of the columns of A:
+column order[k] is relabelled k as the rows are cleared, so the fold
+takes its pivots in that order, and the certified answer of the
+relabelled rows is mapped back over Q.  Column ncols keeps its place.
+The natural answer depends only on ker(M): the vector of free column f
+is the only vector of ker(M) that is 1 at f, 0 at the other free columns
+and 0 right of f.  The relabelled answer, un-permuted, is a certified
+basis of ker(M) (above).  So its reduced trailing-column echelon form
 (each vector 1 at its largest nonzero column and 0 at the other such
-columns) is exactly the natural kernel basis, and the particular solution
-reduced by it to 0 on those columns is the natural one: the answer does
-not depend on the order, and an infeasible answer has nothing to map.
-The kernel has dimension at most 4 on the constraint systems, so the map
+columns) is exactly the natural kernel basis, (x, 1) included: the
+answer does not depend on the order.  Feasibility is read before the
+map, since whether column ncols is free does not depend on the order of
+the columns left of it; an infeasible answer has nothing to map.  The
+kernel has dimension at most 4 on the constraint systems, so the map
 costs little next to the fold.
 
 A prime is unlucky when it divides a minor of the integer rows that
-decides a pivot (a prime that divides a row's lcm can be one): its rank
-is lower, or its rank is equal and its pivot list (ascending) is
-lexicographically larger, since over Q the k-th pivot is never right of
-the k-th pivot mod p.  The smallest (-rank, pivot list) seen so far is
-kept; residues from a prime with a larger key are dropped, and a prime
-with a smaller key discards the residues gathered before it.
+decides a pivot (a prime that divides a row's lcm or its b can be one):
+its rank is lower, or its rank is equal and its pivot list (ascending)
+is lexicographically larger, since over Q the k-th pivot is never right
+of the k-th pivot mod p.  The smallest (-rank, pivot list) seen so far
+is kept; residues from a prime with a larger key are dropped, and a
+prime with a smaller key discards the residues gathered before it.  The
+key orders the primes that see A u = b as feasible when it is not, too:
+the rank of M is higher over Q.
 """
 
 from fractions import Fraction
@@ -127,16 +132,14 @@ def _primes():
 def _fold(rows, p):
     """Leading-column echelon fold mod p of integer rows from _exact_rows.
 
-    Returns (pivots, consistent).  pivots maps each leading column to the
-    (tail, rhs) of its monic pivot row; the tail holds the (col, coeff)
-    pairs after the leading 1.  Each input row is reduced mod p only when
-    it is folded, so no second copy of the system is held.
+    Returns pivots, which maps each leading column to the tail of its
+    monic pivot row: the (col, coeff) pairs after the leading 1.  Each
+    input row is reduced mod p only when it is folded, so no second copy
+    of the system is held.
     """
     pivots = {}
-    consistent = True
-    for pairs, rhs in rows:
+    for pairs in rows:
         row = {c: r for c, v in pairs if (r := v % p)}
-        b = rhs % p
         # Entries are reduced mod p only when they lead or the row becomes
         # a pivot row, so an entry that cancels is dropped when it leads.
         get = row.get
@@ -145,32 +148,22 @@ def _fold(rows, p):
             factor = row.pop(lead) % p
             if not factor:
                 continue
-            pivot = pivots.get(lead)
-            if pivot is None:
+            tail = pivots.get(lead)
+            if tail is None:
                 inv = pow(factor, -1, p)
-                tail = []
-                for c, v in row.items():
-                    v = v * inv % p
-                    if v:
-                        tail.append((c, v))
-                pivots[lead] = (tuple(tail), b * inv % p)
+                pivots[lead] = [(c, r) for c, v in row.items()
+                                if (r := v * inv % p)]
                 break
-            tail, prhs = pivot
             for c, v in tail:
                 row[c] = get(c, 0) - factor * v
-            b = (b - factor * prhs) % p
-        else:
-            if b:
-                consistent = False
-    return pivots, consistent
+    return pivots
 
 
-def _back_substitute(pivots, order, v, homogeneous, p):
+def _back_substitute(pivots, order, v, p):
     """Fill the pivot entries of v (free entries already set) mod p."""
     for col in order:
-        tail, prhs = pivots[col]
-        acc = 0 if homogeneous else prhs
-        for c, coeff in tail:
+        acc = 0
+        for c, coeff in pivots[col]:
             value = v[c]
             if value:
                 acc -= coeff * value
@@ -208,12 +201,14 @@ def _lift(residues, cols, modulus, vec):
     return True
 
 
-def _exact_rows(equations, position=None):
-    """Each row cleared of denominators once: ((col, int), ...), int rhs.
+def _exact_rows(equations, ncols, position=None):
+    """The rows of [A | -b], each cleared of denominators once.
 
-    A row is scaled by the lcm of its own denominators (rhs included),
-    so it keeps its solutions and every entry stays exact.  With a
-    position list, column c is relabelled position[c] in the same pass.
+    Each row is a list of (col, int) pairs; a nonzero right-hand side b is
+    the entry -b in column ncols.  A row is scaled by the lcm of its own
+    denominators (b included), so it keeps its kernel and every entry
+    stays exact.  With a position list, column c < ncols is relabelled
+    position[c] in the same pass.
     """
     out = []
     for coeffs, rhs in equations:
@@ -221,78 +216,65 @@ def _exact_rows(equations, position=None):
         pairs = [(c if position is None else position[c],
                   v.numerator * (den // v.denominator))
                  for c, v in coeffs.items()]
-        out.append((pairs, rhs.numerator * (den // rhs.denominator)))
+        if rhs:
+            pairs.append((ncols, -rhs.numerator * (den // rhs.denominator)))
+        out.append(pairs)
     return out
 
 
-def _satisfies(rows, vector, homogeneous):
-    """Exact check of A vec = 0 (homogeneous) or A vec = b.
-
-    rows come from _exact_rows and vector from clear_denominators; the
-    check is row . ints == rhs * den, all in integers.
-    """
-    ints, den = vector
-    for pairs, rhs in rows:
+def _satisfies(rows, ints):
+    """Exact check that every integer row from _exact_rows is 0 on ints."""
+    for pairs in rows:
         acc = 0
         for c, coeff in pairs:
             acc += coeff * ints[c]
-        if acc != (0 if homogeneous else rhs * den):
+        if acc:
             return False
     return True
 
 
-def _image(rows, ncols, p, zero_rhs):
-    """The answer mod p: (key, order, targets, residues).
+def _image(rows, width, p):
+    """The kernel mod p: (key, order, targets, residues).
 
     key is (-rank, ascending pivot list); order lists the pivots in
     descending order.  targets holds (f, cols) for each free column f (the
-    vector is 1 at f and has entries at the pivots cols left of f), then
-    (None, order) for the particular solution when the system is
-    consistent mod p and not zero_rhs; residues holds the matching vectors
-    mod p.  The echelon basis is dropped on return, so two of them are
-    never held at once.
+    vector is 1 at f and has entries at the pivots cols left of f);
+    residues holds the matching vectors mod p.  The echelon basis is
+    dropped on return, so two of them are never held at once.
     """
-    pivots, consistent = _fold(rows, p)
+    pivots = _fold(rows, p)
     order = sorted(pivots, reverse=True)
     targets = [
         (f, [col for col in order if col < f])
-        for f in range(ncols)
+        for f in range(width)
         if f not in pivots
     ]
-    if consistent and not zero_rhs:
-        targets.append((None, order))
     residues = []
     for f, cols in targets:
-        v = [0] * ncols
-        if f is not None:
-            v[f] = 1
-        residues.append(_back_substitute(pivots, cols, v, f is not None, p))
+        v = [0] * width
+        v[f] = 1
+        residues.append(_back_substitute(pivots, cols, v, p))
     return (-len(order), order[::-1]), order, targets, residues
 
 
-def _solve(rows, ncols, spanning=None):
-    """The certified (feasible, particular, kernel) triple of integer rows."""
+def _kernel(rows, width, spanning=None):
+    """The certified kernel basis of integer rows with width columns."""
     if spanning is None:
         folded, others = rows, ()
     else:
         chosen = set(spanning)
         folded = [rows[i] for i in spanning]
-        # A row 0 = 0 holds for every vector; 0 = b != 0 is kept, it
-        # proves infeasibility.
+        # An empty row holds for every vector.
         others = [row for i, row in enumerate(rows)
-                  if i not in chosen and (row[0] or row[1])]
-    # With every rhs 0 the particular solution is 0: no lift, no check.
-    zero_rhs = not any(rhs for _, rhs in rows)
+                  if i not in chosen and row]
     key = None  # key of the primes whose residues are kept; lower is luckier
     for p in _primes():
-        new_key, order, targets, residues = _image(folded, ncols, p, zero_rhs)
+        new_key, order, targets, residues = _image(folded, width, p)
         if key is not None and new_key > key:
             continue
         if key is None or new_key < key:
             key, modulus, kept = new_key, p, residues
         else:
-            # An inconsistent prime drops the particular solution for good.
-            del kept[len(residues):]
             scale = pow(modulus, -1, p)
             for acc, res in zip(kept, residues):
                 for i in order:
@@ -302,47 +284,38 @@ def _solve(rows, ncols, spanning=None):
         # combined with the next prime.
         lifted = []
         for (f, cols), res in zip(targets, kept):
-            homogeneous = f is not None
-            vec = [_ZERO] * ncols
-            if homogeneous:
-                vec[f] = _ONE
+            vec = [_ZERO] * width
+            vec[f] = _ONE
             if not _lift(res, cols, modulus, vec):
                 break
-            vector = clear_denominators(vec)
-            if not _satisfies(folded, vector, homogeneous):
+            ints = clear_denominators(vec)[0]
+            if not _satisfies(folded, ints):
                 break
-            if not _satisfies(others, vector, homogeneous):
-                if homogeneous:
-                    # The kernel of the folded rows is larger than that of
-                    # A: the hint does not span, so fold every row.
-                    return _solve(rows, ncols)
-                # The kernel vectors came first and passed every row, so
-                # ker(A) = ker(A_S) and no solution meets this row.
-                return False, None, []
+            if not _satisfies(others, ints):
+                if f == width - 1:
+                    # Every earlier vector passed every row: the last
+                    # column is a pivot and they are the whole kernel.
+                    return lifted
+                # ker(M_S) is larger than ker(M): the hint does not span,
+                # so fold every row.
+                return _kernel(rows, width)
             lifted.append(vec)
         else:
-            if zero_rhs:
-                return True, [_ZERO] * ncols, lifted
-            if len(lifted) == ncols - len(order):
-                return False, None, []
-            return True, lifted[-1], lifted[:-1]
+            return lifted
 
 
-def _in_natural_order(answer, order):
-    """The answer of rows relabelled by order, in the natural columns.
+def _in_natural_order(kernel, order):
+    """The kernel basis of rows relabelled by order, in the natural columns.
 
-    Each vector is un-permuted; the kernel basis is brought to reduced
-    trailing-column echelon form (each vector 1 at its largest nonzero
-    column f and 0 at the other such columns, ascending in f) and the
-    particular solution is reduced to 0 on those columns.  This is the
-    answer of the natural order (see the module docstring).
+    Each vector is un-permuted (a column past order keeps its place) and
+    the basis is brought to reduced trailing-column echelon form: each
+    vector 1 at its largest nonzero column f and 0 at the other such
+    columns, ascending in f.  This is the basis of the natural order (see
+    the module docstring).
     """
-    feasible, particular, kernel = answer
-    if not feasible:
-        return answer
 
     def natural(vec):
-        out = [_ZERO] * len(order)
+        out = vec[:]
         for k, c in enumerate(order):
             out[c] = vec[k]
         return out
@@ -365,10 +338,7 @@ def _in_natural_order(answer, order):
         for by in echelon.values():
             reduce(by, f, vec)
         echelon[f] = vec
-    particular = natural(particular)
-    for f, by in echelon.items():
-        reduce(particular, f, by)
-    return True, particular, [echelon[f] for f in sorted(echelon)]
+    return [echelon[f] for f in sorted(echelon)]
 
 
 def solve_sparse(equations, ncols, spanning=None, order=None):
@@ -393,22 +363,33 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
     docstring); only the work of the fold changes.  Anything but a
     permutation raises ValueError.
     """
-    if order is None:
-        return _solve(_exact_rows(equations), ncols, spanning)
-    order = tuple(order)
-    if (not all(isinstance(c, int) for c in order)
-            or sorted(order) != list(range(ncols))):
-        raise ValueError("order must be a permutation of range(%d)" % ncols)
-    position = [0] * ncols
-    for k, c in enumerate(order):
-        position[c] = k
-    answer = _solve(_exact_rows(equations, position), ncols, spanning)
-    return _in_natural_order(answer, order)
+    position = None
+    if order is not None:
+        order = tuple(order)
+        if (not all(isinstance(c, int) for c in order)
+                or sorted(order) != list(range(ncols))):
+            raise ValueError(
+                "order must be a permutation of range(%d)" % ncols
+            )
+        position = [0] * ncols
+        for k, c in enumerate(order):
+            position[c] = k
+    # The column of -b is left out when every b is 0.
+    width = ncols + any(rhs for _, rhs in equations)
+    kernel = _kernel(_exact_rows(equations, ncols, position), width, spanning)
+    # A u = b is feasible exactly when column ncols of [A | -b] is free;
+    # its vector (x, 1) is then the last one, the only one nonzero there.
+    if width > ncols and not (kernel and kernel[-1][ncols]):
+        return False, None, []
+    if order is not None:
+        kernel = _in_natural_order(kernel, order)
+    particular = kernel.pop()[:ncols] if width > ncols else [_ZERO] * ncols
+    return True, particular, [vec[:ncols] for vec in kernel]
 
 
 def nullspace(rows, ncols):
     """Kernel basis of dense rows: one vector per free column, ascending."""
-    # _solve rather than solve_sparse, so that wrapping either public name
+    # _kernel rather than solve_sparse, so that wrapping either public name
     # (as perfbench's layer tracer does) times the two callers apart.
     equations = [({c: v for c, v in enumerate(row) if v}, 0) for row in rows]
-    return _solve(_exact_rows(equations), ncols)[2]
+    return _kernel(_exact_rows(equations, ncols), ncols)

@@ -188,6 +188,29 @@ class TestExitCodes:
         errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
         assert len(errors) == 1 and "not an integer >=" in errors[0]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("im-probe", "--family", "Aab", "--a", "1", "--window", "3"),
+             "--b is required for family Aab"),
+            (("verify-f", "--a", "1", "--b", "0", "--window", "2"),
+             "window must be at least 3, got 2"),
+            (("im-act", "--family", "Ba", "--a", "2", "--gen", "x:1"),
+             "--gen requires --index"),
+        ],
+        ids=["im-probe", "verify-f", "im-act"],
+    )
+    def test_runner_errors_show_the_verb_usage(self, argv, message):
+        # an error found after parsing reads like a parse-time error of
+        # the same verb: its usage line, not the list of every verb
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("usage: w22 %s " % argv[0])
+        assert lines[-1] == "w22 %s: error: %s" % (argv[0], message)
+        assert "{bracket," not in proc.stderr
+
     def test_integral_alpha_ext_b_reported_as_usage(self):
         proc = run("verify-matrix", "--alpha", "2", "--ext-type", "ext_b",
                    "--window", "4")
@@ -262,3 +285,11 @@ class TestImAct:
         proc = run("im-act", "--family", "Aab", "--a", "1/2", "--b", "0",
                    "--gen", "x:2")
         assert proc.returncode == 2
+
+    def test_index_without_gen_is_usage_error(self):
+        proc = run("im-act", "--family", "Aab", "--a", "1/2", "--b", "0",
+                   "--window", "2", "--index", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+        assert errors == ["w22 im-act: error: --index requires --gen"]

@@ -59,6 +59,11 @@ class TestFSystemShape:
         with pytest.raises(ValueError, match="window must be at least 3"):
             build_f_system(F(1), F(0), 2)
 
+    @pytest.mark.parametrize("window", [3.9, F(7, 2), "4"])
+    def test_window_that_is_not_an_int_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be an int"):
+            build_f_system(F(1), F(0), window)
+
     def test_meta(self):
         meta = build_f_system(F(1, 2), F(1, 3), 3).meta
         assert meta["kind"] == "f-system"
@@ -323,6 +328,11 @@ class TestMatrixSystem:
         with pytest.raises(ValueError, match="window must be at least 4"):
             build_matrix_system(F(1, 3), (F(0), F(0)), "decomposable", 3)
 
+    @pytest.mark.parametrize("window", [4.5, F(9, 2), "4"])
+    def test_window_that_is_not_an_int_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be an int"):
+            build_matrix_system(F(1, 3), (F(0), F(0)), "decomposable", window)
+
     def test_decomposable_solution_space(self):
         alpha, betas = F(1, 3), (F(0), F(0))
         system = build_matrix_system(alpha, betas, "decomposable", 4)
@@ -558,7 +568,9 @@ class TestSpanningRows:
         # the elimination order
         position = {c: k for k, c in enumerate(system.order)}
         expected = linalg._exact_rows(
-            [system.equations[k] for k in system.spanning], position
+            [system.equations[k] for k in system.spanning],
+            len(system.unknowns),
+            position,
         )
         seen = self.folded_rows(monkeypatch)
         hinted = solve_linear(system)

@@ -1,18 +1,22 @@
-"""Exact linear algebra: the certified multi-modular solver.
+"""Exact linear algebra: the certified multi-modular kernel engine.
 
 Every answer below is a known one: worked by hand, or (for the random
 systems) the rref-normalised answer of sympy's DomainMatrix over QQ, an
 implementation written independently of this package.  The solver
-clears each row of denominators once, on entry, and folds and checks
-those integer rows.  The certificate cases force the paths the first
-prime cannot settle alone: entries too large for one modulus, a
-coefficient or denominator divisible by the first prime (which is then
-an unlucky prime, never a skipped one), and an infeasibility that shows
-only after later rows.  The spanning-row cases force the paths of a
-fold restricted to some rows: a hint that does not span, an
-infeasibility that only an unfolded row shows, and a contradiction
-inside the folded rows.  The column-order cases force a pivot that the
-natural order would leave free, so the answer must be mapped back.
+computes only kernels: A u = b is the kernel of [A | -b], feasible when
+the column of -b is free, with the particular solution read from its
+kernel vector (x, 1).  It clears each row of [A | -b] of denominators
+once, on entry, and folds and checks those integer rows.  The
+certificate cases force the paths the first prime cannot settle alone:
+entries too large for one modulus, a coefficient, denominator or
+right-hand side divisible by the first prime (which is then an unlucky
+prime, never a skipped one), and an infeasibility that shows only after
+later rows.  The spanning-row cases force the paths of a fold restricted
+to some rows: a hint that does not span, a last column that only an
+unfolded row shows to be a pivot (an infeasibility, or a smaller
+kernel), and a contradiction inside the folded rows.  The column-order
+cases force a pivot that the natural order would leave free, so the
+answer must be mapped back.
 """
 
 import random
@@ -143,16 +147,18 @@ def test_coefficient_vanishing_mod_the_first_prime(monkeypatch):
 
 
 def test_right_hand_side_vanishing_mod_the_first_prime(monkeypatch):
-    # x + a y = 0 and x + a y = b contradict each other over Q.  The first
-    # and third primes divide b, so only the second prime sees it.  The
-    # kernel vector (-a, 1) has a 71-bit numerator and lifts only at the
-    # third prime; the second prime's contradiction must still decide.
+    # x + a y = 0 and x + a y = b contradict each other over Q: [A | -b]
+    # has rank 2.  The first and third primes divide b and see rank 1, so
+    # they are unlucky: the first is replaced by the second, the third is
+    # dropped.  The kernel vector (-a, 1, 0) has a 71-bit numerator and
+    # lifts only from the second, fourth and fifth primes together; it
+    # then certifies column 2 (the column of -b) as a pivot.
     seen = count_primes(monkeypatch)
     a = F(2**70 + 1, 3)
     b = F(P * (2**62 - 87))
     row = {0: F(1), 1: a}
     assert solve_sparse([(row, F(0)), (row, b)], 2) == (False, None, [])
-    assert seen == [P, 2**62 - 57, 2**62 - 87]
+    assert seen == [P, 2**62 - 57, 2**62 - 87, 2**62 - 117, 2**62 - 143]
     # the same rows with equal right-hand sides: the line x = b - a y
     ok, particular, kernel = solve_sparse([(row, b), (row, b)], 2)
     assert ok and particular == [b, F(0)] and kernel == [[-a, F(1)]]
@@ -207,7 +213,8 @@ def test_hint_that_does_not_span_falls_back(monkeypatch):
 def test_infeasibility_seen_only_by_an_unfolded_row(monkeypatch):
     # The hint x + y = 1 spans 2x + 2y = 3: the kernel vector (-1, 1)
     # passes both rows.  The particular solution (1, 0) is exact on the
-    # hint and gives 2 != 3 on the other row, so no solution exists.
+    # hint and gives 2 != 3 on the other row, so no solution exists: the
+    # column of -b is a pivot, with no second fold.
     seen = count_folded_rows(monkeypatch)
     equations = [({0: F(1), 1: F(1)}, F(1)), ({0: F(2), 1: F(2)}, F(3))]
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
@@ -236,25 +243,45 @@ def test_hint_containing_the_inconsistent_row(monkeypatch):
     assert seen == [2]
 
 
+def test_last_column_failing_an_unfolded_row_is_a_pivot(monkeypatch):
+    # Folding x + y = 0 alone gives the vector (-1, 1) of the last column,
+    # which fails y = 0.  No earlier vector exists, so column 1 is a pivot
+    # of the whole system and its kernel is 0, with no second fold.
+    seen = count_folded_rows(monkeypatch)
+    equations = [({0: 1, 1: 1}, 0), ({1: 1}, 0)]
+    assert solve_sparse(equations, 2, spanning=(0,)) == (True, [0, 0], [])
+    assert seen == [1]
+    # x + z = 0 alone: (0, 1, 0) passes z = 0 and (-1, 0, 1) fails it, so
+    # the kernel is the line of y
+    seen.clear()
+    equations = [({0: 1, 2: 1}, 0), ({2: 1}, 0)]
+    assert solve_sparse(equations, 3, spanning=(0,)) == (
+        True, [0, 0, 0], [[0, 1, 0]]
+    )
+    assert seen == [1]
+    assert solve_sparse(equations, 3) == (True, [0, 0, 0], [[0, 1, 0]])
+
+
 def test_empty_rows_outside_the_hint(monkeypatch):
-    # Row 1 reads 0 = 0 and is never checked; row 2 reads 0 = 3/2 and
-    # proves that x + y = 2 has no solution together with it.
+    # Row 1 reads 0 = 0 and is never checked; row 2 reads 0 = 3/2, the
+    # row 2 * (0 | -3/2) = (0 | -3) of [A | -b], and proves that x + y = 2
+    # has no solution together with it.
     checked = []
     satisfies = linalg._satisfies
 
-    def recording(rows, vector, homogeneous):
+    def recording(rows, ints):
         checked.extend(rows)
-        return satisfies(rows, vector, homogeneous)
+        return satisfies(rows, ints)
 
     monkeypatch.setattr(linalg, "_satisfies", recording)
     equations = [({0: F(1), 1: F(1)}, F(2)), ({}, F(0))]
     answer = (True, [F(2), F(0)], [[F(-1), F(1)]])
     assert solve_sparse(equations, 2, spanning=(0,)) == answer
-    assert ([], 0) not in checked and ([(0, 1), (1, 1)], 2) in checked
+    assert [] not in checked and [(0, 1), (1, 1), (2, -2)] in checked
     checked.clear()
     equations.append(({}, F(3, 2)))
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
-    assert ([], 0) not in checked and ([], 3) in checked
+    assert [] not in checked and [(2, -3)] in checked
     # folded, the same rows give the same answers
     assert solve_sparse(equations[:2], 2) == answer
     assert solve_sparse(equations, 2) == (False, None, [])
@@ -378,10 +405,15 @@ def test_solve_sparse_deterministic():
 # scaling of rows, right-hand sides and vectors with answers worked by hand.
 
 
-def certified(equations, vec, homogeneous):
-    """The solver's exact check of one vector against every row."""
+def certified(equations, vec, t):
+    """The solver's exact check of the vector (vec, t) of [A | -b].
+
+    t = 1 checks A vec = b, as for the particular solution; t = 0 checks
+    A vec = 0, as for a kernel vector.
+    """
     return linalg._satisfies(
-        linalg._exact_rows(equations), clear_denominators(vec), homogeneous
+        linalg._exact_rows(equations, len(vec)),
+        clear_denominators(vec + [F(t)])[0],
     )
 
 
@@ -398,31 +430,35 @@ MIXED_KERNEL = [F(-25), F(15), F(1)]
 
 
 def test_certificate_rows_are_cleared_row_by_row():
-    # row 0 by lcm(3, 2, 6, 5) = 30, row 1 by lcm(2, 6, 7) = 42
-    assert linalg._exact_rows(MIXED) == [
-        ([(0, 10), (1, 15), (2, 25)], 6),
-        ([(0, 21), (1, 35)], 6),
+    # row 0 by lcm(3, 2, 6, 5) = 30, row 1 by lcm(2, 6, 7) = 42; the
+    # right-hand sides become the entries -6 in column 3
+    assert linalg._exact_rows(MIXED, 3) == [
+        [(0, 10), (1, 15), (2, 25), (3, -6)],
+        [(0, 21), (1, 35), (3, -6)],
     ]
-    # the particular solution is (120, -66, 0) / 35
-    assert clear_denominators(MIXED_PARTICULAR) == ([120, -66, 0], 35)
+    # the particular solution, as the vector (x, 1), is (120, -66, 0, 35) / 35
+    assert clear_denominators(MIXED_PARTICULAR + [F(1)]) == (
+        [120, -66, 0, 35],
+        35,
+    )
 
 
 def test_certificate_on_mixed_denominators():
-    assert certified(MIXED, MIXED_PARTICULAR, homogeneous=False)
-    assert certified(MIXED, MIXED_KERNEL, homogeneous=True)
+    assert certified(MIXED, MIXED_PARTICULAR, t=1)
+    assert certified(MIXED, MIXED_KERNEL, t=0)
     # the kernel vector does not solve the inhomogeneous rows
-    assert not certified(MIXED, MIXED_KERNEL, homogeneous=False)
+    assert not certified(MIXED, MIXED_KERNEL, t=1)
     assert solve_sparse(MIXED, 3) == (True, MIXED_PARTICULAR, [MIXED_KERNEL])
 
 
 def test_certificate_rejects_a_residual_of_2_pow_minus_80():
     # z moved by (6/5) 2^-80 leaves row 1 exact and row 0 off by 2^-80
     off = MIXED_PARTICULAR[:2] + [F(6, 5 * 2**80)]
-    assert not certified(MIXED, off, homogeneous=False)
+    assert not certified(MIXED, off, t=1)
     off = [MIXED_PARTICULAR[0] + F(1, 2**80)] + MIXED_PARTICULAR[1:]
-    assert not certified(MIXED, off, homogeneous=False)
+    assert not certified(MIXED, off, t=1)
     off = MIXED_KERNEL[:2] + [F(1) + F(6, 5 * 2**80)]
-    assert not certified(MIXED, off, homogeneous=True)
+    assert not certified(MIXED, off, t=0)
 
 
 def test_certificate_on_kernel_vectors_with_large_coprime_denominators():
@@ -433,25 +469,21 @@ def test_certificate_on_kernel_vectors_with_large_coprime_denominators():
     equations = [({0: F(a), 2: F(1)}, F(0)), ({1: F(b), 2: F(1)}, F(0))]
     kernel = [F(-1, a), F(-1, b), F(1)]
     assert clear_denominators(kernel) == ([-b, -a, a * b], a * b)
-    assert certified(equations, kernel, homogeneous=True)
+    assert certified(equations, kernel, t=0)
     assert not certified(
-        equations, [F(-1, a) + F(1, 2**80), F(-1, b), F(1)], homogeneous=True
+        equations, [F(-1, a) + F(1, 2**80), F(-1, b), F(1)], t=0
     )
     assert solve_sparse(equations, 3) == (True, [F(0)] * 3, [kernel])
 
 
 def test_certificate_on_the_nullspace_path():
-    # nullspace hands the rows over with the int right-hand side 0;
-    # (1/3) x + (1/2) y + (5/6) z = 0 clears by 6 to 2x + 3y + 5z = 0,
-    # so x = -(3/2) y - (5/2) z
+    # nullspace hands the rows over with the int right-hand side 0, which
+    # adds no column of -b; (1/3) x + (1/2) y + (5/6) z = 0 clears by 6 to
+    # 2x + 3y + 5z = 0, so x = -(3/2) y - (5/2) z
     row = [F(1, 3), F(1, 2), F(5, 6)]
-    assert linalg._exact_rows([({0: row[0], 1: row[1], 2: row[2]}, 0)]) == [
-        ([(0, 2), (1, 3), (2, 5)], 0)
-    ]
+    equations = [({0: row[0], 1: row[1], 2: row[2]}, 0)]
+    assert linalg._exact_rows(equations, 3) == [[(0, 2), (1, 3), (2, 5)]]
     kernel = [[F(-3, 2), F(1), F(0)], [F(-5, 2), F(0), F(1)]]
     assert nullspace([row], 3) == kernel
-    equations = [({0: row[0], 1: row[1], 2: row[2]}, 0)]
-    assert all(certified(equations, vec, homogeneous=True) for vec in kernel)
-    assert not certified(
-        equations, [F(-3, 2), F(1), F(1, 2**80)], homogeneous=True
-    )
+    assert all(certified(equations, vec, t=0) for vec in kernel)
+    assert not certified(equations, [F(-3, 2), F(1), F(1, 2**80)], t=0)

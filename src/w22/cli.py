@@ -294,6 +294,8 @@ def _run_im_act(parser, args):
             parser.error("--gen requires --index")
         if args.output == "tsv":
             parser.error("--output tsv applies to table mode only")
+        if args.window is not None:
+            parser.error("--window applies to table mode only")
         result = im.act(spec, args.gen, {args.index: Fraction(1)})
         emit({
             "family": spec.family,

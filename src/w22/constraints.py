@@ -564,7 +564,14 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
 
 
 def matrix_family_assignment(alpha, window, d_matrix):
-    """The scalar family F(i, n) = (alpha + n) D for a constant matrix D."""
+    """The scalar family F(i, n) = (alpha + n) D for a constant matrix D.
+
+    No library path calls it: the solver finds this family itself.  It
+    stays public as a test oracle that a caller can reuse: the paper's
+    decomposable answer, written down by hand, must satisfy every row of
+    the system (``ConstraintSystem.evaluate_equations``), which checks the
+    builder without the solver.
+    """
     alpha = rat(alpha)
     out = {}
     for i in range(-window, window + 1):

@@ -81,7 +81,14 @@ def act(spec, gen, vec):
 
 
 def act_element(spec, elem, vec):
-    """Linear extension of ``act`` to LieElements."""
+    """Linear extension of ``act`` to LieElements.
+
+    No library path calls it: the module checks read ``coefficient``
+    directly.  It stays public as a test oracle that a caller can reuse:
+    a combination such as ``vir_embed(e, n)`` can be applied as a whole,
+    so that the action of each Virasoro copy is checked against that of
+    x(n) without going through the scalar table.
+    """
     out = {}
     for g, cg in elem.terms.items():
         for j, c in act(spec, g, vec).items():

@@ -1,4 +1,4 @@
-"""Exact linear algebra: one certified multi-modular kernel engine.
+"""Exact linear algebra: one certified modular kernel engine.
 
 ``solve_sparse`` solves A u = b for a system given as rows
 (col -> coeff dict, rhs) and returns (feasible, particular, kernel_basis)
@@ -16,20 +16,21 @@ runs over Fraction:
    scaled by the lcm of its own denominators (b included), which keeps
    its kernel.  The integer rows are folded, in input order, into an
    echelon basis keyed by leading column (the smallest column left in
-   the reduced row), over GF(p) on plain ints.  The first prime is
-   2^61 - 1; the next ones are the primes below 2^62 in descending order.
-   Every prime is used: a prime that divides a row's lcm is at worst
-   unlucky (see below).
+   the reduced row), over GF(p) on plain ints.  p runs up a ladder of
+   Mersenne primes 2^e - 1, e = 61, 127, 521, ..., 86243; each attempt
+   starts from scratch with one prime, and no residues are combined.
 2. Back-substitution mod p gives one kernel vector per free column f (1
    at f, 0 at the other free columns).
-3. The residues of every prime with the same pivot columns are lifted by
-   CRT and Wang's rational reconstruction (Wang, SYMSAC 1981; Monagan,
-   ISSAC 2004).
+3. The residues are lifted by Wang's rational reconstruction (Wang,
+   SYMSAC 1981; Monagan, ISSAC 2004), which reaches numerators and
+   denominators up to sqrt(p / 2).
 4. The lift is returned only after an exact check: M k = 0 for every
-   kernel vector, (x, 1) included.  A lift that fails takes one more
-   prime.  The check reads the same integer rows as the fold: each lifted
-   vector is cleared once to ints over a common denominator, and a row
-   holds when its integer dot product with the ints is 0.
+   kernel vector, (x, 1) included.  A lift that fails takes the next
+   prime of the ladder; past the last one ArithmeticError is raised,
+   never an unchecked answer.  The check reads the same integer rows as
+   the fold: each lifted vector is cleared once to ints over a common
+   denominator, and a row holds when its integer dot product with the
+   ints is 0.
 
 The check is a certificate, not a heuristic.  A verified kernel vector
 of free column f has k[f] = 1 and is supported on f and the pivots left
@@ -45,7 +46,7 @@ A caller that expects some rows to span the row space (the constraint
 systems pass the rows of the relations with x(+-1) and x(+-2)) can pass
 their indices as ``spanning``; only those rows S are folded, and the
 exact check still runs on every row of M.  A lifted vector that fails a
-row of S takes one more prime, as above.  The vectors are checked in
+row of S takes the next prime, as above.  The vectors are checked in
 ascending free column.  When every vector passes every row, they are
 independent vectors of ker(M), one per free column of M_S mod p, so
 rank_Q(M) <= rank_p(M_S) <= rank_Q(M_S) <= rank_Q(M): the ranks are
@@ -76,15 +77,9 @@ the columns left of it; an infeasible answer has nothing to map.  The
 kernel has dimension at most 4 on the constraint systems, so the map
 costs little next to the fold.
 
-A prime is unlucky when it divides a minor of the integer rows that
-decides a pivot (a prime that divides a row's lcm or its b can be one):
-its rank is lower, or its rank is equal and its pivot list (ascending)
-is lexicographically larger, since over Q the k-th pivot is never right
-of the k-th pivot mod p.  The smallest (-rank, pivot list) seen so far
-is kept; residues from a prime with a larger key are dropped, and a
-prime with a smaller key discards the residues gathered before it.  The
-key orders the primes that see A u = b as feasible when it is not, too:
-the rank of M is higher over Q.
+A prime that divides a minor deciding a pivot (one that divides a row's
+lcm or its b can) is unlucky: it sees a free column that is a pivot over
+Q, whose vector cannot pass the exact check, so it is one failed attempt.
 """
 
 from fractions import Fraction
@@ -92,41 +87,12 @@ from math import isqrt, lcm
 
 from .rationals import clear_denominators
 
-_FIRST_PRIME = 2**61 - 1
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Exponents e of the Mersenne primes 2^e - 1 (OEIS A000043), each at least
+# 1.7 times the last, so that ten attempts lift entries of up to about
+# 43 000 bits.
+_EXPONENTS = (61, 127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _is_prime(n):
-    """Miller-Rabin with the first 12 prime bases, exact for n < 3.3e24."""
-    for q in _WITNESSES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        y = pow(a, d, n)
-        if y in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes():
-    """2^61 - 1, then every prime below 2^62 in descending order."""
-    yield _FIRST_PRIME
-    n = 2**62 - 1
-    while True:
-        if _is_prime(n):
-            yield n
-        n -= 2
 
 
 def _fold(rows, p):
@@ -208,8 +174,13 @@ def _exact_rows(equations, ncols, position=None):
     the entry -b in column ncols.  A row is scaled by the lcm of its own
     denominators (b included), so it keeps its kernel and every entry
     stays exact.  With a position list, column c < ncols is relabelled
-    position[c] in the same pass.
+    position[c] in the same pass.  A column outside range(ncols) raises
+    ValueError.
     """
+    # One check on the union of the keys costs a fifth of one per row.
+    cols = set().union(*[coeffs for coeffs, _ in equations])
+    if cols and (min(cols) < 0 or max(cols) >= ncols):
+        raise ValueError("columns must lie in range(%d)" % ncols)
     out = []
     for coeffs, rhs in equations:
         den = lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
@@ -234,13 +205,12 @@ def _satisfies(rows, ints):
 
 
 def _image(rows, width, p):
-    """The kernel mod p: (key, order, targets, residues).
+    """The kernel mod p: (targets, residues).
 
-    key is (-rank, ascending pivot list); order lists the pivots in
-    descending order.  targets holds (f, cols) for each free column f (the
-    vector is 1 at f and has entries at the pivots cols left of f);
-    residues holds the matching vectors mod p.  The echelon basis is
-    dropped on return, so two of them are never held at once.
+    targets holds (f, cols) for each free column f (the vector is 1 at f
+    and has entries at the pivots cols left of f); residues holds the
+    matching vectors mod p.  The echelon basis is dropped on return, so
+    two of them are never held at once.
     """
     pivots = _fold(rows, p)
     order = sorted(pivots, reverse=True)
@@ -254,7 +224,7 @@ def _image(rows, width, p):
         v = [0] * width
         v[f] = 1
         residues.append(_back_substitute(pivots, cols, v, p))
-    return (-len(order), order[::-1]), order, targets, residues
+    return targets, residues
 
 
 def _kernel(rows, width, spanning=None):
@@ -267,26 +237,13 @@ def _kernel(rows, width, spanning=None):
         # An empty row holds for every vector.
         others = [row for i, row in enumerate(rows)
                   if i not in chosen and row]
-    key = None  # key of the primes whose residues are kept; lower is luckier
-    for p in _primes():
-        new_key, order, targets, residues = _image(folded, width, p)
-        if key is not None and new_key > key:
-            continue
-        if key is None or new_key < key:
-            key, modulus, kept = new_key, p, residues
-        else:
-            scale = pow(modulus, -1, p)
-            for acc, res in zip(kept, residues):
-                for i in order:
-                    acc[i] += modulus * ((res[i] - acc[i]) * scale % p)
-            modulus *= p
-        # The residues are left as they are, so a failed lift can still be
-        # combined with the next prime.
+    for e in _EXPONENTS:
+        p = 2**e - 1
         lifted = []
-        for (f, cols), res in zip(targets, kept):
+        for (f, cols), res in zip(*_image(folded, width, p)):
             vec = [_ZERO] * width
             vec[f] = _ONE
-            if not _lift(res, cols, modulus, vec):
+            if not _lift(res, cols, p, vec):
                 break
             ints = clear_denominators(vec)[0]
             if not _satisfies(folded, ints):
@@ -302,6 +259,9 @@ def _kernel(rows, width, spanning=None):
             lifted.append(vec)
         else:
             return lifted
+    raise ArithmeticError(
+        "no prime up to 2^%d - 1 certifies the kernel" % _EXPONENTS[-1]
+    )
 
 
 def _in_natural_order(kernel, order):
@@ -361,7 +321,8 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
     relabelled k, and the certified answer is mapped back to the natural
     columns.  The answer is the same with or without it (see the module
     docstring); only the work of the fold changes.  Anything but a
-    permutation raises ValueError.
+    permutation raises ValueError, and so does a column key outside
+    range(ncols).
     """
     position = None
     if order is not None:

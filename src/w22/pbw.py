@@ -95,7 +95,14 @@ def normal_order(word):
 
 
 def multiply(u, v):
-    """Product in the enveloping algebra, re-straightened to PBW form."""
+    """Product in the enveloping algebra, re-straightened to PBW form.
+
+    No library path calls it: the PBW action works on the highest-weight
+    vector directly.  It stays public as a test oracle that a caller can
+    reuse: straightening the product of two normal-ordered words must give
+    the normal order of their concatenation, which checks
+    ``normal_order`` against itself by a different route.
+    """
     out = UEAElement()
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():

@@ -286,6 +286,16 @@ class TestImAct:
                    "--gen", "x:2")
         assert proc.returncode == 2
 
+    def test_window_in_single_generator_mode_is_usage_error(self):
+        proc = run("im-act", "--family", "Aab", "--a", "1/2", "--b", "0",
+                   "--gen", "x:2", "--index", "3", "--window", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+        assert errors == [
+            "w22 im-act: error: --window applies to table mode only"
+        ]
+
     def test_index_without_gen_is_usage_error(self):
         proc = run("im-act", "--family", "Aab", "--a", "1/2", "--b", "0",
                    "--window", "2", "--index", "5")

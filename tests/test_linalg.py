@@ -1,4 +1,4 @@
-"""Exact linear algebra: the certified multi-modular kernel engine.
+"""Exact linear algebra: the certified modular kernel engine.
 
 Every answer below is a known one: worked by hand, or (for the random
 systems) the rref-normalised answer of sympy's DomainMatrix over QQ, an
@@ -6,12 +6,13 @@ implementation written independently of this package.  The solver
 computes only kernels: A u = b is the kernel of [A | -b], feasible when
 the column of -b is free, with the particular solution read from its
 kernel vector (x, 1).  It clears each row of [A | -b] of denominators
-once, on entry, and folds and checks those integer rows.  The
-certificate cases force the paths the first prime cannot settle alone:
-entries too large for one modulus, a coefficient, denominator or
-right-hand side divisible by the first prime (which is then an unlucky
-prime, never a skipped one), and an infeasibility that shows only after
-later rows.  The spanning-row cases force the paths of a fold restricted
+once, on entry, and folds and checks those integer rows mod one
+Mersenne prime at a time, up a fixed ladder.  The certificate cases
+force the paths the first prime cannot settle alone: entries too large
+for one modulus, a coefficient, denominator or right-hand side divisible
+by the first primes (each then an unlucky prime, never a skipped one),
+an exhausted ladder, and an infeasibility that shows only after later
+rows.  The spanning-row cases force the paths of a fold restricted
 to some rows: a hint that does not span, a last column that only an
 unfolded row shows to be a pivot (an infeasibility, or a smaller
 kernel), and a contradiction inside the folded rows.  The column-order
@@ -29,6 +30,8 @@ from w22.linalg import nullspace, solve_sparse
 from w22.rationals import clear_denominators
 
 P = 2**61 - 1  # the first prime the solver tries
+P127 = 2**127 - 1  # the second
+P521 = 2**521 - 1  # the third
 
 
 def F(a, b=1):
@@ -133,13 +136,13 @@ def test_answer_with_large_entries_needs_several_primes(monkeypatch):
 def test_coefficient_vanishing_mod_the_first_prime(monkeypatch):
     # P x + y = 1.  Mod P the row reads y = 1, so the first prime puts the
     # pivot in column 1 and its lift fails the exact check.  Over Q the
-    # pivot is column 0 and y is free.
+    # pivot is column 0 and y is free; 1/P lifts from the second prime.
     seen = count_primes(monkeypatch)
     ok, particular, kernel = solve_sparse([({0: F(P), 1: F(1)}, F(1))], 2)
     assert ok
     assert particular == [F(1, P), F(0)]
     assert kernel == [[F(-1, P), F(1)]]
-    assert seen[0] == P and len(seen) == 3
+    assert seen == [P, P127]
 
     # the first prime also sees a lower rank: P x = 2 has no kernel over Q
     ok, particular, kernel = solve_sparse([({0: F(P)}, F(2))], 1)
@@ -148,17 +151,17 @@ def test_coefficient_vanishing_mod_the_first_prime(monkeypatch):
 
 def test_right_hand_side_vanishing_mod_the_first_prime(monkeypatch):
     # x + a y = 0 and x + a y = b contradict each other over Q: [A | -b]
-    # has rank 2.  The first and third primes divide b and see rank 1, so
-    # they are unlucky: the first is replaced by the second, the third is
-    # dropped.  The kernel vector (-a, 1, 0) has a 71-bit numerator and
-    # lifts only from the second, fourth and fifth primes together; it
-    # then certifies column 2 (the column of -b) as a pivot.
+    # has rank 2.  The first two primes divide b and see rank 1, so they
+    # are unlucky: each leaves column 2 (the column of -b) free, and the
+    # attempt fails.  The third prime sees rank 2; the kernel vector
+    # (-a, 1, 0), with its 71-bit numerator, lifts from it and certifies
+    # column 2 as a pivot.
     seen = count_primes(monkeypatch)
     a = F(2**70 + 1, 3)
-    b = F(P * (2**62 - 87))
+    b = F(P * P127)
     row = {0: F(1), 1: a}
     assert solve_sparse([(row, F(0)), (row, b)], 2) == (False, None, [])
-    assert seen == [P, 2**62 - 57, 2**62 - 87, 2**62 - 117, 2**62 - 143]
+    assert seen == [P, P127, P521]
     # the same rows with equal right-hand sides: the line x = b - a y
     ok, particular, kernel = solve_sparse([(row, b), (row, b)], 2)
     assert ok and particular == [b, F(0)] and kernel == [[-a, F(1)]]
@@ -166,17 +169,54 @@ def test_right_hand_side_vanishing_mod_the_first_prime(monkeypatch):
 
 def test_denominator_divisible_by_the_first_prime(monkeypatch):
     # x / P + y = 1 clears to x + P y = P, which reads x = 0 mod P: the
-    # first prime's lift (0, 0) fails the exact check, and x = P is beyond
-    # the reconstruction bound of two primes, so a third one is needed
+    # first prime's lift (0, 0) fails the exact check, and x = P lifts
+    # from the second prime
     seen = count_primes(monkeypatch)
     ok, particular, kernel = solve_sparse(
         [({0: F(1, P), 1: F(1)}, F(1)), ({1: F(1)}, F(0))], 2
     )
     assert ok and particular == [F(P), F(0)] and kernel == []
-    assert seen == [P, 2**62 - 57, 2**62 - 87]
+    assert seen == [P, P127]
 
     ok, particular, kernel = solve_sparse([({0: F(1)}, F(3, 2 * P))], 1)
     assert ok and particular == [F(3, 2 * P)] and kernel == []
+
+
+def test_ladder_is_of_mersenne_prime_exponents():
+    ntheory = pytest.importorskip("sympy.ntheory")
+    known = {ntheory.mersenne_prime_exponent(n) for n in range(1, 29)}
+    assert set(linalg._EXPONENTS) <= known
+    assert linalg._EXPONENTS[0] == 61
+    for e, after in zip(linalg._EXPONENTS, linalg._EXPONENTS[1:]):
+        assert 10 * after >= 17 * e
+
+
+def test_exhausted_ladder_raises(monkeypatch):
+    # (2^35 + 1) x = 1: the 36-bit denominator is beyond the reach of
+    # 2^61 - 1 alone, so a ladder of that prime gives no certified answer
+    monkeypatch.setattr(linalg, "_EXPONENTS", (61,))
+    with pytest.raises(ArithmeticError):
+        solve_sparse([({0: F(2**35 + 1)}, F(1))], 1)
+    monkeypatch.undo()
+    assert solve_sparse([({0: F(2**35 + 1)}, F(1))], 1) == (
+        True, [F(1, 2**35 + 1)], []
+    )
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        # column 2 is the column of -b in [A | -b]
+        lambda: solve_sparse([({2: F(1)}, F(0)), ({0: F(1)}, F(1))], 2),
+        lambda: solve_sparse([({-1: F(1)}, F(0))], 2),
+        lambda: solve_sparse([({0: F(1), 2: F(1)}, F(0))], 2, order=(1, 0)),
+        lambda: nullspace([[1, 2, 3]], 2),
+    ],
+    ids=["column-of-b", "negative", "with-order", "dense-row-too-long"],
+)
+def test_column_out_of_range_rejected(solve):
+    with pytest.raises(ValueError, match=r"range\(2\)"):
+        solve()
 
 
 def test_infeasibility_after_later_rows():

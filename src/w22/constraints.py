@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .liecore import check_window
 from .linalg import solve_sparse
 from .rationals import clear_denominators, rat, rat_str
 
@@ -333,8 +334,7 @@ def _accumulate(coeffs, col, value):
 
 def _check_window(window, least):
     """Refuse a window that is not an int of at least least."""
-    if not isinstance(window, int):
-        raise ValueError("window must be an int, got %r" % (window,))
+    check_window(window)
     if window < least:
         raise ValueError(
             "window must be at least %d, got %d" % (least, window)

@@ -19,9 +19,10 @@ masked table returned by ``simple_subquotient``.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .liecore import basis_window, pair_bracket
-from .rationals import rat, rat_str
+from .liecore import X_KIND, check_window, pair_bracket, x
+from .rationals import clear_denominators, rat, rat_str
 
 FAMILIES = ("Aab", "Aa", "Ba")
 
@@ -106,24 +107,53 @@ def bracket_compatibility_check(spec, window):
     each check compares two scalars built from ``coefficient`` and the
     ``pair_bracket`` table.  Returns violation triples (g, h, i); empty
     means the table is a Lie module on the window.
+
+    The check runs on integers.  The scalars s(m, i) of x(m) v_i that the
+    comparisons read are tabled once, as S(m, i) = D s(m, i) with D the lcm
+    of their denominators, and each x-term c x(b) of the brackets as the
+    integer e = E c, with E the lcm of those denominators (central terms
+    act as 0).  With g = x(dg) and h = x(dh) the comparison
+
+        s(dg, i+dh) s(dh, i) - s(dh, i+dg) s(dg, i) = sum c s(b, i)
+
+    multiplied through by D^2 E reads
+
+        E (S(dg, i+dh) S(dh, i) - S(dh, i+dg) S(dg, i)) = D sum e S(b, i),
+
+    and as D^2 E != 0 the two decide the same.
     """
+    check_window(window)
     if window < 1:
         raise ValueError("window must be >= 1")
-
-    def s(g, i):
-        return coefficient(spec, g.index, i) if g.kind == "X" else 0
-
-    gens = [g for g in basis_window(window) if g.kind == "X"]
+    near = range(-window, window + 1)
+    far = range(-2 * window, 2 * window + 1)
+    keys = [
+        (m, i) for m in far for i in far if abs(m) <= window or abs(i) <= window
+    ]
+    ints, den = clear_denominators([coefficient(spec, m, i) for m, i in keys])
+    s = dict(zip(keys, ints))
+    brackets = {
+        (dg, dh): [
+            (b.index, c) for b, c in pair_bracket(x(dg), x(dh)).terms.items()
+            if b.kind == X_KIND
+        ]
+        for dg in near
+        for dh in near
+    }
+    xden = lcm(*[c.denominator for terms in brackets.values() for _, c in terms])
+    xterms = {
+        key: [(n, c.numerator * (xden // c.denominator)) for n, c in terms]
+        for key, terms in brackets.items()
+    }
     violations = []
-    for g in gens:
-        dg = g.index
-        for h in gens:
-            dh = h.index
-            terms = pair_bracket(g, h).terms
-            for i in range(-window, window + 1):
-                lhs = s(g, i + dh) * s(h, i) - s(h, i + dg) * s(g, i)
-                if lhs != sum(c * s(b, i) for b, c in terms.items()):
-                    violations.append((g, h, i))
+    for dg in near:
+        for dh in near:
+            terms = xterms[dg, dh]
+            for i in near:
+                lhs = s[dg, i + dh] * s[dh, i] - s[dh, i + dg] * s[dg, i]
+                rhs = sum(c * s[n, i] for n, c in terms)
+                if xden * lhs != den * rhs:
+                    violations.append((x(dg), x(dh), i))
     return violations
 
 
@@ -156,6 +186,7 @@ def simplicity_probe(spec, window):
     only shrink closures, so a "candidate-submodule" verdict is a hint,
     not a proof of reducibility.
     """
+    check_window(window)
     if window < 1:
         raise ValueError("window must be >= 1")
     indices = [i for i in range(-window, window + 1) if i not in spec.masked]
@@ -196,6 +227,7 @@ def action_table_rows(spec, window):
     I-rows are omitted since every I(n) acts as zero.  Rows with zero
     coefficient are kept so the table shape is predictable.
     """
+    check_window(window)
     if window < 1:
         raise ValueError("window must be >= 1")
     rows = []

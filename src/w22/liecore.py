@@ -19,6 +19,7 @@ only fixes its keys to be generators.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .rationals import rat, rat_str
 
@@ -242,11 +243,13 @@ def _as_element(a):
 def bracket(a, b):
     """Bilinear extension of the defining brackets (``pair_bracket`` table)."""
     a, b = _as_element(a), _as_element(b)
-    out = ZERO
+    out = {}
     for g, cg in a.terms.items():
         for h, ch in b.terms.items():
-            out = out + (cg * ch) * pair_bracket(g, h)
-    return out
+            c = cg * ch
+            for k, ck in pair_bracket(g, h).terms.items():
+                out[k] = out.get(k, 0) + c * ck
+    return LieElement(out)
 
 
 def basis_window(window):
@@ -257,34 +260,59 @@ def basis_window(window):
     return gens
 
 
+def check_window(window):
+    """Refuse a window that is not an int (``range`` would raise TypeError)."""
+    if not isinstance(window, int):
+        raise ValueError("window must be an int, got %r" % (window,))
+
+
 def jacobi_check(window, pair=pair_bracket):
     """Evaluate the Jacobi identity on every generator triple in the window.
 
     Returns the list of violating triples; empty means the structure
     constants are consistent on the window.  Pairwise brackets come from
-    ``pair``, by default the memoized ``pair_bracket`` table.
+    ``pair``, by default the memoized ``pair_bracket`` table; each result
+    is read once and never mutated.
+
+    The check runs on integers.  The inner brackets [b, c] of the window
+    and the outer brackets [g, h] that they reach are read once, and every
+    coefficient is stored as an integer over D, the lcm of all their
+    denominators.  A term [g, [b, c]] is then a sum of products of two
+    such integers, D^2 times its rational value, so the integer sum of a
+    triple is D^2 times its Jacobi sum.  As D^2 != 0, the one is zero
+    exactly when the other is.
     """
+    check_window(window)
     gens = basis_window(window)
+    inner = {(b, c): pair(b, c).terms for b in gens for c in gens}
+    reached = {h for terms in inner.values() for h in terms}
+    outer = {(g, h): pair(g, h).terms for g in gens for h in reached}
+    den = lcm(*[
+        c.denominator
+        for table in (inner, outer)
+        for terms in table.values()
+        for c in terms.values()
+    ])
 
-    def accumulate(out, g, inner):
-        # out += [g, inner]
-        for h, ch in inner.terms.items():
-            for k, ck in pair(g, h).terms.items():
-                acc = out.get(k, 0) + ch * ck
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+    def scaled(table):
+        return {
+            key: [(k, c.numerator * (den // c.denominator))
+                  for k, c in terms.items()]
+            for key, terms in table.items()
+        }
 
+    inner, outer = scaled(inner), scaled(outer)
     violations = []
     for a in gens:
         for b in gens:
             for c in gens:
                 total = {}
-                accumulate(total, a, pair(b, c))
-                accumulate(total, b, pair(c, a))
-                accumulate(total, c, pair(a, b))
-                if total:
+                cyclic = ((a, inner[b, c]), (b, inner[c, a]), (c, inner[a, b]))
+                for g, terms in cyclic:
+                    for h, ch in terms:
+                        for k, ck in outer[g, h]:
+                            total[k] = total.get(k, 0) + ch * ck
+                if any(total.values()):
                     violations.append((a, b, c))
     return violations
 

@@ -294,7 +294,11 @@ def _in_natural_order(kernel, order):
         f = max(i for i, x in enumerate(vec) if x)
         scale = vec[f]
         if scale != 1:
-            vec = [x / scale if x else x for x in vec]
+            num, den = scale.numerator, scale.denominator
+            vec = [
+                Fraction(x.numerator * den, x.denominator * num) if x else x
+                for x in vec
+            ]
         for by in echelon.values():
             reduce(by, f, vec)
         echelon[f] = vec

@@ -14,6 +14,8 @@ from w22 import (
     action_table_rows,
     bracket_compatibility_check,
     coefficient,
+    jacobi_check,
+    pair_bracket,
     simple_subquotient,
     simplicity_probe,
     vir_embed,
@@ -140,6 +142,85 @@ class TestCompatibility:
 
         monkeypatch.setattr(intermediate, "coefficient", corrupted)
         assert bracket_compatibility_check(spec, 2) == expected
+
+
+def reference_compatibility(spec, window):
+    """Module-check violations compared as Fraction scalars of
+    v_{i + deg g + deg h}: the oracle for the integer kernel of
+    bracket_compatibility_check."""
+
+    def s(m, i):
+        return intermediate.coefficient(spec, m, i)
+
+    violations = []
+    for g in range(-window, window + 1):
+        for h in range(-window, window + 1):
+            terms = intermediate.pair_bracket(x(g), x(h)).terms
+            for i in range(-window, window + 1):
+                lhs = s(g, i + h) * s(h, i) - s(h, i + g) * s(g, i)
+                rhs = sum(c * s(b.index, i) for b, c in terms.items()
+                          if b.kind == "X")
+                if lhs != rhs:
+                    violations.append((x(g), x(h), i))
+    return violations
+
+
+class TestCompatibilityReference:
+    SPECS = [
+        ModuleSpec("Aab", F(7, 9), F(-5, 6)),
+        ModuleSpec("Aa", F(5, 8)),
+        ModuleSpec("Ba", F(5, 8)),
+        simple_subquotient(),
+    ]
+
+    @pytest.mark.parametrize("window", [2, 3, 4])
+    @pytest.mark.parametrize("spec", SPECS, ids=["Aab", "Aa", "Ba", "masked"])
+    def test_families_match_reference(self, spec, window):
+        assert bracket_compatibility_check(spec, window) == (
+            reference_compatibility(spec, window)
+        )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["Aab", "Aa", "Ba", "masked"])
+    def test_new_denominator_matches_reference(self, monkeypatch, spec):
+        # A 1/7 at one (m, i) changes the common denominator of the table.
+        original = intermediate.coefficient
+
+        def corrupted(spec, m, i):
+            return original(spec, m, i) + (F(1, 7) if (m, i) == (1, 2) else 0)
+
+        monkeypatch.setattr(intermediate, "coefficient", corrupted)
+        violations = bracket_compatibility_check(spec, 3)
+        assert violations
+        assert violations == reference_compatibility(spec, 3)
+
+    def test_fractional_bracket_matches_reference(self, monkeypatch):
+        # Halving every bracket gives x-terms over E = 2; the modules of the
+        # halved algebra are the halved tables, so only those pass.
+        monkeypatch.setattr(intermediate, "pair_bracket",
+                            lambda g, h: F(1, 2) * pair_bracket(g, h))
+        spec = ModuleSpec("Aab", F(7, 9), F(-5, 6))
+        violations = bracket_compatibility_check(spec, 3)
+        assert violations
+        assert violations == reference_compatibility(spec, 3)
+        original = intermediate.coefficient
+        monkeypatch.setattr(intermediate, "coefficient",
+                            lambda spec, m, i: original(spec, m, i) / 2)
+        assert bracket_compatibility_check(spec, 3) == []
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: jacobi_check(2.0),
+        lambda: bracket_compatibility_check(ModuleSpec("Aa", F(1)), 2.0),
+        lambda: simplicity_probe(ModuleSpec("Aa", F(1)), F(3)),
+        lambda: action_table_rows(ModuleSpec("Aa", F(1)), 2.5),
+    ],
+    ids=["jacobi", "compatibility", "probe", "table"],
+)
+def test_non_int_window_is_refused(check):
+    with pytest.raises(ValueError, match="window must be an int"):
+        check()
 
 
 class TestProbe:

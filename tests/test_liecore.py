@@ -110,6 +110,24 @@ def test_bilinearity_random_elements():
         assert bracket(u, s * v + w) == s * bracket(u, v) + bracket(u, w)
 
 
+def reference_jacobi(window, pair):
+    """Jacobi violations summed per triple in Fraction arithmetic: the
+    oracle for jacobi_check's integer kernel."""
+    gens = basis_window(window)
+    violations = []
+    for a in gens:
+        for b in gens:
+            for c in gens:
+                total = {}
+                for g, (p, q) in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
+                    for h, ch in pair(p, q).terms.items():
+                        for k, ck in pair(g, h).terms.items():
+                            total[k] = total.get(k, 0) + ch * ck
+                if any(total.values()):
+                    violations.append((a, b, c))
+    return violations
+
+
 def test_jacobi_clean_window_3():
     assert jacobi_check(3) == []
 
@@ -125,7 +143,46 @@ def test_jacobi_detects_corrupted_structure_constant():
 
     violations = jacobi_check(2, pair=broken)
     assert violations
+    assert violations == reference_jacobi(2, broken)
     assert (x(1), x(-1), x(2)) in [tuple(t) for t in violations]
+
+
+def x_i_bracket(coeff, central):
+    """A pair table whose [x(n), I(m)] is coeff(n, m) I(n+m) + delta(n, -m)
+    central(n) C1, kept antisymmetric; every other pair as pair_bracket."""
+
+    def x_i(n, m):
+        terms = {I(n + m): coeff(n, m)}
+        if m == -n:
+            terms[C1] = central(n)
+        return LieElement(terms)
+
+    def pair(g, h):
+        if g.kind == "X" and h.kind == "I":
+            return x_i(g.index, h.index)
+        if g.kind == "I" and h.kind == "X":
+            return -1 * x_i(h.index, g.index)
+        return pair_bracket(g, h)
+
+    return pair
+
+
+@pytest.mark.parametrize(
+    "coeff, central, count",
+    [
+        (lambda n, m: m - 2 * n, lambda n: Fraction(n**3 - n, 12), 48),
+        (lambda n, m: m - n, lambda n: Fraction(n**3 - n + n**2, 12), 66),
+        # A coboundary: n^3/12 = (n^3 - n)/12 + 2n/24, so I(0) + C1/24 in
+        # place of I(0) gives back the true brackets.
+        (lambda n, m: m - n, lambda n: Fraction(n**3, 12), 0),
+    ],
+    ids=["coefficient-m-2n", "central-plus-n2", "coboundary-n3"],
+)
+def test_jacobi_matches_fraction_reference(coeff, central, count):
+    pair = x_i_bracket(coeff, central)
+    violations = jacobi_check(3, pair=pair)
+    assert len(violations) == count
+    assert violations == reference_jacobi(3, pair)
 
 
 def test_shared_pair_table_is_never_mutated():

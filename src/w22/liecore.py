@@ -281,8 +281,12 @@ def jacobi_check(window, pair=pair_bracket):
     such integers, D^2 times its rational value, so the integer sum of a
     triple is D^2 times its Jacobi sum.  As D^2 != 0, the one is zero
     exactly when the other is.
+
+    A window that is not an int, or is negative, raises ValueError.
     """
     check_window(window)
+    if window < 0:
+        raise ValueError("window must be >= 0, got %d" % window)
     gens = basis_window(window)
     inner = {(b, c): pair(b, c).terms for b in gens for c in gens}
     reached = {h for terms in inner.values() for h in terms}

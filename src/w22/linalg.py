@@ -42,10 +42,11 @@ ones of the exact leading-column echelon form of M: the answer does not
 depend on p.  Whether column ncols is free, and so whether the system is
 feasible, is certified with the rest.
 
-A caller that expects some rows to span the row space (the constraint
-systems pass the rows of the relations with x(+-1) and x(+-2)) can pass
-their indices as ``spanning``; only those rows S are folded, and the
-exact check still runs on every row of M.  A lifted vector that fails a
+A caller that expects some rows to span the row space can pass their
+indices as ``spanning`` (the constraint systems pass the rows of the
+relations with x(1), x(-1) and x(-2), a hint measured to span, not
+proved to); only those rows S are folded, and the exact check still runs
+on every row of M.  A lifted vector that fails a
 row of S takes the next prime, as above.  The vectors are checked in
 ascending free column.  When every vector passes every row, they are
 independent vectors of ker(M), one per free column of M_S mod p, so
@@ -83,6 +84,7 @@ Q, whose vector cannot pass the exact check, so it is one failed attempt.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import isqrt, lcm
 
 from .rationals import clear_denominators
@@ -101,16 +103,20 @@ def _fold(rows, p):
     Returns pivots, which maps each leading column to the tail of its
     monic pivot row: the (col, coeff) pairs after the leading 1.  Each
     input row is reduced mod p only when it is folded, so no second copy
-    of the system is held.
+    of the system is held.  The columns of the working row are kept in a
+    heap, so the leading column is popped rather than searched for.
     """
     pivots = {}
     for pairs in rows:
         row = {c: r for c, v in pairs if (r := v % p)}
         # Entries are reduced mod p only when they lead or the row becomes
         # a pivot row, so an entry that cancels is dropped when it leads.
+        # heap holds each key of row once: a column is pushed only when a
+        # pivot tail first creates it, and leaves both when it leads.
+        heap = sorted(row)
         get = row.get
-        while row:
-            lead = min(row)
+        while heap:
+            lead = heappop(heap)
             factor = row.pop(lead) % p
             if not factor:
                 continue
@@ -121,7 +127,12 @@ def _fold(rows, p):
                                 if (r := v * inv % p)]
                 break
             for c, v in tail:
-                row[c] = get(c, 0) - factor * v
+                old = get(c)
+                if old is None:
+                    row[c] = -factor * v
+                    heappush(heap, c)
+                else:
+                    row[c] = old - factor * v
     return pivots
 
 
@@ -175,21 +186,31 @@ def _exact_rows(equations, ncols, position=None):
     denominators (b included), so it keeps its kernel and every entry
     stays exact.  With a position list, column c < ncols is relabelled
     position[c] in the same pass.  A column outside range(ncols) raises
-    ValueError.
+    ValueError, and a value that is not an int or a Fraction TypeError.
     """
     # One check on the union of the keys costs a fifth of one per row.
     cols = set().union(*[coeffs for coeffs, _ in equations])
     if cols and (min(cols) < 0 or max(cols) >= ncols):
         raise ValueError("columns must lie in range(%d)" % ncols)
     out = []
-    for coeffs, rhs in equations:
-        den = lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
-        pairs = [(c if position is None else position[c],
-                  v.numerator * (den // v.denominator))
-                 for c, v in coeffs.items()]
-        if rhs:
-            pairs.append((ncols, -rhs.numerator * (den // rhs.denominator)))
-        out.append(pairs)
+    try:
+        for coeffs, rhs in equations:
+            den = lcm(rhs.denominator,
+                      *[v.denominator for v in coeffs.values()])
+            pairs = [(c if position is None else position[c],
+                      v.numerator * (den // v.denominator))
+                     for c, v in coeffs.items()]
+            if rhs:
+                pairs.append(
+                    (ncols, -rhs.numerator * (den // rhs.denominator))
+                )
+            out.append(pairs)
+    except AttributeError:
+        # A float has no denominator; one handler keeps valid rows free
+        # of a per-coefficient type check.
+        raise TypeError(
+            "coefficients and right-hand sides must be ints or Fractions"
+        ) from None
     return out
 
 
@@ -318,7 +339,8 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
 
     spanning, when given, lists the indices of rows expected to span the
     row space; only those rows are folded.  A wrong hint costs a second
-    solve with every row folded, never a different answer.
+    solve with every row folded, never a different answer.  An index that
+    is not an int in range(len(equations)) raises ValueError.
 
     order, when given, is a permutation of range(ncols) that lists the
     columns in elimination order: the fold runs on column order[k]
@@ -326,8 +348,16 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
     columns.  The answer is the same with or without it (see the module
     docstring); only the work of the fold changes.  Anything but a
     permutation raises ValueError, and so does a column key outside
-    range(ncols).
+    range(ncols).  A coefficient or right-hand side that is not an int or
+    a Fraction raises TypeError.
     """
+    if spanning is not None:
+        spanning = tuple(spanning)
+        if not all(isinstance(i, int) and 0 <= i < len(equations)
+                   for i in spanning):
+            raise ValueError(
+                "spanning must list row indices in range(%d)" % len(equations)
+            )
     position = None
     if order is not None:
         order = tuple(order)

@@ -526,8 +526,45 @@ class TestEliminationOrder:
         )
 
 
+def _built_system(act, d, window):
+    """A ConstraintSystem straight from _build, for actions no public
+    builder makes."""
+    unknowns, equations, quadratics, spanning, order = constraints._build(
+        act, d, window, lambda j, n, r, s: "F(%d,%d)[%d,%d]" % (j, n, r, s)
+    )
+    return ConstraintSystem(
+        unknowns, equations, quadratics, spanning=tuple(spanning), order=order
+    )
+
+
+def _d3_system(b_matrix):
+    """x(i) acting on V_n as (alpha + n) Id + i B, at alpha = 1/3, window 4."""
+    return _built_system(
+        lambda i, n: tuple(
+            tuple((F(1, 3) + n) * (r == s) + i * b_matrix[r][s]
+                  for s in range(3))
+            for r in range(3)
+        ),
+        3, 4,
+    )
+
+
+def _module_system(spec, window):
+    """The f-system of an intermediate-series family, read through
+    ``coefficient``."""
+    return _built_system(
+        lambda i, n: ((coefficient(spec, i, n),),), 1, window
+    )
+
+
 class TestSpanningRows:
-    """The solver folds only the rows of x(+-1) and x(+-2)."""
+    """The solver folds only the rows of x(1), x(-1) and x(-2).
+
+    These three generate only the x(n) with n <= 1, so the hint is not a
+    theorem.  The row counts below follow from the hint; on every system
+    here it spans, so the solver folds it once and nothing else, and the
+    answer equals the one found by folding every row.
+    """
 
     @staticmethod
     def folded_rows(monkeypatch):
@@ -544,20 +581,20 @@ class TestSpanningRows:
     @pytest.mark.parametrize(
         "build, size",
         [
-            # 4 (9 - |i|)^2 rows for each i = +-1, +-2 at a non-integral
+            # 4 (9 - |i|)^2 rows for each i = 1, -1, -2 at a non-integral
             # alpha (every triple regular), plus the pinning row
             (
                 lambda: build_matrix_system(F(9, 8), (F(0), F(0)), "ext_a", 4),
-                2 * 4 * (8**2 + 7**2) + 1,
+                4 * (2 * 8**2 + 7**2) + 1,
             ),
             (
                 lambda: build_matrix_system(
                     F(9, 8), (F(0), F(0)), "decomposable", 4
                 ),
-                2 * 4 * (8**2 + 7**2),
+                4 * (2 * 8**2 + 7**2),
             ),
-            # (11 - |n|)^2 rows for each n = +-1, +-2
-            (lambda: build_f_system(F(1, 2), F(1, 3), 5), 2 * (10**2 + 9**2)),
+            # (11 - |n|)^2 rows for each n = 1, -1, -2
+            (lambda: build_f_system(F(1, 2), F(1, 3), 5), 2 * 10**2 + 9**2),
         ],
         ids=["matrix-ext_a", "matrix-decomposable", "f-system"],
     )
@@ -582,7 +619,7 @@ class TestSpanningRows:
 
     # The relation holds on every weight, so an integral alpha gets every
     # row: the answers are those of alpha = 1/3 (dimension 4 / 3 / 2 for
-    # the three betas), and the x(+-1), x(+-2) rows span, folded once.
+    # the three betas), and the x(1), x(-1), x(-2) rows span, folded once.
     @pytest.mark.parametrize("alpha", [0, 1, -1, 2, -2])
     def test_integral_alpha_folds_the_spanning_rows_once(
         self, monkeypatch, alpha
@@ -595,14 +632,68 @@ class TestSpanningRows:
         ]:
             system = build_matrix_system(F(alpha), betas, "decomposable", 4)
             solution = solve_linear(system)
-            assert [len(rows) for rows in seen] == [904]
+            assert [len(rows) for rows in seen] == [708]
             assert solution.dimension == dimension
             assert len(check_quadratic(system, solution)) == survivors
             seen.clear()
         if alpha:
             system = build_matrix_system(F(alpha), (F(0), F(0)), "ext_a", 4)
             assert not solve_linear(system).feasible
-            assert [len(rows) for rows in seen] == [905]
+            assert [len(rows) for rows in seen] == [709]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda w=w, a=a, b=b: build_f_system(a, b, w),
+                id="f-%s,%s-w%d" % (a, b, w),
+            )
+            for w in (3, 4, 5, 6)
+            for a, b in [
+                (F(3, 7), F(-2, 5)), (F(2), F(-1)), (F(0), F(0)),
+                (F(0), F(1)), (F(1), F(2)),
+            ]
+        ] + [
+            pytest.param(
+                lambda w=w, alpha=alpha, betas=betas, ext=ext:
+                build_matrix_system(alpha, betas, ext, w),
+                id="%s-%s-%s-w%d" % (ext, alpha, betas[0], w),
+            )
+            for w in (4, 5)
+            for alpha, betas, ext in [
+                (F(1, 3), (F(1, 2), F(-1, 3)), "decomposable"),
+                (F(1), (F(1, 2), F(-1, 3)), "decomposable"),
+                (F(-2), (F(1), F(2)), "decomposable"),
+                (F(-7, 2), (F(0), F(0)), "ext_a"),
+                (F(2), (F(0), F(0)), "ext_a"),
+                (F(5, 7), (F(0), F(0)), "ext_b"),
+            ]
+        ] + [
+            pytest.param(lambda b=b: _d3_system(b), id="d3-" + name)
+            for name, b in [
+                ("0", [[0] * 3] * 3),
+                ("-J3", [[0, -1, 0], [0, 0, -1], [0, 0, 0]]),
+                ("diag012", [[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
+            ]
+        ] + [
+            pytest.param(
+                lambda spec=spec: _module_system(spec, 5),
+                id="%s-%s" % (spec.family, spec.a),
+            )
+            for spec in [
+                ModuleSpec("Aa", F(1, 2)), ModuleSpec("Aa", F(0)),
+                ModuleSpec("Ba", F(2, 3)), ModuleSpec("Ba", F(-1)),
+            ]
+        ],
+    )
+    def test_hint_spans(self, monkeypatch, build):
+        system = build()
+        seen = self.folded_rows(monkeypatch)
+        hinted = solve_linear(system)
+        assert seen and all(len(rows) == len(system.spanning) for rows in seen)
+        assert hinted == solve_linear(
+            dataclasses.replace(system, spanning=None)
+        )
 
     def test_normalized_extension_refused_at_alpha_zero(self):
         # the pin F(1,0)[2,1] = alpha would be homogeneous

@@ -132,6 +132,13 @@ def test_jacobi_clean_window_3():
     assert jacobi_check(3) == []
 
 
+def test_jacobi_negative_window_is_refused():
+    # basis_window(-1) is [C, C1]: an empty check must not read as clean
+    with pytest.raises(ValueError, match=r"window must be >= 0, got -1"):
+        jacobi_check(-1)
+    assert jacobi_check(0) == []
+
+
 def test_jacobi_detects_corrupted_structure_constant():
     # A deliberate +1 on the x(0) coefficient of [x(1), x(-1)] must break
     # the identity somewhere on any window containing index 2.

@@ -362,6 +362,29 @@ def test_order_must_be_a_permutation(order):
         solve_sparse([({0: F(1)}, F(1))], 2, order=order)
 
 
+# -1 would wrap to the last row, 5 would end in IndexError and 0.0 in
+# TypeError
+@pytest.mark.parametrize("spanning", [(-1,), (0, 5), (0.0,)])
+def test_spanning_must_list_row_indices(spanning):
+    equations = [({0: F(1)}, F(1)), ({1: F(1)}, F(2))]
+    with pytest.raises(ValueError, match=r"spanning .* range\(2\)"):
+        solve_sparse(equations, 2, spanning=spanning)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_sparse([({0: 1.5}, F(1))], 1),
+        lambda: solve_sparse([({0: F(1)}, 0.5)], 1),
+        lambda: nullspace([[1, 0.5]], 2),
+    ],
+    ids=["coefficient", "right-hand-side", "nullspace"],
+)
+def test_float_values_are_refused(solve):
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        solve()
+
+
 def _sympy_answer(rows, rhs, ncols):
     """(feasible, particular, kernel) in rref-normalised form, by sympy."""
     from sympy import QQ

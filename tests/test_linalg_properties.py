@@ -13,6 +13,10 @@ and Fraction values, repeat combinations of their rows (rank-deficient),
 take right-hand sides either from a hidden solution (feasible, often
 inhomogeneous) or at random (often inconsistent), and carry a spanning
 hint half of the time.
+
+The fold keeps the columns of its working row in a heap; on any integer
+rows it must build the identical echelon basis as the plain fold below,
+which searches the row for its smallest column after every step.
 """
 
 from fractions import Fraction
@@ -24,7 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from w22.linalg import solve_sparse  # noqa: E402
+from w22.linalg import _fold, solve_sparse  # noqa: E402
 
 P = 2**61 - 1  # the first prime the solver tries
 NCOLS = 4
@@ -98,3 +102,68 @@ def test_any_column_order_gives_the_identical_answer(case):
     assert solve_sparse(equations, ncols, spanning, order=order) == (
         solve_sparse(equations, ncols, spanning)
     )
+
+
+def reference_fold(rows, p):
+    """The fold with a min() search for the leading column of each step."""
+    pivots = {}
+    for pairs in rows:
+        row = {c: r for c, v in pairs if (r := v % p)}
+        get = row.get
+        while row:
+            lead = min(row)
+            factor = row.pop(lead) % p
+            if not factor:
+                continue
+            tail = pivots.get(lead)
+            if tail is None:
+                inv = pow(factor, -1, p)
+                pivots[lead] = [(c, r) for c, v in row.items()
+                                if (r := v * inv % p)]
+                break
+            for c, v in tail:
+                row[c] = get(c, 0) - factor * v
+    return pivots
+
+
+@st.composite
+def integer_rows(draw):
+    """(rows, p): rows of (col, int) pairs as _exact_rows writes them.
+
+    Entries include multiples of p, and rows are repeated, left empty or
+    built as integer combinations of earlier rows, so that they cancel
+    exactly or mod p.
+    """
+    p = draw(st.sampled_from([7, P]))
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-9, 9) | st.integers(-3, 3).map(lambda k: k * p)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(
+            st.sampled_from(["new", "new", "empty", "repeat", "combo"])
+        )
+        if kind == "empty" or (kind != "new" and not rows):
+            rows.append([])
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combo":
+            u = dict(draw(st.sampled_from(rows)))
+            v = dict(draw(st.sampled_from(rows)))
+            s, t = draw(entry), draw(entry)
+            combo = {c: s * u.get(c, 0) + t * v.get(c, 0) for c in {*u, *v}}
+            rows.append([(c, x) for c, x in sorted(combo.items()) if x])
+        else:
+            row = draw(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                       max_size=ncols))
+            rows.append(list(draw(st.permutations(list(row.items())))))
+    return rows, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows())
+# a row that cancels to 0 exactly, one that vanishes mod 7, an empty row
+@example(([[(0, 1), (2, 3)], [(0, 2), (2, 6)], [(1, 7), (2, 14)], [],
+           [(2, 1), (1, 2)]], 7))
+def test_heap_fold_builds_the_identical_pivots(case):
+    rows, p = case
+    assert _fold(rows, p) == reference_fold(rows, p)

@@ -200,17 +200,28 @@ def _build(act, d, window, names):
             - delta(i, -j) (i^3 - i)/12 C1 = 0,
 
     one row per entry (r, s) of every triple (i, j, n) whose indices all
-    stay inside the window, in the order j, i, n, (r, s).  The rows with
-    i in (1, -1, -2) are listed as ``spanning``.  x(1), x(-1) and x(-2)
-    generate only the x(n) with n <= 1, so no theorem says these rows
-    carry the whole linear part; their rank mod p equalled that of all
-    rows on every system it was measured on (f-systems at windows 3-6
-    over generic, integral and degenerate (a, b), matrix systems of each
-    type at windows 4-5, integral alpha included, d = 3 and 4 actions,
-    and the Aa and Ba coefficient actions), while the best pairs of
-    x-indices, (1, -2) and (-1, 2), fell short on about a third of them
-    and the other pairs on all.  The solver checks every row regardless,
-    and a hint that does not span only costs a second fold of every row.
+    stay inside the window, in the order j, i, n, (r, s).
+
+    Precondition: A(0, n) = (lambda + n) Id for some scalar lambda, as in
+    every action the package builds.  The i = 0 rows then read
+    (lambda + j + n - lambda - n - j) F(j, n) = 0, so they are written as
+    empty rows ({}, 0) without reading ``act(0, .)``.  They are kept, not
+    dropped, so that every windowed triple keeps its rows: the equation
+    count, the row indices and the outputs read from them stay those of
+    the full relation.
+
+    The rows with i in (1, -1, -2) are listed as ``spanning``.  x(1),
+    x(-1) and x(-2) generate only the x(n) with n <= 1, so no theorem says
+    these rows carry the whole linear part.  Their rank mod p equalled
+    that of all rows on most systems it was measured on (f-systems at
+    windows 3-6 over generic, integral and degenerate (a, b), matrix
+    systems of each type at windows 4-5, d = 3 and 4 actions, and the Aa
+    and Ba coefficient actions), while the best pairs of x-indices,
+    (1, -2) and (-1, 2), fell short on about a third of them and the
+    other pairs on all.  It falls short on some decomposable systems at
+    positive integral alpha: alpha = 3 with betas (1, 2) at window 4 is
+    one.  The solver checks every row regardless, and a hint that does not
+    span only costs a second fold of every row.
     Quadratics are the entries of
     [I(i), I(j)] v = F(i, j+n) F(j, n) - F(j, i+n) F(i, n) = 0 for i < j.
 
@@ -254,6 +265,8 @@ def _build(act, d, window, names):
     # A(i, j + n) and A(i, n) for weights in [2 lo, 2 hi].
     tables = {}
     for i in rng:
+        if not i:
+            continue
         lo, hi = max(-window, -window - i), min(window, window - i)
         tables[i] = table = {}
         for n in range(2 * lo, 2 * hi + 1):
@@ -272,6 +285,9 @@ def _build(act, d, window, names):
         for i in rng:
             if abs(i + j) > window:
                 continue
+            if not i:
+                equations.extend(({}, 0) for _ in range(len(rng) * dd))
+                continue
             central = -Fraction(i**3 - i, 12) if i + j == 0 else 0
             spans = i in (1, -1, -2)
             table = tables[i]
@@ -286,22 +302,14 @@ def _build(act, d, window, names):
                     spanning.extend(range(len(equations), len(equations) + dd))
                 for e in range(dd):
                     coeffs = {}
-                    if i:
-                        for y, v in a_left[e]:
-                            coeffs[bjn + y] = v
-                        for x, v in a_right[e]:
-                            coeffs[bjin + x] = v
-                        if i != j:
-                            coeffs[bijn + e] = i - j
-                        if central and e in diagonal:
-                            coeffs[c1] = central
-                    else:
-                        # the three blocks coincide
-                        for y, v in a_left[e]:
-                            _accumulate(coeffs, bjn + y, v)
-                        for x, v in a_right[e]:
-                            _accumulate(coeffs, bjn + x, v)
-                        _accumulate(coeffs, bjn + e, -j)
+                    for y, v in a_left[e]:
+                        coeffs[bjn + y] = v
+                    for x, v in a_right[e]:
+                        coeffs[bjin + x] = v
+                    if i != j:
+                        coeffs[bijn + e] = i - j
+                    if central and e in diagonal:
+                        coeffs[c1] = central
                     equations.append((coeffs, 0))
 
     quadratics = []
@@ -325,28 +333,9 @@ def _build(act, d, window, names):
     return unknowns, equations, quadratics, spanning, order
 
 
-def _accumulate(coeffs, col, value):
-    """Add value to coeffs[col], keeping only nonzero coefficients."""
-    if col in coeffs:
-        value += coeffs[col]
-    if value:
-        coeffs[col] = value
-    else:
-        coeffs.pop(col, None)
-
-
 # ---------------------------------------------------------------------------
 # One-dimensional weight spaces: the f(m, t) system.
 # ---------------------------------------------------------------------------
-
-
-def _check_window(window, least):
-    """Refuse a window that is not an int of at least least."""
-    check_window(window)
-    if window < least:
-        raise ValueError(
-            "window must be at least %d, got %d" % (least, window)
-        )
 
 
 def _f_name(m, t):
@@ -366,7 +355,7 @@ def build_f_system(a, b, window):
     """
     a = rat(a)
     b = rat(b)
-    _check_window(window, 3)
+    check_window(window, 3)
     shift = {n: a + b * n for n in range(-window, window + 1)}
     unknowns, equations, quadratics, spanning, order = _build(
         lambda n, t: ((shift[n] + t,),), 1, window,
@@ -540,7 +529,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     homogeneous and normalizes nothing, so it is refused there.
     """
     alpha = rat(alpha)
-    _check_window(window, 4)
+    check_window(window, 4)
     a_mat = make_x_matrices(alpha, betas, ext_type)
     normalized = bool(normalized and ext_type != "decomposable")
     if normalized and not alpha:

@@ -122,9 +122,7 @@ def bracket_compatibility_check(spec, window):
 
     and as D^2 E != 0 the two decide the same.
     """
-    check_window(window)
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    check_window(window, 1)
     near = range(-window, window + 1)
     far = range(-2 * window, 2 * window + 1)
     keys = [
@@ -186,9 +184,7 @@ def simplicity_probe(spec, window):
     only shrink closures, so a "candidate-submodule" verdict is a hint,
     not a proof of reducibility.
     """
-    check_window(window)
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    check_window(window, 1)
     indices = [i for i in range(-window, window + 1) if i not in spec.masked]
     index_set = set(indices)
     reach = {}
@@ -227,9 +223,7 @@ def action_table_rows(spec, window):
     I-rows are omitted since every I(n) acts as zero.  Rows with zero
     coefficient are kept so the table shape is predictable.
     """
-    check_window(window)
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    check_window(window, 1)
     rows = []
     for m in range(-window, window + 1):
         for i in range(-window, window + 1):

@@ -260,10 +260,15 @@ def basis_window(window):
     return gens
 
 
-def check_window(window):
-    """Refuse a window that is not an int (``range`` would raise TypeError)."""
+def check_window(window, least):
+    """Refuse a window that is not an int (``range`` would raise TypeError)
+    or is below least, with ValueError."""
     if not isinstance(window, int):
         raise ValueError("window must be an int, got %r" % (window,))
+    if window < least:
+        raise ValueError(
+            "window must be at least %d, got %d" % (least, window)
+        )
 
 
 def jacobi_check(window, pair=pair_bracket):
@@ -284,9 +289,7 @@ def jacobi_check(window, pair=pair_bracket):
 
     A window that is not an int, or is negative, raises ValueError.
     """
-    check_window(window)
-    if window < 0:
-        raise ValueError("window must be >= 0, got %d" % window)
+    check_window(window, 0)
     gens = basis_window(window)
     inner = {(b, c): pair(b, c).terms for b in gens for c in gens}
     reached = {h for terms in inner.values() for h in terms}

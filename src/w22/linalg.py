@@ -44,23 +44,16 @@ feasible, is certified with the rest.
 
 A caller that expects some rows to span the row space can pass their
 indices as ``spanning`` (the constraint systems pass the rows of the
-relations with x(1), x(-1) and x(-2), a hint measured to span, not
-proved to); only those rows S are folded, and the exact check still runs
-on every row of M.  A lifted vector that fails a
-row of S takes the next prime, as above.  The vectors are checked in
-ascending free column.  When every vector passes every row, they are
-independent vectors of ker(M), one per free column of M_S mod p, so
-rank_Q(M) <= rank_p(M_S) <= rank_Q(M_S) <= rank_Q(M): the ranks are
-equal, ker(M) = ker(M_S), and the free columns and the answer are those
-of M.  A vector of free column f that passes S but fails another row
-lies in ker(M_S) and not in ker(M).  If f is the last column of M and
-every earlier vector passed every row, the same count on the columns
-left of f, call them M', gives ker(M') = ker(M'_S), and f is a pivot of
-M: a kernel vector (y, 1) of M would put (x - y) in ker(M'_S) = ker(M'),
-and the failing vector (x, 1) = (y, 1) + (x - y, 0) would lie in ker(M).
-The earlier vectors are then the answer, with nothing folded again;
-for A u = b this proves infeasibility.  Otherwise S does not span, and
-the system is solved again with every row folded.
+relations with x(1), x(-1) and x(-2), a hint measured to span on most
+systems, not proved to); only those rows S are folded, and the exact
+check still runs on every row of M.  A lifted vector that fails a row of
+S takes the next prime, as above.  When every vector passes every row,
+they are independent vectors of ker(M), one per free column of M_S mod
+p, so rank_Q(M) <= rank_p(M_S) <= rank_Q(M_S) <= rank_Q(M): the ranks
+are equal, ker(M) = ker(M_S), and the free columns and the answer are
+those of M.  A vector that passes S but fails another row lies in
+ker(M_S) and not in ker(M), so S does not span, and the system is solved
+again with every row folded.
 
 A caller can also pass ``order``, a permutation of the columns of A:
 column order[k] is relabelled k as the rows are cleared, so the fold
@@ -270,10 +263,6 @@ def _kernel(rows, width, spanning=None):
             if not _satisfies(folded, ints):
                 break
             if not _satisfies(others, ints):
-                if f == width - 1:
-                    # Every earlier vector passed every row: the last
-                    # column is a pivot and they are the whole kernel.
-                    return lifted
                 # ker(M_S) is larger than ker(M): the hint does not span,
                 # so fold every row.
                 return _kernel(rows, width)

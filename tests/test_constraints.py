@@ -311,6 +311,29 @@ class TestXMatrices:
         ):
             verify_x_action(corrupted, 4)
 
+    # _build writes the i = 0 rows as empty rows on the precondition that
+    # x(0) acts on V_n as (alpha + n) Id, which every type must meet on
+    # every weight the rows read, |n| <= 2 window.
+    @pytest.mark.parametrize(
+        "alpha, betas, ext_type",
+        [
+            (alpha, betas, ext_type)
+            for alpha in (F(1, 3), F(9, 8), F(1), F(-2), F(3))
+            for betas, ext_type in [
+                ((F(0), F(0)), "decomposable"),
+                ((F(1), F(2)), "decomposable"),
+                ((F(0), F(0)), "ext_a"),
+                ((F(0), F(0)), "ext_b"),
+            ]
+            if ext_type != "ext_b" or alpha.denominator != 1
+        ],
+    )
+    def test_x0_acts_as_a_scalar(self, alpha, betas, ext_type):
+        a_mat = make_x_matrices(alpha, betas, ext_type)
+        for n in range(-10, 11):
+            d = alpha + n
+            assert a_mat(0, n) == ((d, 0), (0, d)), n
+
     def test_rejections(self):
         with pytest.raises(ValueError, match="non-integral alpha"):
             make_x_matrices(F(2), (F(0), F(0)), "ext_b")
@@ -321,6 +344,32 @@ class TestXMatrices:
 
     def test_ext_types_tuple(self):
         assert EXT_TYPES == ("decomposable", "ext_a", "ext_b")
+
+
+@pytest.mark.parametrize(
+    "build, d, window",
+    [
+        (lambda: build_f_system(F(1, 2), F(1, 3), 5), 1, 5),
+        (lambda: build_f_system(F(0), F(0), 3), 1, 3),
+        (lambda: build_matrix_system(F(1, 3), (F(1), F(2)), "decomposable",
+                                     4), 2, 4),
+        (lambda: build_matrix_system(F(9, 8), (F(0), F(0)), "ext_b", 5), 2,
+         5),
+    ],
+    ids=["f", "f-degenerate", "decomposable", "ext_b"],
+)
+def test_x0_rows_are_empty(build, d, window):
+    # one row per entry of each windowed triple, in the order j, i, n
+    system = build()
+    dd = d * d
+    rows = [
+        system.equations[k * dd + e]
+        for k, (_, i, _) in enumerate(f_triples(window))
+        if i == 0
+        for e in range(dd)
+    ]
+    assert len(rows) == dd * (2 * window + 1) ** 2
+    assert all(row == ({}, 0) for row in rows)
 
 
 class TestMatrixSystem:
@@ -561,8 +610,10 @@ class TestSpanningRows:
     """The solver folds only the rows of x(1), x(-1) and x(-2).
 
     These three generate only the x(n) with n <= 1, so the hint is not a
-    theorem.  The row counts below follow from the hint; on every system
-    here it spans, so the solver folds it once and nothing else, and the
+    theorem.  The row counts below follow from the hint.  On most systems
+    here it spans, so the solver folds it once and nothing else; on the
+    decomposable systems at alpha = 3 and 4 with betas 1 and 2 it falls
+    short, and the solver folds every row a second time.  Either way the
     answer equals the one found by folding every row.
     """
 
@@ -640,6 +691,24 @@ class TestSpanningRows:
             system = build_matrix_system(F(alpha), (F(0), F(0)), "ext_a", 4)
             assert not solve_linear(system).feasible
             assert [len(rows) for rows in seen] == [709]
+
+    # The only package-built systems here on which a row outside the hint
+    # fails a kernel vector of the hint.
+    @pytest.mark.parametrize("alpha", [3, 4])
+    @pytest.mark.parametrize("betas", [(1, 2), (2, 1)])
+    def test_hint_that_falls_short_is_refolded(
+        self, monkeypatch, alpha, betas
+    ):
+        system = build_matrix_system(
+            F(alpha), (F(betas[0]), F(betas[1])), "decomposable", 4
+        )
+        seen = self.folded_rows(monkeypatch)
+        hinted = solve_linear(system)
+        assert [len(rows) for rows in seen] == [708, 1716]
+        assert hinted.dimension == 3
+        assert hinted == solve_linear(
+            dataclasses.replace(system, spanning=None)
+        )
 
     @pytest.mark.parametrize(
         "build",

@@ -223,6 +223,14 @@ def test_non_int_window_is_refused(check):
         check()
 
 
+@pytest.mark.parametrize(
+    "check", [bracket_compatibility_check, simplicity_probe, action_table_rows]
+)
+def test_window_below_one_is_refused(check):
+    with pytest.raises(ValueError, match="window must be at least 1, got 0"):
+        check(ModuleSpec("Aa", F(1)), 0)
+
+
 class TestProbe:
     def test_generic_window_is_irreducible(self):
         report = simplicity_probe(ModuleSpec("Aab", F(1, 2), F(0)), 5)

@@ -134,7 +134,7 @@ def test_jacobi_clean_window_3():
 
 def test_jacobi_negative_window_is_refused():
     # basis_window(-1) is [C, C1]: an empty check must not read as clean
-    with pytest.raises(ValueError, match=r"window must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"window must be at least 0, got -1"):
         jacobi_check(-1)
     assert jacobi_check(0) == []
 

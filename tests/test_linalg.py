@@ -13,9 +13,10 @@ for one modulus, a coefficient, denominator or right-hand side divisible
 by the first primes (each then an unlucky prime, never a skipped one),
 an exhausted ladder, and an infeasibility that shows only after later
 rows.  The spanning-row cases force the paths of a fold restricted
-to some rows: a hint that does not span, a last column that only an
-unfolded row shows to be a pivot (an infeasibility, or a smaller
-kernel), and a contradiction inside the folded rows.  The column-order
+to some rows: a hint that does not span, after which every row is
+folded (also when only an unfolded row shows the last column to be a
+pivot: an infeasibility, or a smaller kernel), and a contradiction
+inside the folded rows.  The column-order
 cases force a pivot that the natural order would leave free, so the
 answer must be mapped back.
 """
@@ -251,14 +252,15 @@ def test_hint_that_does_not_span_falls_back(monkeypatch):
 
 
 def test_infeasibility_seen_only_by_an_unfolded_row(monkeypatch):
-    # The hint x + y = 1 spans 2x + 2y = 3: the kernel vector (-1, 1)
-    # passes both rows.  The particular solution (1, 0) is exact on the
-    # hint and gives 2 != 3 on the other row, so no solution exists: the
-    # column of -b is a pivot, with no second fold.
+    # The kernel vector (-1, 1) of the hint x + y = 1 passes 2x + 2y = 3,
+    # but the particular solution (1, 0) is exact on the hint and gives
+    # 2 != 3 on the other row.  The hint does not span [A | -b], so every
+    # row is folded again, and the column of -b is then a pivot: no
+    # solution exists.
     seen = count_folded_rows(monkeypatch)
     equations = [({0: F(1), 1: F(1)}, F(1)), ({0: F(2), 1: F(2)}, F(3))]
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
-    assert seen == [1]
+    assert seen == [1, 2]
     assert solve_sparse(equations, 2) == (False, None, [])
     # with the right-hand side 2 the same hint certifies the line
     equations[1] = ({0: F(2), 1: F(2)}, F(2))
@@ -283,29 +285,32 @@ def test_hint_containing_the_inconsistent_row(monkeypatch):
     assert seen == [2]
 
 
-def test_last_column_failing_an_unfolded_row_is_a_pivot(monkeypatch):
+def test_last_column_failing_an_unfolded_row_refolds(monkeypatch):
     # Folding x + y = 0 alone gives the vector (-1, 1) of the last column,
-    # which fails y = 0.  No earlier vector exists, so column 1 is a pivot
-    # of the whole system and its kernel is 0, with no second fold.
+    # which fails y = 0: the hint does not span, and folding every row
+    # makes column 1 a pivot, so the kernel is 0.
     seen = count_folded_rows(monkeypatch)
     equations = [({0: 1, 1: 1}, 0), ({1: 1}, 0)]
     assert solve_sparse(equations, 2, spanning=(0,)) == (True, [0, 0], [])
-    assert seen == [1]
+    assert seen == [1, 2]
     # x + z = 0 alone: (0, 1, 0) passes z = 0 and (-1, 0, 1) fails it, so
-    # the kernel is the line of y
+    # every row is folded, and the kernel is the line of y
     seen.clear()
     equations = [({0: 1, 2: 1}, 0), ({2: 1}, 0)]
     assert solve_sparse(equations, 3, spanning=(0,)) == (
         True, [0, 0, 0], [[0, 1, 0]]
     )
-    assert seen == [1]
+    assert seen == [1, 2]
     assert solve_sparse(equations, 3) == (True, [0, 0, 0], [[0, 1, 0]])
 
 
 def test_empty_rows_outside_the_hint(monkeypatch):
-    # Row 1 reads 0 = 0 and is never checked; row 2 reads 0 = 3/2, the
-    # row 2 * (0 | -3/2) = (0 | -3) of [A | -b], and proves that x + y = 2
-    # has no solution together with it.
+    # Row 1 reads 0 = 0 and is never checked outside the hint; row 2
+    # reads 0 = 3/2, the row 2 * (0 | -3/2) = (0 | -3) of [A | -b], which
+    # the particular solution of the hint fails: every row is folded
+    # again, and row 2 proves that x + y = 2 has no solution together
+    # with it.
+    seen = count_folded_rows(monkeypatch)
     checked = []
     satisfies = linalg._satisfies
 
@@ -318,10 +323,13 @@ def test_empty_rows_outside_the_hint(monkeypatch):
     answer = (True, [F(2), F(0)], [[F(-1), F(1)]])
     assert solve_sparse(equations, 2, spanning=(0,)) == answer
     assert [] not in checked and [(0, 1), (1, 1), (2, -2)] in checked
+    assert seen == [1]
+    seen.clear()
     checked.clear()
     equations.append(({}, F(3, 2)))
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
-    assert [] not in checked and [(2, -3)] in checked
+    assert [(2, -3)] in checked
+    assert seen == [1, 3]
     # folded, the same rows give the same answers
     assert solve_sparse(equations[:2], 2) == answer
     assert solve_sparse(equations, 2) == (False, None, [])

@@ -6,8 +6,10 @@ are built in:
 
   decomposable  diag(alpha + n + i beta1, alpha + n + i beta2)
   ext_a         upper triangular, polynomial corner
-  ext_b         upper triangular, corner seeded on |i| <= 2 and grown by
-                the recursion the x-bracket forces
+  ext_b         upper triangular, corner in closed form: with d = alpha + n,
+                s = sign(i) and m = |i|, it is the sum over 0 < k < m of
+                s k (m - k) / ((d + s k)(d + i)), the action the x-bracket
+                forces from its values at |i| <= 2
 
 All three satisfy the x-bracket exactly (the builder checks).
 """

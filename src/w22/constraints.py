@@ -407,13 +407,33 @@ def make_x_matrices(alpha, betas, ext_type):
     "decomposable" is diag(alpha + n + i beta1, alpha + n + i beta2); the
     two extension types are the indecomposable actions that exist only for
     beta1 = beta2 = 0.  ext_a is polynomial in i, n.  Every ext_b matrix
-    is d Id + c(i, n) E12 with d = alpha + n: the corner c is 0 at
-    i = 0, +-1, 1/((d+1)(d+2)) at i = 2 and -1/((d-1)(d-2)) at i = -2, and
-    the recursion forced by the x-bracket, A(i, n) = (A(1, i-1+n) A(i-1, n)
-    - A(i-1, 1+n) A(1, n)) / (i - 2) and its mirror image, acts on the
-    corner alone (A(+-1, n) = d Id):
-    c(i, n) = ((d+i-1) c(i-1, n) - d c(i-1, n+1)) / (i-2) for i >= 3,
-    c(i, n) = (d c(i+1, n-1) - (d+i+1) c(i+1, n)) / (-2-i) for i <= -3.
+    is d Id + c(i, n) E12 with d = alpha + n and, for s = sign(i) and
+    m = |i|, the corner
+
+        c(i, n) = s sum_{k=1}^{m-1} k (m - k) / ((d + s k) (d + i)),
+
+    which is 0 for |i| <= 1, 1/((d+1)(d+2)) at i = 2 and -1/((d-1)(d-2))
+    at i = -2.  For i >= 2, as k (i - k) / ((d + k)(d + i)) =
+    k/(d + k) - k/(d + i), it reads c = sum_{k<i} k/(d + k) - T_i/(d + i)
+    with T_i = i (i - 1)/2.
+
+    This is the action the x-bracket forces from those seeds.  With
+    A(+-1, n) = d Id, [x(1), x(i-1)] = (i - 2) x(i) acts on the corner
+    alone: (i - 2) c(i, d) = (d+i-1) c(i-1, d) - d c(i-1, d+1) for i >= 3,
+    writing c as a function of d.  By (d+i-1) k/(d+k) = k + k (i-1-k)/(d+k)
+    and d (k-1)/(d+k) = (k-1) - k (k-1)/(d+k) (shifting k by 1 in the
+    second sum), the right side telescopes: its integer parts cancel, and
+    it is (i - 2) sum_{k<i} k/(d+k) - i T_{i-1}/(d+i), which is
+    (i - 2) c(i, d) as i T_{i-1} = (i - 2) T_i.  The closed form has
+    c(-i, d) = -c(i, -d), under which the mirrored recursion for i <= -3,
+    (-2-i) c(i, d) = d c(i+1, d-1) - (d+i+1) c(i+1, d), becomes the same
+    recursion, with the same seeds.  The denominators vanish only when
+    d = alpha + n is an integer in -s{1, ..., m}, which is why ext_b is
+    refused at integral alpha.
+
+    The sum runs on integers: with d = p/q it accumulates
+    N/D = sum k (m - k)/(p + s k q), and c = s q^2 N / ((p + i q) D).
+    The memo only saves recomputing a matrix the caller asks for again.
     """
     alpha = rat(alpha)
     beta1, beta2 = (rat(betas[0]), rat(betas[1])) if betas else (
@@ -439,18 +459,13 @@ def make_x_matrices(alpha, betas, ext_type):
         elif ext_type == "ext_a":
             out = ((d, Fraction(-i)), (Fraction(0), d))
         else:
-            if i >= 3:
-                corner = ((d + i - 1) * a_mat(i - 1, n)[0][1]
-                          - d * a_mat(i - 1, n + 1)[0][1]) / (i - 2)
-            elif i <= -3:
-                corner = (d * a_mat(i + 1, n - 1)[0][1]
-                          - (d + i + 1) * a_mat(i + 1, n)[0][1]) / (-2 - i)
-            elif i == 2:
-                corner = 1 / ((d + 1) * (d + 2))
-            elif i == -2:
-                corner = -1 / ((d - 1) * (d - 2))
-            else:
-                corner = Fraction(0)
+            p, q = d.numerator, d.denominator
+            sign, m = (i > 0) - (i < 0), abs(i)
+            num, den = 0, 1
+            for k in range(1, m):
+                factor = p + sign * k * q
+                num, den = num * factor + k * (m - k) * den, den * factor
+            corner = Fraction(sign * q * q * num, (p + i * q) * den)
             out = ((d, corner), (Fraction(0), d))
         cache[key] = out
         return out
@@ -477,7 +492,11 @@ def verify_x_action(a_mat, window):
     denominators once, as P / d, and with A(i, j+n) = P/p, A(j, n) = Q/q,
     A(j, i+n) = U/u, A(i, n) = V/v and A(i+j, n) = W/w the relation is
     checked in the form (PQ uv - UV pq) w = (j - i) W pquv.
+    A window that is not an int, or is below 1, raises ValueError: at
+    window 0 only the triple (0, 0, 0) is checked, which every family of
+    matrices passes.
     """
+    check_window(window, 1)
     cache = {}
 
     def exact(i, n):

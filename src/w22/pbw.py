@@ -168,7 +168,7 @@ class HighestWeightActor:
                 out = {(): self._scalar(g)}
             else:
                 out = {(g,): Fraction(1)}
-        elif g.index is not None and g.index < 0 and term_key(g) <= term_key(mono[0]):
+        elif g.index < 0 and term_key(g) <= term_key(mono[0]):
             out = {(g,) + mono: Fraction(1)}
         else:
             head, rest = mono[0], mono[1:]

@@ -163,7 +163,13 @@ def _normalize_first_one(vec):
 
 def _singular_reports(params, max_level):
     """The reports of ``find_singular`` in level order, each level built
-    only when the next report is asked for."""
+    only when the next report is asked for.  A max_level that is not an
+    int, or is negative, raises ValueError when the first report is asked
+    for."""
+    if not isinstance(max_level, int) or max_level < 0:
+        raise ValueError(
+            "max_level must be a nonnegative int, got %r" % (max_level,)
+        )
     actor = HighestWeightActor(params)
     for level in range(1, max_level + 1):
         kernel = joint_kernel(params, level, actor=actor)
@@ -183,7 +189,8 @@ def find_singular(params, max_level):
 
     Every level is searched.  The reported vector is the first kernel basis
     vector, rescaled so its first nonzero coordinate (in canonical monomial
-    order) equals 1.
+    order) equals 1.  A max_level that is not an int, or is negative,
+    raises ValueError; max_level 0 searches nothing.
     """
     return list(_singular_reports(params, max_level))
 
@@ -237,7 +244,8 @@ def is_verma_irreducible(params, max_level):
     level with a nonzero kernel, whose report is the witness; later
     levels are never built.  criterion_roots lists the m in 1..max_level
     with 2 c0 - (m^2-1)/12 c1 = 0; when the smallest root and the first
-    kernel level differ the report says so.
+    kernel level differ the report says so.  A max_level that is not an
+    int, or is negative, raises ValueError.
     """
     witness = next(_singular_reports(params, max_level), None)
     roots = criterion_roots(params, max_level)
@@ -246,7 +254,6 @@ def is_verma_irreducible(params, max_level):
         agrees = bool(roots) and roots[0] == witness.level
     else:
         verdict = "no-singular-vector-up-to-%d" % max_level
-        witness = None
         agrees = not roots
     return IrreducibilityReport(
         params=params,

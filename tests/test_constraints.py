@@ -233,6 +233,39 @@ class TestMatrixSystemOracle:
             assert row == want, k
 
 
+def reference_corner(alpha):
+    """The ext_b corner c(i, n) as the recursion the x-bracket forces.
+
+    Seeds: c = 0 at i = 0, +-1, 1/((d+1)(d+2)) at i = 2 and
+    -1/((d-1)(d-2)) at i = -2, with d = alpha + n; then
+    c(i, n) = ((d+i-1) c(i-1, n) - d c(i-1, n+1)) / (i-2) for i >= 3 and
+    c(i, n) = (d c(i+1, n-1) - (d+i+1) c(i+1, n)) / (-2-i) for i <= -3.
+    """
+    cache = {}
+
+    def corner(i, n):
+        key = (i, n)
+        if key in cache:
+            return cache[key]
+        d = alpha + n
+        if i >= 3:
+            out = ((d + i - 1) * corner(i - 1, n)
+                   - d * corner(i - 1, n + 1)) / (i - 2)
+        elif i <= -3:
+            out = (d * corner(i + 1, n - 1)
+                   - (d + i + 1) * corner(i + 1, n)) / (-2 - i)
+        elif i == 2:
+            out = 1 / ((d + 1) * (d + 2))
+        elif i == -2:
+            out = -1 / ((d - 1) * (d - 2))
+        else:
+            out = Fraction(0)
+        cache[key] = out
+        return out
+
+    return corner
+
+
 class TestXMatrices:
     def test_decomposable_is_diagonal(self):
         a_mat = make_x_matrices(F(1, 3), (F(1), F(2)), "decomposable")
@@ -246,7 +279,7 @@ class TestXMatrices:
         a_mat = make_x_matrices(F(1, 2), (F(0), F(0)), "ext_b")
         assert a_mat(3, 0) == ((F(1, 2), F(64, 105)), (F(0), F(1, 2)))
         assert a_mat(-3, 0) == ((F(1, 2), F(-32, 15)), (F(0), F(1, 2)))
-        # corners deeper in the recursion, and off the n = 0 column
+        # corners at larger |i|, and off the n = 0 column
         for alpha, i, n, corner in [
             (F(1, 2), 5, 2, F(5024, 9009)),
             (F(1, 2), -5, -2, F(-12416, 15015)),
@@ -258,6 +291,33 @@ class TestXMatrices:
             d = alpha + n
             a_mat = make_x_matrices(alpha, (F(0), F(0)), "ext_b")
             assert a_mat(i, n) == ((d, corner), (F(0), d)), (alpha, i, n)
+
+    @pytest.mark.parametrize(
+        "alpha", [F(1, 2), F(-13, 11), F(9, 8), F(5, 7), F(-7, 2)]
+    )
+    def test_ext_b_corner_matches_the_recursion(self, alpha):
+        a_mat = make_x_matrices(alpha, (F(0), F(0)), "ext_b")
+        corner = reference_corner(alpha)
+        for i in range(-12, 13):
+            for n in range(-12, 13):
+                d = alpha + n
+                assert a_mat(i, n) == ((d, corner(i, n)), (F(0), d)), (i, n)
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(-13, 11), F(5, 7)])
+    def test_ext_b_corner_meets_the_forced_recursion(self, alpha):
+        # (i - 2) c(i, n) = (d + i - 1) c(i - 1, n) - d c(i - 1, n + 1)
+        # for i >= 3, at d = alpha + n for several n
+        a_mat = make_x_matrices(alpha, (F(0), F(0)), "ext_b")
+
+        def c(i, n):
+            return a_mat(i, n)[0][1]
+
+        for n in (-7, -1, 0, 2, 9):
+            d = alpha + n
+            for i in range(3, 31):
+                assert (i - 2) * c(i, n) == (
+                    (d + i - 1) * c(i - 1, n) - d * c(i - 1, n + 1)
+                ), (n, i)
 
     def test_every_type_satisfies_the_x_bracket(self):
         for ext_type, betas in [
@@ -280,9 +340,9 @@ class TestXMatrices:
         with pytest.raises(ValueError, match="violate the x-bracket"):
             verify_x_action(corrupted, 3)
 
-    def test_recursion_entry_off_by_2_pow_minus_80_is_caught(self):
-        # ext_b takes A(3, n) from the recursion; its corner moved by 2^-80
-        # breaks the bracket by that much, far below any float resolution
+    def test_ext_b_corner_off_by_2_pow_minus_80_is_caught(self):
+        # the ext_b corner of A(3, 0) moved by 2^-80 breaks the bracket by
+        # that much, far below any float resolution
         clean = make_x_matrices(F(1, 3), (F(0), F(0)), "ext_b")
 
         def corrupted(i, n):
@@ -310,6 +370,23 @@ class TestXMatrices:
             ValueError, match=r"x-bracket at \(i, j, n\) = \(-4, 1, 0\)"
         ):
             verify_x_action(corrupted, 4)
+
+    @pytest.mark.parametrize("window", [-1, 0, 2.0])
+    def test_empty_or_non_int_window_refused(self, window):
+        # a corrupted action that a window of 1 or more catches: at -1 the
+        # check would run no triple and at 0 only (0, 0, 0)
+        clean = make_x_matrices(F(1, 3), (F(0), F(0)), "ext_a")
+
+        def corrupted(i, n):
+            m = clean(i, n)
+            if i == 0:
+                return ((m[0][0] + 1, m[0][1]), m[1])
+            return m
+
+        with pytest.raises(ValueError, match="violate the x-bracket"):
+            verify_x_action(corrupted, 1)
+        with pytest.raises(ValueError, match="window must be"):
+            verify_x_action(corrupted, window)
 
     # _build writes the i = 0 rows as empty rows on the precondition that
     # x(0) acts on V_n as (alpha + n) Id, which every type must meet on

@@ -326,6 +326,28 @@ class TestFirstKernelStop:
         assert [r.level for r in find_singular(params, 5)] == [1, 2, 3, 4, 5]
 
 
+class TestMaxLevelRejection:
+    # c0 = 0 has singular vectors at every level, so a search that ran
+    # would find one
+    params = HighestWeightParams(F(2), F(0), F(0), F(7))
+
+    @pytest.mark.parametrize("max_level", [-1, -3, 2.0, "3", None])
+    def test_find_singular_refuses(self, max_level):
+        with pytest.raises(ValueError, match="max_level"):
+            find_singular(self.params, max_level)
+
+    @pytest.mark.parametrize("max_level", [-1, -3, 2.0, "3", None])
+    def test_is_verma_irreducible_refuses(self, max_level):
+        with pytest.raises(ValueError, match="max_level"):
+            is_verma_irreducible(self.params, max_level)
+
+    def test_level_zero_searches_nothing(self):
+        assert find_singular(self.params, 0) == []
+        report = is_verma_irreducible(self.params, 0)
+        assert report.verdict == "no-singular-vector-up-to-0"
+        assert report.witness is None
+
+
 def test_roots_agree_with_direct_enumeration():
     for c0, c1 in [(F(1), F(-1)), (F(-1), F(8)), (F(0), F(3)), (F(2), F(5))]:
         params = HighestWeightParams(F(0), F(0), c0, c1)

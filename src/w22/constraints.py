@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .liecore import check_window
 from .linalg import solve_sparse
-from .rationals import clear_denominators, rat, rat_str
+from .rationals import clear_denominators, clear_table, rat, rat_str
 
 EXT_TYPES = ("decomposable", "ext_a", "ext_b")
 
@@ -401,9 +401,25 @@ def _mat_name(i, n, row, colm):
     return "F(%d,%d)[%d,%d]" % (i, n, row, colm)
 
 
+def _beta_pair(betas):
+    """(beta1, beta2) as Fractions from a pair of rationals; None is (0, 0).
+
+    Anything else that is not a tuple or list of two raises ValueError.
+    """
+    if betas is None:
+        return Fraction(0), Fraction(0)
+    if not isinstance(betas, (tuple, list)) or len(betas) != 2:
+        raise ValueError(
+            "betas must be a pair of rationals, got %r" % (betas,)
+        )
+    return rat(betas[0]), rat(betas[1])
+
+
 def make_x_matrices(alpha, betas, ext_type):
     """Return a memoized A(i, n) builder for one of the known x-actions.
 
+    betas is the pair (beta1, beta2), or None for (0, 0); anything else
+    raises ValueError.
     "decomposable" is diag(alpha + n + i beta1, alpha + n + i beta2); the
     two extension types are the indecomposable actions that exist only for
     beta1 = beta2 = 0.  ext_a is polynomial in i, n.  Every ext_b matrix
@@ -433,13 +449,11 @@ def make_x_matrices(alpha, betas, ext_type):
 
     The sum runs on integers: with d = p/q it accumulates
     N/D = sum k (m - k)/(p + s k q), and c = s q^2 N / ((p + i q) D).
-    The memo only saves recomputing a matrix the caller asks for again.
+    The memo saves computing again the matrices that both
+    ``verify_x_action`` and ``_build`` read.
     """
     alpha = rat(alpha)
-    beta1, beta2 = (rat(betas[0]), rat(betas[1])) if betas else (
-        Fraction(0),
-        Fraction(0),
-    )
+    beta1, beta2 = _beta_pair(betas)
     if ext_type not in EXT_TYPES:
         raise ValueError("ext_type must be one of %r" % (EXT_TYPES,))
     if ext_type != "decomposable" and (beta1 or beta2):
@@ -486,45 +500,40 @@ def _int_mul(p, q):
 def verify_x_action(a_mat, window):
     """Check A(i, j+n) A(j, n) - A(j, i+n) A(i, n) = (j - i) A(i+j, n).
 
-    Raises ValueError at the first windowed triple where the candidate
-    x-action breaks the x-bracket.
-    The check is exact and runs on integers: each A(i, n) is cleared of
-    denominators once, as P / d, and with A(i, j+n) = P/p, A(j, n) = Q/q,
-    A(j, i+n) = U/u, A(i, n) = V/v and A(i+j, n) = W/w the relation is
-    checked in the form (PQ uv - UV pq) w = (j - i) W pquv.
+    Raises ValueError at the first windowed triple, in the order i, j, n,
+    where the candidate x-action breaks the x-bracket.
+    The check is exact and runs on integers.  The triples read A(k, m)
+    exactly for |k| <= window, |m| <= 2 window and |k + m| <= 2 window: a
+    read A(i, j+n) or A(j, i+n) has |i + j + n| <= |i + j| + |n|, and each
+    such (k, m) is A(i, j+n) for some windowed j and n.  Each of these
+    matrices is read once, and ``clear_table`` writes it as M(k, m) / D
+    with integer entries and one common denominator D, the lcm of all
+    their denominators.  With A(i, j+n) = P/D, A(j, n) = Q/D,
+    A(j, i+n) = U/D, A(i, n) = V/D and A(i+j, n) = W/D the relation reads
+    (PQ - UV) / D^2 = (j - i) W / D, which is checked in the form
+    PQ - UV = (j - i) D W.
     A window that is not an int, or is below 1, raises ValueError: at
     window 0 only the triple (0, 0, 0) is checked, which every family of
     matrices passes.
     """
     check_window(window, 1)
-    cache = {}
-
-    def exact(i, n):
-        key = (i, n)
-        if key not in cache:
-            cache[key] = clear_denominators(
-                [v for row in a_mat(i, n) for v in row]
-            )
-        return cache[key]
-
     rng = range(-window, window + 1)
+    far = range(-2 * window, 2 * window + 1)
+    table, den = clear_table({
+        (k, m): dict(enumerate(v for row in a_mat(k, m) for v in row))
+        for k in rng for m in far if abs(k + m) <= 2 * window
+    })
+    mat = {key: [v for _, v in pairs] for key, pairs in table.items()}
     for i in rng:
         for j in rng:
             if abs(i + j) > window:
                 continue
+            scale = (j - i) * den
             for n in rng:
-                mp, p = exact(i, j + n)
-                mq, q = exact(j, n)
-                mu, u = exact(j, i + n)
-                mv, v = exact(i, n)
-                mw, w = exact(i + j, n)
-                pq, uv = p * q, u * v
-                left = [
-                    (x * uv - y * pq) * w
-                    for x, y in zip(_int_mul(mp, mq), _int_mul(mu, mv))
-                ]
-                scale = (j - i) * pq * uv
-                if left != [scale * z for z in mw]:
+                pq = _int_mul(mat[i, j + n], mat[j, n])
+                uv = _int_mul(mat[j, i + n], mat[i, n])
+                right = [scale * z for z in mat[i + j, n]]
+                if [x - y for x, y in zip(pq, uv)] != right:
                     raise ValueError(
                         "x-action matrices violate the x-bracket at "
                         "(i, j, n) = (%d, %d, %d)" % (i, j, n)
@@ -539,7 +548,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     rows are those of ``_build`` with d = 2.  Before any equation is
     emitted the A-matrices themselves are checked against the x-bracket
     on the window (a consistency failure raises ValueError).  A window
-    that is not an int, or is below 4, raises ValueError too.
+    that is not an int, or is below 4, raises ValueError too, and so do
+    betas that are not a pair (see ``make_x_matrices``).
 
     With ``normalized`` (extension types only) the single inhomogeneous
     pinning equation F(1, 0)[2, 1] = alpha is appended and recorded as
@@ -566,9 +576,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     meta = {
         "kind": "matrix-system",
         "alpha": rat_str(alpha),
-        "betas": [rat_str(rat(betas[0])), rat_str(rat(betas[1]))]
-        if betas
-        else ["0", "0"],
+        "betas": [rat_str(beta) for beta in _beta_pair(betas)],
         "ext_type": ext_type,
         "window": window,
         "normalized": normalized,

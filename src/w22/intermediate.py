@@ -19,10 +19,9 @@ masked table returned by ``simple_subquotient``.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .liecore import X_KIND, check_window, pair_bracket, x
-from .rationals import clear_denominators, rat, rat_str
+from .rationals import clear_denominators, clear_table, rat, rat_str
 
 FAMILIES = ("Aab", "Aa", "Ba")
 
@@ -108,11 +107,13 @@ def bracket_compatibility_check(spec, window):
     ``pair_bracket`` table.  Returns violation triples (g, h, i); empty
     means the table is a Lie module on the window.
 
-    The check runs on integers.  The scalars s(m, i) of x(m) v_i that the
-    comparisons read are tabled once, as S(m, i) = D s(m, i) with D the lcm
-    of their denominators, and each x-term c x(b) of the brackets as the
-    integer e = E c, with E the lcm of those denominators (central terms
-    act as 0).  With g = x(dg) and h = x(dh) the comparison
+    The check runs on integers, cleared through ``rationals``.  The scalars
+    s(m, i) of x(m) v_i that the comparisons read are tabled once, as
+    S(m, i) = D s(m, i) with D the lcm of their denominators
+    (``clear_denominators``).  The x-terms c x(b) of the brackets form one
+    table that ``clear_table`` turns into integers e = E c over the lcm E
+    of its denominators (central terms act as 0).  With g = x(dg) and
+    h = x(dh) the comparison
 
         s(dg, i+dh) s(dh, i) - s(dh, i+dg) s(dg, i) = sum c s(b, i)
 
@@ -130,19 +131,14 @@ def bracket_compatibility_check(spec, window):
     ]
     ints, den = clear_denominators([coefficient(spec, m, i) for m, i in keys])
     s = dict(zip(keys, ints))
-    brackets = {
-        (dg, dh): [
-            (b.index, c) for b, c in pair_bracket(x(dg), x(dh)).terms.items()
+    xterms, xden = clear_table({
+        (dg, dh): {
+            b.index: c for b, c in pair_bracket(x(dg), x(dh)).terms.items()
             if b.kind == X_KIND
-        ]
+        }
         for dg in near
         for dh in near
-    }
-    xden = lcm(*[c.denominator for terms in brackets.values() for _, c in terms])
-    xterms = {
-        key: [(n, c.numerator * (xden // c.denominator)) for n, c in terms]
-        for key, terms in brackets.items()
-    }
+    })
     violations = []
     for dg in near:
         for dh in near:

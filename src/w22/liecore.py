@@ -19,9 +19,8 @@ only fixes its keys to be generators.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .rationals import rat, rat_str
+from .rationals import clear_table, rat, rat_str
 
 X_KIND = "X"
 I_KIND = "I"
@@ -279,45 +278,32 @@ def jacobi_check(window, pair=pair_bracket):
     ``pair``, by default the memoized ``pair_bracket`` table; each result
     is read once and never mutated.
 
-    The check runs on integers.  The inner brackets [b, c] of the window
-    and the outer brackets [g, h] that they reach are read once, and every
-    coefficient is stored as an integer over D, the lcm of all their
-    denominators.  A term [g, [b, c]] is then a sum of products of two
-    such integers, D^2 times its rational value, so the integer sum of a
-    triple is D^2 times its Jacobi sum.  As D^2 != 0, the one is zero
-    exactly when the other is.
+    The check runs on integers.  One table holds [g, h] for every pair of
+    window generators and for every g of the window paired with a generator
+    h that those brackets reach, and ``clear_table`` stores each of its
+    coefficients as an integer over D, the lcm of all their denominators.
+    A term [g, [b, c]] is then a sum of products of two such integers, D^2
+    times its rational value, so the integer sum of a triple is D^2 times
+    its Jacobi sum.  As D^2 != 0, the one is zero exactly when the other
+    is.
 
     A window that is not an int, or is negative, raises ValueError.
     """
     check_window(window, 0)
     gens = basis_window(window)
-    inner = {(b, c): pair(b, c).terms for b in gens for c in gens}
-    reached = {h for terms in inner.values() for h in terms}
-    outer = {(g, h): pair(g, h).terms for g in gens for h in reached}
-    den = lcm(*[
-        c.denominator
-        for table in (inner, outer)
-        for terms in table.values()
-        for c in terms.values()
-    ])
-
-    def scaled(table):
-        return {
-            key: [(k, c.numerator * (den // c.denominator))
-                  for k, c in terms.items()]
-            for key, terms in table.items()
-        }
-
-    inner, outer = scaled(inner), scaled(outer)
+    reached = set(gens).union(*[pair(b, c).terms for b in gens for c in gens])
+    table, _ = clear_table(
+        {(g, h): pair(g, h).terms for g in gens for h in reached}
+    )
     violations = []
     for a in gens:
         for b in gens:
             for c in gens:
                 total = {}
-                cyclic = ((a, inner[b, c]), (b, inner[c, a]), (c, inner[a, b]))
+                cyclic = ((a, table[b, c]), (b, table[c, a]), (c, table[a, b]))
                 for g, terms in cyclic:
                     for h, ch in terms:
-                        for k, ck in outer[g, h]:
+                        for k, ck in table[g, h]:
                             total[k] = total.get(k, 0) + ch * ck
                 if any(total.values()):
                     violations.append((a, b, c))

@@ -143,10 +143,6 @@ def _back_substitute(pivots, order, v, p):
 
 def _reconstruct(r, m, bound):
     """Wang's a/b with a = b r (mod m) and |a|, b <= bound, or None."""
-    if r <= bound:
-        return Fraction(r)
-    if m - r <= bound:
-        return Fraction(r - m)
     r0, r1, s0, s1 = m, r, 0, 1
     while r1 > bound:
         q = r0 // r1

@@ -53,10 +53,22 @@ def _partitions(n, largest=None):
             yield (first,) + rest
 
 
+def _check_level(level, name="level"):
+    """Refuse a level that is not an int, or is negative, with ValueError
+    (``range`` would raise TypeError on the one, and find no level in the
+    other)."""
+    if not isinstance(level, int) or level < 0:
+        raise ValueError(
+            "%s must be a nonnegative int, got %r" % (name, level)
+        )
+
+
 def level_basis(n):
-    """Ordered PBW monomial basis of level n (degree -n)."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
+    """Ordered PBW monomial basis of level n (degree -n).
+
+    A level that is not an int, or is negative, raises ValueError.
+    """
+    _check_level(n)
     return list(_level_basis(n))
 
 
@@ -75,9 +87,11 @@ def _level_basis(n):
 
 
 def character_dims(max_n):
-    """Level dimensions 0..max_n, by direct basis enumeration."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    """Level dimensions 0..max_n, by direct basis enumeration.
+
+    A max_n that is not an int, or is negative, raises ValueError.
+    """
+    _check_level(max_n, "max_n")
     return [len(_level_basis(n)) for n in range(max_n + 1)]
 
 
@@ -117,8 +131,10 @@ def raising_matrix(k, n, params, gen_kind, actor=None):
     """Matrix of gen(+k) from level n to level n - k.
 
     Rows are indexed by the level n-k basis, columns by the level n basis,
-    both in canonical monomial order.  gen_kind is "X" or "I".
+    both in canonical monomial order.  gen_kind is "X" or "I".  A level n
+    that is not an int, or is negative, raises ValueError.
     """
+    _check_level(n)
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
     if gen_kind not in ("X", "I"):
@@ -141,8 +157,10 @@ def joint_kernel(params, level, actor=None):
     """Kernel of every raising operator at a level: gen(1), gen(2), both kinds.
 
     These generate the positive part (module docstring), so the kernel is
-    the joint kernel of all gen(k), k = 1..level.
+    the joint kernel of all gen(k), k = 1..level.  A level that is not an
+    int, or is negative, raises ValueError.
     """
+    _check_level(level)
     if actor is None:
         actor = HighestWeightActor(params)
     dim = len(_level_basis(level))
@@ -166,10 +184,7 @@ def _singular_reports(params, max_level):
     only when the next report is asked for.  A max_level that is not an
     int, or is negative, raises ValueError when the first report is asked
     for."""
-    if not isinstance(max_level, int) or max_level < 0:
-        raise ValueError(
-            "max_level must be a nonnegative int, got %r" % (max_level,)
-        )
+    _check_level(max_level, "max_level")
     actor = HighestWeightActor(params)
     for level in range(1, max_level + 1):
         kernel = joint_kernel(params, level, actor=actor)

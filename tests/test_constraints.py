@@ -266,6 +266,117 @@ def reference_corner(alpha):
     return corner
 
 
+def reference_x_bracket(a_mat, window):
+    """The first (i, j, n), in the order i, j, n, at which the Fraction
+    products break A(i, j+n) A(j, n) - A(j, i+n) A(i, n) = (j - i) A(i+j, n),
+    or None: the oracle for verify_x_action's integer check."""
+
+    def mul(p, q):
+        return [
+            [sum(p[r][k] * q[k][s] for k in range(2)) for s in range(2)]
+            for r in range(2)
+        ]
+
+    rng = range(-window, window + 1)
+    for i in rng:
+        for j in rng:
+            if abs(i + j) > window:
+                continue
+            for n in rng:
+                pq = mul(a_mat(i, j + n), a_mat(j, n))
+                uv = mul(a_mat(j, i + n), a_mat(i, n))
+                w = a_mat(i + j, n)
+                if any(
+                    pq[r][s] - uv[r][s] != (j - i) * w[r][s]
+                    for r in range(2)
+                    for s in range(2)
+                ):
+                    return (i, j, n)
+    return None
+
+
+def shifted(a_mat, key, r, s, delta):
+    """a_mat with delta added to entry (r, s) of the matrix at key."""
+
+    def out(i, n):
+        m = [list(row) for row in a_mat(i, n)]
+        if (i, n) == key:
+            m[r][s] += delta
+        return tuple(tuple(row) for row in m)
+
+    return out
+
+
+X_BRACKET_CASES = {
+    # clean actions of each type, over mixed denominators
+    "decomposable": (F(5, 7), (F(1, 2), F(1, 7)), "decomposable", None, 4),
+    "ext_a": (F(1, 3), (F(0), F(0)), "ext_a", None, 4),
+    "ext_b": (F(-7, 2), (F(0), F(0)), "ext_b", None, 4),
+    # the corruptions of the fault tests of TestXMatrices
+    "plus-1": (F(1, 3), (F(0), F(0)), "ext_a", ((2, 1), 0, 1, F(1)), 3),
+    "corner-2^-80": (
+        F(1, 3), (F(0), F(0)), "ext_b", ((3, 0), 0, 1, F(1, 2**80)), 4,
+    ),
+    "bracket-side-2^-80": (
+        F(1, 3), (F(0), F(0)), "ext_b", ((-3, 0), 0, 0, F(1, 2**80)), 4,
+    ),
+    # a denominator that no other entry of the table has
+    "plus-1/7": (F(1, 3), (F(0), F(0)), "ext_a", ((2, 1), 0, 1, F(1, 7)), 3),
+    # A(-1, 2) is first read at (-4, 3, 2), and there only as A(i + j, n)
+    "i+j-side-2^-80": (
+        F(5, 7), (F(1, 2), F(1, 7)), "decomposable",
+        ((-1, 2), 1, 1, F(1, 2**80)), 4,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "alpha, betas, ext_type, corruption, window",
+    list(X_BRACKET_CASES.values()),
+    ids=list(X_BRACKET_CASES),
+)
+def test_verify_x_action_names_the_reference_triple(
+    alpha, betas, ext_type, corruption, window
+):
+    a_mat = make_x_matrices(alpha, betas, ext_type)
+    if corruption is not None:
+        a_mat = shifted(a_mat, *corruption)
+    first = reference_x_bracket(a_mat, window)
+    assert (first is None) == (corruption is None)
+    if first is None:
+        verify_x_action(a_mat, window)
+        return
+    with pytest.raises(ValueError) as caught:
+        verify_x_action(a_mat, window)
+    assert str(caught.value) == (
+        "x-action matrices violate the x-bracket at "
+        "(i, j, n) = (%d, %d, %d)" % first
+    )
+
+
+def test_verify_x_action_reads_each_matrix_the_triples_read_once():
+    # exactly the matrices of the windowed triples, each read once
+    clean = make_x_matrices(F(9, 8), (F(0), F(0)), "ext_b")
+    calls = []
+
+    def recorded(i, n):
+        calls.append((i, n))
+        return clean(i, n)
+
+    window = 4
+    verify_x_action(recorded, window)
+    rng = range(-window, window + 1)
+    expected = {
+        key
+        for i in rng
+        for j in rng
+        if abs(i + j) <= window
+        for n in rng
+        for key in ((i, j + n), (j, n), (j, i + n), (i, n), (i + j, n))
+    }
+    assert sorted(calls) == sorted(expected)
+
+
 class TestXMatrices:
     def test_decomposable_is_diagonal(self):
         a_mat = make_x_matrices(F(1, 3), (F(1), F(2)), "decomposable")
@@ -418,6 +529,24 @@ class TestXMatrices:
             make_x_matrices(F(1, 3), (F(1), F(0)), "ext_a")
         with pytest.raises(ValueError):
             make_x_matrices(F(1, 3), (F(0), F(0)), "diagonal")
+
+    @pytest.mark.parametrize(
+        "betas", [(F(1),), (1, 2, 3), (), "12", 5, {0: 1, 1: 2}],
+        ids=["one", "three", "empty", "str", "int", "dict"],
+    )
+    def test_betas_that_are_not_a_pair_refused(self, betas):
+        with pytest.raises(ValueError, match="betas must be a pair"):
+            make_x_matrices(F(1, 3), betas, "decomposable")
+        with pytest.raises(ValueError, match="betas must be a pair"):
+            build_matrix_system(F(1, 3), betas, "decomposable", 4)
+
+    def test_betas_none_is_the_zero_pair(self):
+        zero = make_x_matrices(F(1, 3), (0, 0), "ext_a")
+        none = make_x_matrices(F(1, 3), None, "ext_a")
+        assert all(none(i, 2) == zero(i, 2) for i in range(-3, 4))
+        assert build_matrix_system(F(1, 3), None, "ext_a", 4) == (
+            build_matrix_system(F(1, 3), [F(0), F(0)], "ext_a", 4)
+        )
 
     def test_ext_types_tuple(self):
         assert EXT_TYPES == ("decomposable", "ext_a", "ext_b")

@@ -154,6 +154,28 @@ def test_jacobi_detects_corrupted_structure_constant():
     assert (x(1), x(-1), x(2)) in [tuple(t) for t in violations]
 
 
+@pytest.mark.parametrize(
+    "pair_key, term, delta",
+    [
+        # a denominator that no bracket of the table has
+        ((x(2), x(-1)), x(1), Fraction(1, 7)),
+        # [x(-1), x(3)] is read only as an outer bracket at window 2
+        ((x(-1), x(3)), x(2), Fraction(1, 2**80)),
+    ],
+    ids=["inner-plus-1/7", "outer-only-2^-80"],
+)
+def test_jacobi_corruption_matches_fraction_reference(pair_key, term, delta):
+    def broken(g, h):
+        out = pair_bracket(g, h)
+        if (g, h) == pair_key:
+            return out + LieElement({term: delta})
+        return out
+
+    violations = jacobi_check(2, pair=broken)
+    assert violations
+    assert violations == reference_jacobi(2, broken)
+
+
 def x_i_bracket(coeff, central):
     """A pair table whose [x(n), I(m)] is coeff(n, m) I(n+m) + delta(n, -m)
     central(n) C1, kept antisymmetric; every other pair as pair_bracket."""

@@ -17,6 +17,10 @@ hint half of the time.
 The fold keeps the columns of its working row in a heap; on any integer
 rows it must build the identical echelon basis as the plain fold below,
 which searches the row for its smallest column after every step.
+
+Wang's rational reconstruction runs its loop from the first step: a
+residue within the bound, or within the bound below the modulus, comes
+out of zero or one step as the same value that a direct return gave.
 """
 
 from fractions import Fraction
@@ -28,7 +32,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from w22.linalg import _fold, solve_sparse  # noqa: E402
+from math import isqrt  # noqa: E402
+
+from w22.linalg import _fold, _reconstruct, solve_sparse  # noqa: E402
 
 P = 2**61 - 1  # the first prime the solver tries
 NCOLS = 4
@@ -167,3 +173,65 @@ def integer_rows(draw):
 def test_heap_fold_builds_the_identical_pivots(case):
     rows, p = case
     assert _fold(rows, p) == reference_fold(rows, p)
+
+
+def reference_reconstruct(r, m, bound):
+    """Wang's reconstruction with direct returns for a residue within the
+    bound of 0 or of m."""
+    if r <= bound:
+        return Fraction(r)
+    if m - r <= bound:
+        return Fraction(r - m)
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
+
+
+MODULI = [7, 11, 31, 127, P, 2**127 - 1]
+
+
+@st.composite
+def residues(draw):
+    """(r, m): a residue mod a prime m, near 0, near m or anywhere."""
+    m = draw(st.sampled_from(MODULI))
+    bound = isqrt(m // 2)
+    near = st.integers(0, min(bound + 2, m - 1))
+    r = draw(st.one_of(
+        near, near.map(lambda k: m - 1 - k), st.integers(0, m - 1)
+    ))
+    return r, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(residues())
+@example((3, 7))
+@example((4, 7))
+@example((0, 7))
+@example((6, 7))
+def test_reconstruct_matches_the_direct_returns(case):
+    r, m = case
+    bound = isqrt(m // 2)
+    assert _reconstruct(r, m, bound) == reference_reconstruct(r, m, bound)
+
+
+@st.composite
+def small_fractions(draw):
+    """(a/b, m) with |a|, b <= isqrt(m // 2)."""
+    m = draw(st.sampled_from(MODULI))
+    bound = isqrt(m // 2)
+    a = draw(st.integers(-bound, bound))
+    b = draw(st.integers(1, bound))
+    return Fraction(a, b), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_fractions())
+def test_reconstruct_returns_a_small_fraction_exactly(case):
+    value, m = case
+    r = value.numerator * pow(value.denominator, -1, m) % m
+    assert _reconstruct(r, m, isqrt(m // 2)) == value

@@ -13,6 +13,7 @@ from w22 import (
     vir_embed,
     x,
 )
+from w22.rationals import clear_table
 
 
 def test_parses_integers_and_fractions():
@@ -103,3 +104,24 @@ def test_render_normalizes():
     assert rat_str(Fraction(2, 4)) == "1/2"
     assert rat_str(Fraction(-4, 2)) == "-2"
     assert rat_str(Fraction(3, -9)) == "-1/3"
+
+
+def test_clear_table_of_an_empty_table():
+    assert clear_table({}) == ({}, 1)
+    assert clear_table({"k": {}}) == ({"k": []}, 1)
+
+
+def test_clear_table_over_mixed_ints_and_fractions():
+    table = {
+        (0, 1): {"a": 3, "b": Fraction(1, 6)},
+        (2, -1): {"c": Fraction(-3, 4), "a": 0, "d": Fraction(5, 1)},
+        "only-ints": {7: -2},
+    }
+    cleared, den = clear_table(table)
+    assert den == 12
+    assert list(cleared) == list(table)
+    for key, terms in table.items():
+        assert [term for term, _ in cleared[key]] == list(terms)
+        for term, value in cleared[key]:
+            assert type(value) is int
+            assert value == terms[term] * den

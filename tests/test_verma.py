@@ -353,3 +353,17 @@ def test_roots_agree_with_direct_enumeration():
         params = HighestWeightParams(F(0), F(0), c0, c1)
         direct = [m for m in range(1, 7) if criterion_value(m, c0, c1) == 0]
         assert criterion_roots(params, 6) == direct
+
+
+@pytest.mark.parametrize("level", [2.0, F(2), "2", -1, None])
+def test_levels_that_are_not_nonnegative_ints_refused(level):
+    params = HighestWeightParams(F(1, 3), F(2), F(1), F(8))
+    match = "must be a nonnegative int"
+    with pytest.raises(ValueError, match="level " + match):
+        level_basis(level)
+    with pytest.raises(ValueError, match="max_n " + match):
+        character_dims(level)
+    with pytest.raises(ValueError, match="level " + match):
+        raising_matrix(1, level, params, "X")
+    with pytest.raises(ValueError, match="level " + match):
+        joint_kernel(params, level)

@@ -191,60 +191,47 @@ class LieElement(Combination):
     term_to_json = staticmethod(BasisElement.to_json)
     term_from_json = staticmethod(BasisElement.from_json)
 
-    @classmethod
-    def from_basis(cls, b, coeff=1):
-        return cls({b: coeff})
-
 
 ZERO = LieElement()
-
-
-def _central_term(n, central):
-    """delta(n, -m) (n^3 - n)/12 on the central generator, for m = -n."""
-    coeff = Fraction(n**3 - n, 12)
-    return {central: coeff} if coeff else {}
 
 
 @lru_cache(maxsize=None)
 def pair_bracket(g, h):
     """Bracket of two basis generators, as a LieElement.
 
+    One rule covers [x(n), x(m)] and [x(n), I(m)]: for g(m) = x(m) or I(m),
+
+        [x(n), g(m)] = (m - n) g(n+m) + delta(n, -m) (n^3 - n)/12 central(g),
+
+    where central(x) = C and central(I) = C1.  [I(n), x(m)] is
+    -[x(m), I(n)]; [I, I] and every bracket with C or C1 are 0.
+
     Memoized: each pair is computed once per process and every caller gets
     the same shared table entry, so the result must not be mutated.
     """
-    if g.is_central or h.is_central:
+    if g.is_central or h.is_central or g.kind == h.kind == I_KIND:
         return ZERO
-    if g.kind == I_KIND and h.kind == I_KIND:
-        return ZERO
-    if g.kind == I_KIND:  # [I(n), x(m)] = -[x(m), I(n)]
+    if g.kind == I_KIND:
         return -1 * pair_bracket(h, g)
     n, m = g.index, h.index
-    terms = {}
-    if h.kind == X_KIND:
-        if m != n:
-            terms[x(n + m)] = Fraction(m - n)
-        if m == -n:
-            terms.update(_central_term(n, C))
-    else:
-        if m != n:
-            terms[I(n + m)] = Fraction(m - n)
-        if m == -n:
-            terms.update(_central_term(n, C1))
+    central = C if h.kind == X_KIND else C1
+    terms = {BasisElement(h.kind, n + m): m - n}
+    if m == -n:
+        terms[central] = Fraction(n**3 - n, 12)
     return LieElement(terms)
 
 
-def _as_element(a):
-    if isinstance(a, BasisElement):
-        return LieElement.from_basis(a)
-    return a
-
-
 def bracket(a, b):
-    """Bilinear extension of the defining brackets (``pair_bracket`` table)."""
-    a, b = _as_element(a), _as_element(b)
+    """Bilinear extension of the defining brackets (``pair_bracket`` table).
+
+    Each argument is a generator, read as the one term {g: 1}, or a
+    ``LieElement``, read as its terms.
+    """
+    a = {a: 1} if isinstance(a, BasisElement) else a.terms
+    b = {b: 1} if isinstance(b, BasisElement) else b.terms
     out = {}
-    for g, cg in a.terms.items():
-        for h, ch in b.terms.items():
+    for g, cg in a.items():
+        for h, ch in b.items():
             c = cg * ch
             for k, ck in pair_bracket(g, h).terms.items():
                 out[k] = out.get(k, 0) + c * ck

@@ -202,14 +202,18 @@ class HighestWeightActor:
 def act_on_highest(u, params):
     """Evaluate a word or UEAElement on the highest-weight vector.
 
-    Returns a UEAElement supported on monomials in strictly negative
-    indices (the coefficients of the resulting module vector).
+    A word is read as the one term {word: 1} and applied to v as written,
+    factor by factor from the right, with no straightening first: the
+    module is a representation of the enveloping algebra, so any element
+    equal to the word there, its normal order included, gives the same
+    vector.  A UEAElement is applied monomial by monomial.  Returns a
+    UEAElement supported on monomials in strictly negative indices (the
+    coefficients of the resulting module vector).
     """
-    if not isinstance(u, UEAElement):
-        u = normal_order(u)
+    terms = u.terms if isinstance(u, UEAElement) else {tuple(u): 1}
     actor = HighestWeightActor(params)
     out = {}
-    for mono, coeff in u.terms.items():
+    for mono, coeff in terms.items():
         for m2, c2 in actor.apply_word(mono, coeff).items():
             out[m2] = out.get(m2, Fraction(0)) + c2
     return UEAElement(out)

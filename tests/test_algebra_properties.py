@@ -1,7 +1,8 @@
 """Property tests: the bracket is bilinear and antisymmetric, and on two
-generators it is the memoized ``pair_bracket`` table entry; the shared
-``Combination`` arithmetic and JSON form hold for both ``LieElement`` and
-``UEAElement``.
+generators it is the memoized ``pair_bracket`` table entry; a generator
+argument reads as the one-term element {g: 1}; the shared ``Combination``
+arithmetic and JSON form hold for both ``LieElement`` and ``UEAElement``;
+a word acts on the highest-weight vector as its normal order does.
 
 Elements are drawn as small rational combinations of generators, C and C1
 included, and enveloping-algebra elements as combinations of short words
@@ -22,9 +23,12 @@ from w22 import (  # noqa: E402
     C,
     C1,
     I,
+    HighestWeightParams,
     LieElement,
     UEAElement,
+    act_on_highest,
     bracket,
+    normal_order,
     pair_bracket,
     x,
 )
@@ -61,7 +65,27 @@ def test_bracket_is_antisymmetric(u, v):
 @given(generators, generators, scalars)
 def test_bracket_of_generators_is_the_table_entry(g, h, s):
     assert bracket(g, h) == pair_bracket(g, h)
-    assert bracket(LieElement.from_basis(g, s), h) == s * pair_bracket(g, h)
+    assert bracket(LieElement({g: s}), h) == s * pair_bracket(g, h)
+
+
+@bounded
+@given(generators, elements)
+def test_generator_argument_is_the_one_term_element(g, u):
+    one = LieElement({g: 1})
+    assert bracket(g, u) == bracket(one, u)
+    assert bracket(u, g) == bracket(u, one)
+
+
+small_generators = st.one_of(st.builds(x, st.integers(-3, 3)),
+                             st.builds(I, st.integers(-3, 3)),
+                             st.sampled_from([C, C1]))
+params = st.builds(HighestWeightParams, scalars, scalars, scalars, scalars)
+
+
+@bounded
+@given(st.lists(small_generators, max_size=5), params)
+def test_word_acts_as_its_normal_order(word, p):
+    assert act_on_highest(word, p) == act_on_highest(normal_order(word), p)
 
 
 @bounded
@@ -77,5 +101,5 @@ def test_combination_json_round_trip_and_cancellation(pair):
 @given(generators, scalars)
 def test_lie_and_enveloping_elements_are_never_equal(g, s):
     assert LieElement() != UEAElement()
-    assert LieElement.from_basis(g, s) != UEAElement({(g,): s})
-    assert UEAElement({(g,): s}) != LieElement.from_basis(g, s)
+    assert LieElement({g: s}) != UEAElement({(g,): s})
+    assert UEAElement({(g,): s}) != LieElement({g: s})

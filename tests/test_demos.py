@@ -1,6 +1,5 @@
 """Smoke test: every demo script runs to completion and prints something."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,12 +22,10 @@ def test_all_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    path = [str(ROOT / "src")]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    # the environment, with this checkout's src first on PYTHONPATH
+    # (tests/conftest.py), is inherited
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env
+        [sys.executable, str(demo)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -74,6 +74,40 @@ class TestPairBrackets:
             assert bracket(g, g) == ZERO
 
 
+def reference_pair_bracket(g, h):
+    """The defining brackets written as one branch per kind pair: the
+    oracle for pair_bracket's single [x(n), g(m)] rule."""
+    if g.is_central or h.is_central:
+        return ZERO
+    if g.kind == "I" and h.kind == "I":
+        return ZERO
+    if g.kind == "I":  # [I(n), x(m)] = -[x(m), I(n)]
+        return -1 * reference_pair_bracket(h, g)
+    n, m = g.index, h.index
+    terms = {}
+    if h.kind == "X":
+        if m != n:
+            terms[x(n + m)] = Fraction(m - n)
+        if m == -n and n**3 - n:
+            terms[C] = Fraction(n**3 - n, 12)
+    else:
+        if m != n:
+            terms[I(n + m)] = Fraction(m - n)
+        if m == -n and n**3 - n:
+            terms[C1] = Fraction(n**3 - n, 12)
+    return LieElement(terms)
+
+
+def test_pair_bracket_matches_the_branch_per_kind_reference():
+    gens = basis_window(12)
+    for g in gens:
+        for h in gens:
+            want = reference_pair_bracket(g, h)
+            got = pair_bracket(g, h)
+            assert got == want, (g, h)
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_antisymmetry_on_window():
     gens = basis_window(4)
     for g in gens:
@@ -292,6 +326,8 @@ class TestBasisElement:
             g.index = 5
         with pytest.raises(AttributeError):
             g.extra = 1
+        with pytest.raises(AttributeError):
+            del g.index
         assert x(2).index == 2
 
     def test_term_order(self):
@@ -309,6 +345,13 @@ def test_element_json_round_trip():
     data = elem.to_json()
     assert data["terms"][0]["kind"] == "C"  # canonical order
     assert LieElement.from_json(data) == elem
+
+
+def test_element_repr():
+    assert repr(ZERO) == "0"
+    assert repr(LieElement({x(2): -4, C: Fraction(1, 2), I(-3): 1})) == (
+        "1/2*C + 1*I(-3) + -4*x(2)"
+    )
 
 
 def test_zero_handling():

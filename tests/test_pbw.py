@@ -135,6 +135,12 @@ def test_monomial_degree_and_keys():
     assert monomial_key((I(-1),)) < monomial_key((x(-1),))
 
 
+def test_uea_repr():
+    assert repr(UEAElement({})) == "0"
+    u = UEAElement({(): F(2), (I(-1), x(-2)): F(-1, 3)})
+    assert repr(u) == "-1/3*I(-1)*x(-2) + 2*1"  # degree -3 sorts first
+
+
 def test_uea_json_round_trip():
     u = normal_order((x(2), I(-2), x(-1)))
     data = u.to_json()

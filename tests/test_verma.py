@@ -105,6 +105,15 @@ class TestRaisingMatrices:
         want = [[F(0), F(0), F(0), F(-4) * F(2) + F(5) / 2, F(6) * F(2)]]
         assert raising_matrix(2, 2, self.params, "I") == want
 
+    @pytest.mark.parametrize("k, n", [(0, 2), (3, 2)])
+    def test_k_outside_one_to_n_refused(self, k, n):
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            raising_matrix(k, n, self.params, "X")
+
+    def test_unknown_gen_kind_refused(self):
+        with pytest.raises(ValueError, match="gen_kind must be 'X' or 'I'"):
+            raising_matrix(1, 2, self.params, "C")
+
     def test_shapes(self):
         m = raising_matrix(1, 3, self.params, "X")
         assert len(m) == len(level_basis(2))

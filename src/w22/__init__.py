@@ -8,6 +8,8 @@ pin down the possible I-actions on weight modules.  All arithmetic is
 over ``fractions.Fraction``; nothing here floats.
 """
 
+from types import ModuleType as _ModuleType
+
 from .rationals import rat, rat_str
 from .liecore import (
     C,
@@ -84,69 +86,10 @@ from .constraints import (
 
 __version__ = "0.1.0"
 
+# Every public name bound above, in import order: the submodules that
+# the imports bind, and underscore names, are left out.
 __all__ = [
-    "rat",
-    "rat_str",
-    "BasisElement",
-    "LieElement",
-    "ZERO",
-    "C",
-    "C1",
-    "I",
-    "x",
-    "X_KIND",
-    "I_KIND",
-    "C_KIND",
-    "C1_KIND",
-    "term_key",
-    "basis_window",
-    "bracket",
-    "pair_bracket",
-    "jacobi_check",
-    "vir_embed",
-    "UEAElement",
-    "normal_order",
-    "multiply",
-    "is_normal_ordered",
-    "monomial_degree",
-    "monomial_key",
-    "monomial_to_json",
-    "monomial_from_json",
-    "HighestWeightParams",
-    "HighestWeightActor",
-    "act_on_highest",
-    "level_basis",
-    "character_dims",
-    "VermaVector",
-    "SingularVectorReport",
-    "IrreducibilityReport",
-    "raising_matrix",
-    "joint_kernel",
-    "find_singular",
-    "criterion_value",
-    "criterion_roots",
-    "is_verma_irreducible",
-    "FAMILIES",
-    "ModuleSpec",
-    "ProbeReport",
-    "simple_subquotient",
-    "coefficient",
-    "act",
-    "act_element",
-    "bracket_compatibility_check",
-    "simplicity_probe",
-    "action_table_rows",
-    "EXT_TYPES",
-    "ConstraintSystem",
-    "SolutionSpace",
-    "build_f_system",
-    "build_matrix_system",
-    "make_x_matrices",
-    "verify_x_action",
-    "solve_linear",
-    "check_quadratic",
-    "c1_is_forced_zero",
-    "report",
-    "f_family_assignment",
-    "matrix_family_assignment",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -6,10 +6,18 @@ action tables.  Scalars are written and read as decimal-free fraction
 strings, generators as the shell-safe tokens ``x:n``, ``i:n``, ``c``,
 ``c1``.
 
+The command line reads, the library decides.  Every integer token (an
+option value, the n of ``x:n`` and ``i:n``, a ``--mask`` entry) is read
+by ``rationals.integer`` and every rational by ``rationals.rat``, with no
+bound of their own; whether a window, a level or a module is valid is
+left to the library call the verb makes.  A ``ValueError`` that call
+raises becomes the verb's usage error, as one that a reader raises does.
+
 Exit codes: 0 on success, 1 when ``--strict`` is set and the verb found
 something to complain about (bracket violations, singular vectors,
 candidate submodules, infeasible or quadratically surviving systems),
-2 on usage errors.
+2 on usage errors: one line ``w22 <verb>: error: <message>`` under the
+verb's usage.
 """
 
 import argparse
@@ -20,6 +28,7 @@ from fractions import Fraction
 
 from . import constraints as con
 from . import intermediate as im
+from . import rationals
 from .liecore import C, C1, I, bracket, jacobi_check, vir_embed, x
 from .pbw import HighestWeightParams, monomial_to_json, normal_order
 from .rationals import rat, rat_str
@@ -38,8 +47,25 @@ class Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-\d+(?:/\d+)?(?:,-?\d+(?:/\d+)?)*$"
+            r"^-[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*$"
         )
+
+
+def _reader(read):
+    """An argparse type that reads with read and keeps its ValueError's
+    message."""
+
+    def parse(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+rational = _reader(rat)
+integer = _reader(rationals.integer)
 
 
 def generator_token(text):
@@ -52,11 +78,9 @@ def generator_token(text):
     head, sep, tail = s.partition(":")
     if sep and head in ("x", "i"):
         try:
-            n = int(tail)
+            return (x if head == "x" else I)(rationals.integer(tail))
         except ValueError:
-            n = None
-        if n is not None:
-            return x(n) if head == "x" else I(n)
+            pass
     raise argparse.ArgumentTypeError(
         "not a generator token: %r (expected x:n, i:n, c or c1)" % (text,)
     )
@@ -71,32 +95,6 @@ def token_of(gen):
     return "c" if gen.kind == "C" else "c1"
 
 
-def _int_at_least(least):
-    def parse(text):
-        try:
-            n = int(text)
-        except ValueError:
-            n = None
-        if n is None or n < least:
-            raise argparse.ArgumentTypeError(
-                "not an integer >= %d: %r" % (least, text)
-            )
-        return n
-
-    return parse
-
-
-nonnegative_int = _int_at_least(0)
-positive_int = _int_at_least(1)
-
-
-def rational(text):
-    try:
-        return rat(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def rational_pair(text):
     parts = str(text).split(",")
     if len(parts) != 2:
@@ -107,12 +105,7 @@ def rational_pair(text):
 
 
 def int_set(text):
-    try:
-        return frozenset(int(p) for p in str(text).split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "not a comma-separated integer list: %r" % (text,)
-        ) from None
+    return frozenset(integer(p) for p in str(text).split(","))
 
 
 def emit(obj):
@@ -128,7 +121,7 @@ def _add_params(sub):
                      help="highest-weight value of I(0)")
     sub.add_argument("--c1", type=rational, required=True,
                      help="value of the central element C1")
-    sub.add_argument("--max-level", type=nonnegative_int, required=True,
+    sub.add_argument("--max-level", type=integer, required=True,
                      help="search depth (levels 1..max-level)")
 
 
@@ -162,13 +155,13 @@ def build_parser():
     p.add_argument("--right", type=generator_token, required=True)
 
     p = verb("jacobi", _run_jacobi, help="Jacobi identity sweep on a window")
-    p.add_argument("--window", type=nonnegative_int, required=True)
+    p.add_argument("--window", type=integer, required=True)
     p.add_argument("--strict", action="store_true")
 
     p = verb("vir-embed", _run_vir_embed,
              help="Virasoro copy element x(n)+n*e*I(n)")
     p.add_argument("--e", type=rational, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
 
     p = verb("normal-order", _run_normal_order,
              help="straighten a product of generators")
@@ -177,7 +170,7 @@ def build_parser():
 
     p = verb("verma-basis", _run_verma_basis,
              help="PBW basis of one Verma level")
-    p.add_argument("--level", type=nonnegative_int, required=True)
+    p.add_argument("--level", type=integer, required=True)
 
     p = verb("verma-singular", _run_verma_singular,
              help="joint-kernel singular vector search")
@@ -192,16 +185,16 @@ def build_parser():
     p = verb("im-act", _run_im_act,
              help="weight-module action (table or single)")
     _add_module_spec(p)
-    p.add_argument("--window", type=positive_int, default=None)
+    p.add_argument("--window", type=integer, default=None)
     p.add_argument("--gen", type=generator_token, default=None,
                    help="single-application mode: generator token")
-    p.add_argument("--index", type=int, default=None,
+    p.add_argument("--index", type=integer, default=None,
                    help="single-application mode: source weight index")
     p.add_argument("--output", choices=("json", "tsv"), default="json")
 
     p = verb("im-probe", _run_im_probe, help="windowed reachability probe")
     _add_module_spec(p)
-    p.add_argument("--window", type=positive_int, required=True)
+    p.add_argument("--window", type=integer, required=True)
     p.add_argument("--strict", action="store_true")
 
     p = verb("verify-f", _run_verify,
@@ -209,7 +202,7 @@ def build_parser():
     p.set_defaults(build=_f_system)
     p.add_argument("--a", type=rational, required=True)
     p.add_argument("--b", type=rational, required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=integer, required=True)
     p.add_argument("--full", action="store_true")
     p.add_argument("--strict", action="store_true")
 
@@ -220,7 +213,7 @@ def build_parser():
     p.add_argument("--betas", type=rational_pair, default=(Fraction(0), Fraction(0)),
                    help="diagonal parameters, e.g. 0,1 (decomposable only)")
     p.add_argument("--ext-type", choices=con.EXT_TYPES, required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=integer, required=True)
     p.add_argument("--no-normalize", action="store_true",
                    help="omit the pinning equation F(1,0)[2,1] = alpha")
     p.add_argument("--full", action="store_true")
@@ -229,20 +222,15 @@ def build_parser():
     return parser
 
 
-def _module_spec(parser, args):
-    if args.family == "Aab":
-        if args.b is None:
-            parser.error("--b is required for family Aab")
-    elif args.b is not None:
-        parser.error("--b applies only to family Aab")
+def _module_spec(args):
     return im.ModuleSpec(args.family, args.a, args.b, masked=args.mask)
 
 
-def _run_bracket(parser, args):
+def _run_bracket(args):
     emit(bracket(args.left, args.right).to_json())
 
 
-def _run_jacobi(parser, args):
+def _run_jacobi(args):
     violations = jacobi_check(args.window)
     emit({
         "window": args.window,
@@ -251,15 +239,15 @@ def _run_jacobi(parser, args):
     return bool(violations)
 
 
-def _run_vir_embed(parser, args):
+def _run_vir_embed(args):
     emit(vir_embed(args.e, args.n).to_json())
 
 
-def _run_normal_order(parser, args):
+def _run_normal_order(args):
     emit(normal_order(tuple(args.generators)).to_json())
 
 
-def _run_verma_basis(parser, args):
+def _run_verma_basis(args):
     basis = level_basis(args.level)
     emit({
         "level": args.level,
@@ -272,7 +260,7 @@ def _params(args):
     return HighestWeightParams(args.lam, args.c, args.c0, args.c1)
 
 
-def _run_verma_singular(parser, args):
+def _run_verma_singular(args):
     reports = find_singular(_params(args), args.max_level)
     emit({
         "max_level": args.max_level,
@@ -281,21 +269,21 @@ def _run_verma_singular(parser, args):
     return bool(reports)
 
 
-def _run_verma_check(parser, args):
+def _run_verma_check(args):
     verdict = is_verma_irreducible(_params(args), args.max_level)
     emit(verdict.to_json())
     return verdict.verdict == "reducible"
 
 
-def _run_im_act(parser, args):
-    spec = _module_spec(parser, args)
+def _run_im_act(args):
+    spec = _module_spec(args)
     if args.gen is not None:
         if args.index is None:
-            parser.error("--gen requires --index")
+            raise ValueError("--gen requires --index")
         if args.output == "tsv":
-            parser.error("--output tsv applies to table mode only")
+            raise ValueError("--output tsv applies to table mode only")
         if args.window is not None:
-            parser.error("--window applies to table mode only")
+            raise ValueError("--window applies to table mode only")
         result = im.act(spec, args.gen, {args.index: Fraction(1)})
         emit({
             "family": spec.family,
@@ -305,9 +293,9 @@ def _run_im_act(parser, args):
         })
         return
     if args.index is not None:
-        parser.error("--index requires --gen")
+        raise ValueError("--index requires --gen")
     if args.window is None:
-        parser.error("table mode requires --window")
+        raise ValueError("table mode requires --window")
     rows = im.action_table_rows(spec, args.window)
     if args.output == "tsv":
         for kind, m, i, coeff in rows:
@@ -322,8 +310,8 @@ def _run_im_act(parser, args):
     })
 
 
-def _run_im_probe(parser, args):
-    spec = _module_spec(parser, args)
+def _run_im_probe(args):
+    spec = _module_spec(args)
     probe = im.simplicity_probe(spec, args.window)
     emit(probe.to_json())
     return probe.verdict != "no-proper-invariant-window-subspace"
@@ -350,11 +338,8 @@ def _matrix_system(args):
                                    args.window, normalized=not args.no_normalize)
 
 
-def _run_verify(parser, args):
-    try:
-        system = args.build(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _run_verify(args):
+    system = args.build(args)
     solution = con.solve_linear(system)
     survivors = con.check_quadratic(system, solution)
     emit(_solved_summary(system, solution, survivors, args.full))
@@ -362,10 +347,17 @@ def _run_verify(parser, args):
 
 
 def main(argv=None):
-    """Run one verb; each runner returns whether it found something."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    found = args.run(args.parser, args)
+    """Run one verb; each runner returns whether it found something.
+
+    A ValueError from the runner, which is a refusal of the library call
+    it makes or of a combination of im-act options, exits 2 as the verb's
+    usage error.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        found = args.run(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     return 1 if found and getattr(args, "strict", False) else 0
 
 

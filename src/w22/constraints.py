@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liecore import check_window
 from .linalg import solve_sparse
-from .rationals import clear_denominators, clear_table, rat, rat_str
+from .rationals import check_int, clear_denominators, clear_table, rat, rat_str
 
 EXT_TYPES = ("decomposable", "ext_a", "ext_b")
 
@@ -355,7 +354,7 @@ def build_f_system(a, b, window):
     """
     a = rat(a)
     b = rat(b)
-    check_window(window, 3)
+    check_int(window, 3, "window")
     shift = {n: a + b * n for n in range(-window, window + 1)}
     unknowns, equations, quadratics, spanning, order = _build(
         lambda n, t: ((shift[n] + t,),), 1, window,
@@ -516,7 +515,7 @@ def verify_x_action(a_mat, window):
     window 0 only the triple (0, 0, 0) is checked, which every family of
     matrices passes.
     """
-    check_window(window, 1)
+    check_int(window, 1, "window")
     rng = range(-window, window + 1)
     far = range(-2 * window, 2 * window + 1)
     table, den = clear_table({
@@ -558,7 +557,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     homogeneous and normalizes nothing, so it is refused there.
     """
     alpha = rat(alpha)
-    check_window(window, 4)
+    check_int(window, 4, "window")
     a_mat = make_x_matrices(alpha, betas, ext_type)
     normalized = bool(normalized and ext_type != "decomposable")
     if normalized and not alpha:

@@ -20,8 +20,8 @@ masked table returned by ``simple_subquotient``.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liecore import X_KIND, check_window, pair_bracket, x
-from .rationals import clear_denominators, clear_table, rat, rat_str
+from .liecore import X_KIND, pair_bracket, x
+from .rationals import check_int, clear_denominators, clear_table, rat, rat_str
 
 FAMILIES = ("Aab", "Aa", "Ba")
 
@@ -123,7 +123,7 @@ def bracket_compatibility_check(spec, window):
 
     and as D^2 E != 0 the two decide the same.
     """
-    check_window(window, 1)
+    check_int(window, 1, "window")
     near = range(-window, window + 1)
     far = range(-2 * window, 2 * window + 1)
     keys = [
@@ -180,7 +180,7 @@ def simplicity_probe(spec, window):
     only shrink closures, so a "candidate-submodule" verdict is a hint,
     not a proof of reducibility.
     """
-    check_window(window, 1)
+    check_int(window, 1, "window")
     indices = [i for i in range(-window, window + 1) if i not in spec.masked]
     index_set = set(indices)
     reach = {}
@@ -219,7 +219,7 @@ def action_table_rows(spec, window):
     I-rows are omitted since every I(n) acts as zero.  Rows with zero
     coefficient are kept so the table shape is predictable.
     """
-    check_window(window, 1)
+    check_int(window, 1, "window")
     rows = []
     for m in range(-window, window + 1):
         for i in range(-window, window + 1):

@@ -20,7 +20,7 @@ only fixes its keys to be generators.
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import clear_table, rat, rat_str
+from .rationals import check_int, clear_table, rat, rat_str
 
 X_KIND = "X"
 I_KIND = "I"
@@ -246,17 +246,6 @@ def basis_window(window):
     return gens
 
 
-def check_window(window, least):
-    """Refuse a window that is not an int (``range`` would raise TypeError)
-    or is below least, with ValueError."""
-    if not isinstance(window, int):
-        raise ValueError("window must be an int, got %r" % (window,))
-    if window < least:
-        raise ValueError(
-            "window must be at least %d, got %d" % (least, window)
-        )
-
-
 def jacobi_check(window, pair=pair_bracket):
     """Evaluate the Jacobi identity on every generator triple in the window.
 
@@ -276,7 +265,7 @@ def jacobi_check(window, pair=pair_bracket):
 
     A window that is not an int, or is negative, raises ValueError.
     """
-    check_window(window, 0)
+    check_int(window, 0, "window")
     gens = basis_window(window)
     reached = set(gens).union(*[pair(b, c).terms for b in gens for c in gens])
     table, _ = clear_table(

@@ -1,9 +1,14 @@
-"""Exact scalars.
+"""Exact scalars and the integers that index everything else.
 
-Every coefficient in this package is a ``fractions.Fraction``.  ``rat``
-and ``rat_str`` pin down the single accepted text form: ``p`` or ``p/q``
-with an optional leading minus and no decimals or exponents; ``rat``
-strips surrounding whitespace first, so ``" 1/2 "`` reads as 1/2.
+Every coefficient in this package is a ``fractions.Fraction``.  Two text
+forms are accepted, each with an optional leading minus, ASCII digits
+only, and no sign ``+``, digit separator ``_``, decimal or exponent:
+``n`` for an integer (``integer``), and ``p`` or ``p/q`` with q > 0 for a
+rational (``rat``, printed back by ``rat_str``).  Both readers strip
+surrounding whitespace first, so ``" 1/2 "`` reads as 1/2.
+
+``check_int`` is the one bound check on an integer argument (a window, a
+level): the value must be an int and at least a given least value.
 ``clear_denominators`` moves a list of rationals to integers, and
 ``clear_table`` a table of them, for the exact checks that run in integer
 arithmetic.
@@ -13,7 +18,28 @@ import re
 from fractions import Fraction
 from math import lcm
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+
+
+def integer(text):
+    """Parse ``n`` into an int; reject anything else."""
+    s = str(text).strip()
+    if not _INTEGER_RE.fullmatch(s):
+        raise ValueError("not an integer: %r (expected n)" % (text,))
+    return int(s)
+
+
+def check_int(value, least, name):
+    """Refuse a value that is not an int, or is below least, with ValueError
+    naming it (``range`` would raise TypeError on the one, and may quietly
+    run empty on the other)."""
+    if not isinstance(value, int):
+        raise ValueError("%s must be an int, got %r" % (name, value))
+    if value < least:
+        raise ValueError(
+            "%s must be at least %d, got %d" % (name, least, value)
+        )
 
 
 def rat(text):
@@ -23,7 +49,7 @@ def rat(text):
     if isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(s):
         raise ValueError("not a rational: %r (expected p or p/q)" % (text,))
     return Fraction(s)
 

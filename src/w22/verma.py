@@ -38,7 +38,7 @@ from .pbw import (
     monomial_key,
     monomial_to_json,
 )
-from .rationals import rat_str
+from .rationals import check_int, rat_str
 
 
 def _partitions(n, largest=None):
@@ -53,22 +53,12 @@ def _partitions(n, largest=None):
             yield (first,) + rest
 
 
-def _check_level(level, name="level"):
-    """Refuse a level that is not an int, or is negative, with ValueError
-    (``range`` would raise TypeError on the one, and find no level in the
-    other)."""
-    if not isinstance(level, int) or level < 0:
-        raise ValueError(
-            "%s must be a nonnegative int, got %r" % (name, level)
-        )
-
-
 def level_basis(n):
     """Ordered PBW monomial basis of level n (degree -n).
 
     A level that is not an int, or is negative, raises ValueError.
     """
-    _check_level(n)
+    check_int(n, 0, "level")
     return list(_level_basis(n))
 
 
@@ -91,7 +81,7 @@ def character_dims(max_n):
 
     A max_n that is not an int, or is negative, raises ValueError.
     """
-    _check_level(max_n, "max_n")
+    check_int(max_n, 0, "max_n")
     return [len(_level_basis(n)) for n in range(max_n + 1)]
 
 
@@ -134,7 +124,7 @@ def raising_matrix(k, n, params, gen_kind, actor=None):
     both in canonical monomial order.  gen_kind is "X" or "I".  A level n
     that is not an int, or is negative, raises ValueError.
     """
-    _check_level(n)
+    check_int(n, 0, "level")
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
     if gen_kind not in ("X", "I"):
@@ -160,7 +150,7 @@ def joint_kernel(params, level, actor=None):
     the joint kernel of all gen(k), k = 1..level.  A level that is not an
     int, or is negative, raises ValueError.
     """
-    _check_level(level)
+    check_int(level, 0, "level")
     if actor is None:
         actor = HighestWeightActor(params)
     dim = len(_level_basis(level))
@@ -172,11 +162,13 @@ def joint_kernel(params, level, actor=None):
 
 
 def _normalize_first_one(vec):
-    for v in vec:
-        if v:
-            scale = 1 / v
-            return [scale * u for u in vec]
-    return vec
+    """vec rescaled so that its first nonzero coordinate is 1.
+
+    vec is a kernel basis vector, which is 1 at its free column, so it
+    always has a nonzero coordinate.
+    """
+    scale = 1 / next(v for v in vec if v)
+    return [scale * u for u in vec]
 
 
 def _singular_reports(params, max_level):
@@ -184,7 +176,7 @@ def _singular_reports(params, max_level):
     only when the next report is asked for.  A max_level that is not an
     int, or is negative, raises ValueError when the first report is asked
     for."""
-    _check_level(max_level, "max_level")
+    check_int(max_level, 0, "max_level")
     actor = HighestWeightActor(params)
     for level in range(1, max_level + 1):
         kernel = joint_kernel(params, level, actor=actor)

@@ -13,7 +13,7 @@ from w22 import (
     vir_embed,
     x,
 )
-from w22.rationals import clear_table
+from w22.rationals import check_int, clear_table, integer
 
 
 def test_parses_integers_and_fractions():
@@ -31,7 +31,8 @@ def test_passthrough_for_numeric_inputs():
 
 @pytest.mark.parametrize(
     "bad",
-    ["0.5", "1e3", "1/0", "1/-2", "--1", "1 / 2", "", "a/b", "1//2", "+1"],
+    ["0.5", "1e3", "1/0", "1/-2", "--1", "1 / 2", "", "a/b", "1//2", "+1",
+     "1_0", "1/1_0", "٣", "1/٢", "３"],
 )
 def test_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
@@ -41,6 +42,53 @@ def test_rejects_non_rationals(bad):
 def test_error_message_cites_the_literal():
     with pytest.raises(ValueError, match="0.5"):
         rat("0.5")
+
+
+def test_surrounding_whitespace_is_stripped():
+    assert rat(" 3 ") == 3
+    assert rat("\t-1/2\n") == Fraction(-1, 2)
+    assert integer(" -0 ") == 0
+    assert integer("\n12\t") == 12
+
+
+def test_parses_integers():
+    assert integer("0") == 0
+    assert integer("-17") == -17
+    assert integer("007") == 7
+    assert type(integer("3")) is int
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1_0", "+3", "٣", "３", "", " ", "-", "--1", "3.0", "1e3", "0x3",
+     "1/2", "3 4"],
+)
+def test_integer_rejects_everything_but_ascii_digits(bad):
+    with pytest.raises(ValueError) as exc:
+        integer(bad)
+    assert str(exc.value) == "not an integer: %r (expected n)" % (bad,)
+
+
+@pytest.mark.parametrize("value, least", [(0, 0), (5, 0), (4, 4), (-2, -3)])
+def test_check_int_accepts_ints_at_least_least(value, least):
+    assert check_int(value, least, "window") is None
+
+
+@pytest.mark.parametrize(
+    "value, least, message",
+    [
+        (-1, 0, "level must be at least 0, got -1"),
+        (3, 4, "level must be at least 4, got 3"),
+        (2.0, 0, "level must be an int, got 2.0"),
+        ("3", 0, "level must be an int, got '3'"),
+        (Fraction(3), 0, "level must be an int, got Fraction(3, 1)"),
+        (None, 0, "level must be an int, got None"),
+    ],
+)
+def test_check_int_refusals_name_the_value(value, least, message):
+    with pytest.raises(ValueError) as exc:
+        check_int(value, least, "level")
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -364,15 +364,24 @@ def test_roots_agree_with_direct_enumeration():
         assert criterion_roots(params, 6) == direct
 
 
-@pytest.mark.parametrize("level", [2.0, F(2), "2", -1, None])
-def test_levels_that_are_not_nonnegative_ints_refused(level):
+def assert_level_refused(level, message):
     params = HighestWeightParams(F(1, 3), F(2), F(1), F(8))
-    match = "must be a nonnegative int"
-    with pytest.raises(ValueError, match="level " + match):
-        level_basis(level)
-    with pytest.raises(ValueError, match="max_n " + match):
-        character_dims(level)
-    with pytest.raises(ValueError, match="level " + match):
-        raising_matrix(1, level, params, "X")
-    with pytest.raises(ValueError, match="level " + match):
-        joint_kernel(params, level)
+    for name, call in [
+        ("level", lambda: level_basis(level)),
+        ("max_n", lambda: character_dims(level)),
+        ("level", lambda: raising_matrix(1, level, params, "X")),
+        ("level", lambda: joint_kernel(params, level)),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "%s %s" % (name, message)
+
+
+@pytest.mark.parametrize("level", [2.0, F(2), "2", None])
+def test_levels_that_are_not_nonnegative_ints_refused(level):
+    assert_level_refused(level, "must be an int, got %r" % (level,))
+
+
+@pytest.mark.parametrize("level", [-1, -3])
+def test_negative_levels_refused(level):
+    assert_level_refused(level, "must be at least 0, got %d" % level)

@@ -317,18 +317,6 @@ def _run_im_probe(args):
     return probe.verdict != "no-proper-invariant-window-subspace"
 
 
-def _solved_summary(system, solution, survivors, full):
-    if full:
-        return con.report(system, solution, survivors)
-    out = {}
-    if not solution.feasible:
-        out["infeasible"] = True
-    out["dimension"] = solution.dimension
-    out["c1_forced_zero"] = con.c1_is_forced_zero(solution)
-    out["quadratic_survivors"] = len(survivors)
-    return out
-
-
 def _f_system(args):
     return con.build_f_system(args.a, args.b, args.window)
 
@@ -338,12 +326,19 @@ def _matrix_system(args):
                                    args.window, normalized=not args.no_normalize)
 
 
+_SUMMARY = ("infeasible", "dimension", "c1_forced_zero", "quadratic_survivors")
+
+
 def _run_verify(args):
     system = args.build(args)
     solution = con.solve_linear(system)
-    survivors = con.check_quadratic(system, solution)
-    emit(_solved_summary(system, solution, survivors, args.full))
-    return (not solution.feasible) or bool(survivors)
+    out = con.report(system, solution, con.check_quadratic(system, solution))
+    # Without --full the summary is the report's keys in _SUMMARY, with
+    # "infeasible" only when it holds.
+    emit(out if args.full else {
+        key: out[key] for key in _SUMMARY if key != "infeasible" or out[key]
+    })
+    return out["infeasible"] or bool(out["quadratic_survivors"])
 
 
 def main(argv=None):

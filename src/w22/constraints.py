@@ -128,17 +128,14 @@ def check_quadratic(system, solution):
     Each basis ray is tested on its own (scaled by 1); for homogeneous
     quadratics this decides, for each ray direction, whether the whole
     ray lies on the quadratic variety.  The test is exact and runs on
-    integers: each ray, a name -> value dict, becomes one integer vector
-    over the columns by clearing its common denominator, which scales
-    every homogeneous quadratic residual by the same nonzero square.
+    integers: each ray, read over the columns as the equations are,
+    becomes one integer vector by clearing its common denominator, which
+    scales every homogeneous quadratic residual by the same nonzero
+    square.
     """
-    col = {name: i for i, name in enumerate(system.unknowns)}
     survivors = []
     for i, ray in enumerate(solution.basis):
-        ints, _ = clear_denominators(ray.values())
-        vec = [0] * len(col)
-        for name, value in zip(ray, ints):
-            vec[col[name]] = value
+        vec = clear_denominators(system._values(ray))[0]
         for terms in system.quadratics:
             acc = 0
             for left, right, coeff in terms:
@@ -152,11 +149,9 @@ def check_quadratic(system, solution):
 
 def c1_is_forced_zero(solution):
     """True when every solution of the linear system has C1 = 0."""
-    if not solution.feasible:
-        return False
-    return all(
-        ray.get("C1", Fraction(0)) == 0 for ray in solution.basis
-    ) and solution.particular.get("C1", Fraction(0)) == 0
+    return solution.feasible and not any(
+        ray.get("C1") for ray in [solution.particular, *solution.basis]
+    )
 
 
 def report(system, solution, survivors=None):
@@ -219,8 +214,9 @@ def _build(act, d, window, names):
     (1, -2) and (-1, 2), fell short on about a third of them and the
     other pairs on all.  It falls short on some decomposable systems at
     positive integral alpha: alpha = 3 with betas (1, 2) at window 4 is
-    one.  The solver checks every row regardless, and a hint that does not
-    span only costs a second fold of every row.
+    one.  The solver checks every row regardless; when the hint does not
+    span, the rows outside it join the same echelon basis at the same
+    prime, so a short hint costs only the fold of those rows.
     Quadratics are the entries of
     [I(i), I(j)] v = F(i, j+n) F(j, n) - F(j, i+n) F(i, n) = 0 for i < j.
 

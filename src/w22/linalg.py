@@ -14,51 +14,55 @@ runs over Fraction:
 
 1. Each row of M is cleared of its denominators once, on entry: it is
    scaled by the lcm of its own denominators (b included), which keeps
-   its kernel.  The integer rows are folded, in input order, into an
-   echelon basis keyed by leading column (the smallest column left in
-   the reduced row), over GF(p) on plain ints.  p runs up a ladder of
-   Mersenne primes 2^e - 1, e = 61, 127, 521, ..., 86243; each attempt
-   starts from scratch with one prime, and no residues are combined.
+   its kernel.  The integer rows to fold (all of them, or a hint, below)
+   are folded, in input order, into an echelon basis keyed by leading
+   column (the smallest column left in the reduced row), over GF(p) on
+   plain ints.  p runs up a ladder of Mersenne primes 2^e - 1, e = 61,
+   127, 521, ..., 86243; each attempt starts from scratch with one prime,
+   and no residues are combined.
 2. Back-substitution mod p gives one kernel vector per free column f (1
    at f, 0 at the other free columns).
 3. The residues are lifted by Wang's rational reconstruction (Wang,
    SYMSAC 1981; Monagan, ISSAC 2004), which reaches numerators and
    denominators up to sqrt(p / 2).
 4. The lift is returned only after an exact check: M k = 0 for every
-   kernel vector, (x, 1) included.  A lift that fails takes the next
-   prime of the ladder; past the last one ArithmeticError is raised,
-   never an unchecked answer.  The check reads the same integer rows as
-   the fold: each lifted vector is cleared once to ints over a common
-   denominator, and a row holds when its integer dot product with the
-   ints is 0.
+   kernel vector, (x, 1) included.  A vector with no lift, or one that
+   fails a folded row, takes the next prime of the ladder; past the last
+   one ArithmeticError is raised, never an unchecked answer.  The check
+   reads the same integer rows as the fold: each lifted vector is
+   cleared once to ints over a common denominator, and a row holds when
+   its integer dot product with the ints is 0.
 
-The check is a certificate, not a heuristic.  A verified kernel vector
-of free column f has k[f] = 1 and is supported on f and the pivots left
-of f, so column f is a combination of earlier columns over Q; every free
-column mod p is then free over Q, and since the rows are integer, rank
-over Q is at least rank mod p for every p, so the two free sets are
-equal.  The pivot columns and the kernel basis are therefore the unique
-ones of the exact leading-column echelon form of M: the answer does not
-depend on p.  Whether column ncols is free, and so whether the system is
-feasible, is certified with the rest.
+The check is a certificate, not a heuristic, whichever rows were folded.
+Let M_F be the folded rows and suppose every vector passes every row of
+M.  The lifted vector k of a free column f of M_F mod p has k[f] = 1
+and is supported on f and the pivots left of f, so column f of M is a
+combination of earlier columns over Q, and f is free in M over Q.  Since
+the rows are integer, rank_Q(M) >= rank_Q(M_F) >= rank_p(M_F), so M has
+no more free columns over Q than M_F has mod p: the two free sets are
+equal, the three ranks too, and ker(M) = ker(M_F).  The pivot columns
+and the kernel basis are therefore the unique ones of the exact
+leading-column echelon form of M: the answer depends neither on p nor
+on which rows were folded.  Whether column ncols is free, and so
+whether the system is feasible, is certified with the rest.
 
 A caller that expects some rows to span the row space can pass their
 indices as ``spanning`` (the constraint systems pass the rows of the
 relations with x(1), x(-1) and x(-2), a hint measured to span on most
-systems, not proved to); only those rows S are folded, and the exact
-check still runs on every row of M.  A lifted vector that fails a row of
-S takes the next prime, as above.  When every vector passes every row,
-they are independent vectors of ker(M), one per free column of M_S mod
-p, so rank_Q(M) <= rank_p(M_S) <= rank_Q(M_S) <= rank_Q(M): the ranks
-are equal, ker(M) = ker(M_S), and the free columns and the answer are
-those of M.  A vector that passes S but fails another row lies in
-ker(M_S) and not in ker(M), so S does not span, and the system is solved
-again with every row folded.
+systems, not proved to); only those rows are folded first, and the exact
+check still runs on every row of M.  A vector that passes the folded
+rows but fails another lies in ker(M_F) and not in ker(M), so the hint
+does not span.  The fold then continues at the same prime: the nonempty
+rows outside the hint join the hint's echelon basis, which becomes one of
+every row, and the vectors it gives are checked on every row again.
+Each row is folded at most once per prime.
 
 A caller can also pass ``order``, a permutation of the columns of A:
 column order[k] is relabelled k as the rows are cleared, so the fold
 takes its pivots in that order, and the certified answer of the
 relabelled rows is mapped back over Q.  Column ncols keeps its place.
+Without ``order`` the order is the identity, and the map leaves the
+answer as it is.
 The natural answer depends only on ker(M): the vector of free column f
 is the only vector of ker(M) that is 1 at f, 0 at the other free columns
 and 0 right of f.  The relabelled answer, un-permuted, is a certified
@@ -90,16 +94,20 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _fold(rows, p):
+def _fold(rows, p, pivots=None):
     """Leading-column echelon fold mod p of integer rows from _exact_rows.
 
     Returns pivots, which maps each leading column to the tail of its
-    monic pivot row: the (col, coeff) pairs after the leading 1.  Each
-    input row is reduced mod p only when it is folded, so no second copy
-    of the system is held.  The columns of the working row are kept in a
-    heap, so the leading column is popped rather than searched for.
+    monic pivot row: the (col, coeff) pairs after the leading 1.  Given
+    the pivots of earlier rows at the same p, the rows are folded into
+    them, which are extended in place: the result is the one a single fold
+    of the earlier rows followed by these would build.  Each input row is
+    reduced mod p only when it is folded, so no second copy of the system
+    is held.  The columns of the working row are kept in a heap, so the
+    leading column is popped rather than searched for.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     for pairs in rows:
         row = {c: r for c, v in pairs if (r := v % p)}
         # Entries are reduced mod p only when they lead or the row becomes
@@ -167,15 +175,15 @@ def _lift(residues, cols, modulus, vec):
     return True
 
 
-def _exact_rows(equations, ncols, position=None):
+def _exact_rows(equations, ncols, position):
     """The rows of [A | -b], each cleared of denominators once.
 
     Each row is a list of (col, int) pairs; a nonzero right-hand side b is
     the entry -b in column ncols.  A row is scaled by the lcm of its own
     denominators (b included), so it keeps its kernel and every entry
-    stays exact.  With a position list, column c < ncols is relabelled
-    position[c] in the same pass.  A column outside range(ncols) raises
-    ValueError, and a value that is not an int or a Fraction TypeError.
+    stays exact.  Column c < ncols is relabelled position[c] in the same
+    pass.  A column outside range(ncols) raises ValueError, and a value
+    that is not an int or a Fraction TypeError.
     """
     # One check on the union of the keys costs a fifth of one per row.
     cols = set().union(*[coeffs for coeffs, _ in equations])
@@ -186,8 +194,7 @@ def _exact_rows(equations, ncols, position=None):
         for coeffs, rhs in equations:
             den = lcm(rhs.denominator,
                       *[v.denominator for v in coeffs.values()])
-            pairs = [(c if position is None else position[c],
-                      v.numerator * (den // v.denominator))
+            pairs = [(position[c], v.numerator * (den // v.denominator))
                      for c, v in coeffs.items()]
             if rhs:
                 pairs.append(
@@ -214,57 +221,63 @@ def _satisfies(rows, ints):
     return True
 
 
-def _image(rows, width, p):
-    """The kernel mod p: (targets, residues).
+def _lifted(pivots, width, p, rows):
+    """The kernel vectors of an echelon basis mod p, lifted over Q.
 
-    targets holds (f, cols) for each free column f (the vector is 1 at f
-    and has entries at the pivots cols left of f); residues holds the
-    matching vectors mod p.  The echelon basis is dropped on return, so
-    two of them are never held at once.
+    Returns a (vec, ints) pair for each free column f, ascending: vec is 1
+    at f and has entries at the pivots left of f, and ints is vec cleared
+    to ints.  Returns None as soon as an entry has no lift within the
+    bound or a vector fails one of rows, which are checked exactly.
     """
-    pivots = _fold(rows, p)
     order = sorted(pivots, reverse=True)
-    targets = [
-        (f, [col for col in order if col < f])
-        for f in range(width)
-        if f not in pivots
-    ]
-    residues = []
-    for f, cols in targets:
-        v = [0] * width
-        v[f] = 1
-        residues.append(_back_substitute(pivots, cols, v, p))
-    return targets, residues
+    out = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        cols = [col for col in order if col < f]
+        residues = [0] * width
+        residues[f] = 1
+        _back_substitute(pivots, cols, residues, p)
+        vec = [_ZERO] * width
+        vec[f] = _ONE
+        if not _lift(residues, cols, p, vec):
+            return None
+        ints = clear_denominators(vec)[0]
+        if not _satisfies(rows, ints):
+            return None
+        out.append((vec, ints))
+    return out
+
+
+def _attempt(folded, rest, width, p):
+    """The certified kernel from the prime p, or None if p gives none.
+
+    folded are the rows to fold and rest the nonempty rows outside them.
+    A vector that holds on folded and fails a row of rest shows that
+    folded do not span (see the module docstring), so rest joins the
+    echelon basis of folded at the same p.  The basis is local, so that
+    the next prime never folds while this one is held.
+    """
+    pivots = _fold(folded, p)
+    lifted = _lifted(pivots, width, p, folded)
+    if lifted and not all(_satisfies(rest, ints) for _, ints in lifted):
+        lifted = _lifted(_fold(rest, p, pivots), width, p, folded + rest)
+    return None if lifted is None else [vec for vec, _ in lifted]
 
 
 def _kernel(rows, width, spanning=None):
     """The certified kernel basis of integer rows with width columns."""
     if spanning is None:
-        folded, others = rows, ()
+        folded, rest = rows, []
     else:
         chosen = set(spanning)
         folded = [rows[i] for i in spanning]
         # An empty row holds for every vector.
-        others = [row for i, row in enumerate(rows)
-                  if i not in chosen and row]
+        rest = [row for i, row in enumerate(rows) if i not in chosen and row]
     for e in _EXPONENTS:
-        p = 2**e - 1
-        lifted = []
-        for (f, cols), res in zip(*_image(folded, width, p)):
-            vec = [_ZERO] * width
-            vec[f] = _ONE
-            if not _lift(res, cols, p, vec):
-                break
-            ints = clear_denominators(vec)[0]
-            if not _satisfies(folded, ints):
-                break
-            if not _satisfies(others, ints):
-                # ker(M_S) is larger than ker(M): the hint does not span,
-                # so fold every row.
-                return _kernel(rows, width)
-            lifted.append(vec)
-        else:
-            return lifted
+        kernel = _attempt(folded, rest, width, 2**e - 1)
+        if kernel is not None:
+            return kernel
     raise ArithmeticError(
         "no prime up to 2^%d - 1 certifies the kernel" % _EXPONENTS[-1]
     )
@@ -323,18 +336,20 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
     against every row (see the module docstring).
 
     spanning, when given, lists the indices of rows expected to span the
-    row space; only those rows are folded.  A wrong hint costs a second
-    solve with every row folded, never a different answer.  An index that
-    is not an int in range(len(equations)) raises ValueError.
+    row space; only those rows are folded first.  When they fall short,
+    the rows outside them join the same echelon basis at the same prime,
+    so a wrong hint costs the fold of the other rows, never a different
+    answer.  An index that is not an int in range(len(equations)) raises
+    ValueError.
 
     order, when given, is a permutation of range(ncols) that lists the
     columns in elimination order: the fold runs on column order[k]
     relabelled k, and the certified answer is mapped back to the natural
-    columns.  The answer is the same with or without it (see the module
-    docstring); only the work of the fold changes.  Anything but a
-    permutation raises ValueError, and so does a column key outside
-    range(ncols).  A coefficient or right-hand side that is not an int or
-    a Fraction raises TypeError.
+    columns.  Without it the order is the identity.  The answer is the
+    same in every order (see the module docstring); only the work of the
+    fold changes.  Anything but a permutation raises ValueError, and so
+    does a column key outside range(ncols).  A coefficient or right-hand
+    side that is not an int or a Fraction raises TypeError.
     """
     if spanning is not None:
         spanning = tuple(spanning)
@@ -343,17 +358,13 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
             raise ValueError(
                 "spanning must list row indices in range(%d)" % len(equations)
             )
-    position = None
-    if order is not None:
-        order = tuple(order)
-        if (not all(isinstance(c, int) for c in order)
-                or sorted(order) != list(range(ncols))):
-            raise ValueError(
-                "order must be a permutation of range(%d)" % ncols
-            )
-        position = [0] * ncols
-        for k, c in enumerate(order):
-            position[c] = k
+    order = tuple(range(ncols) if order is None else order)
+    if (not all(isinstance(c, int) for c in order)
+            or sorted(order) != list(range(ncols))):
+        raise ValueError("order must be a permutation of range(%d)" % ncols)
+    position = [0] * ncols
+    for k, c in enumerate(order):
+        position[c] = k
     # The column of -b is left out when every b is 0.
     width = ncols + any(rhs for _, rhs in equations)
     kernel = _kernel(_exact_rows(equations, ncols, position), width, spanning)
@@ -361,8 +372,7 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
     # its vector (x, 1) is then the last one, the only one nonzero there.
     if width > ncols and not (kernel and kernel[-1][ncols]):
         return False, None, []
-    if order is not None:
-        kernel = _in_natural_order(kernel, order)
+    kernel = _in_natural_order(kernel, order)
     particular = kernel.pop()[:ncols] if width > ncols else [_ZERO] * ncols
     return True, particular, [vec[:ncols] for vec in kernel]
 
@@ -372,4 +382,4 @@ def nullspace(rows, ncols):
     # _kernel rather than solve_sparse, so that wrapping either public name
     # (as perfbench's layer tracer does) times the two callers apart.
     equations = [({c: v for c, v in enumerate(row) if v}, 0) for row in rows]
-    return _kernel(_exact_rows(equations, ncols), ncols)
+    return _kernel(_exact_rows(equations, ncols, range(ncols)), ncols)

@@ -11,9 +11,13 @@ verbs) were taken before ``LieElement`` and ``UEAElement`` became
 subclasses of one ``liecore.Combination``.  The seven module-verb digests
 (im-act, im-probe and jacobi) were taken before ``intermediate.act`` and
 the module check came to read the action only through ``coefficient``.
-A change that keeps the answers keeps these digests; a change of the
-output contract must update them and say so.  Every command runs in
-under a second."""
+Three digests were taken before a short spanning hint came to continue
+its fold and the short verify summary came to be read off ``report``:
+the decomposable system at alpha = 3 with betas (1, 2), whose hint
+falls short, and the short summaries of a feasible f-system and of an
+infeasible ``ext_b`` system.  A change that keeps the answers keeps
+these digests; a change of the output contract must update them and say
+so.  Every command runs in under a second."""
 
 import hashlib
 import subprocess
@@ -41,6 +45,14 @@ GOLDEN = [
     (("verify-matrix", "--alpha", "1", "--betas", "1,2", "--ext-type",
       "decomposable", "--window", "4", "--full"),
      "1efcb98e03044076074fc7aea797fa1f0735f10ea8868d089bfe5e3dd2296cf5"),
+    (("verify-matrix", "--alpha", "3", "--betas", "1,2", "--ext-type",
+      "decomposable", "--window", "4", "--full"),
+     "a450aa9f81bdf99d758990e0a94a05c7edc1d51e5e0be3e73017db6f465b13cc"),
+    (("verify-f", "--a", "1/2", "--b", "1/3", "--window", "5"),
+     "df3390d650adefb75f3c3846f7c51e2c4b21d9457c1d0a87a752185e40435267"),
+    (("verify-matrix", "--alpha", "9/8", "--ext-type", "ext_b",
+      "--window", "4"),
+     "edbabd34a9f104e023fff86b4e77c014074b4a855afea1152addf3eb51a5fce5"),
     (("bracket", "--left", "x:3", "--right", "x:-3"),
      "79eb652c04dd8fff1a5813749ab6cfa31c94da5d687dd213666b4fb5d219c999"),
     (("bracket", "--left", "i:2", "--right", "x:-2"),

@@ -819,8 +819,9 @@ class TestSpanningRows:
     theorem.  The row counts below follow from the hint.  On most systems
     here it spans, so the solver folds it once and nothing else; on the
     decomposable systems at alpha = 3 and 4 with betas 1 and 2 it falls
-    short, and the solver folds every row a second time.  Either way the
-    answer equals the one found by folding every row.
+    short, and the solver folds the other nonempty rows into the hint's
+    echelon basis, at the same prime.  Either way the answer equals the
+    one found by folding every row.
     """
 
     @staticmethod
@@ -828,12 +829,28 @@ class TestSpanningRows:
         seen = []
         fold = linalg._fold
 
-        def recording_fold(equations, p):
+        def recording_fold(equations, p, pivots=None):
             seen.append(list(equations))
-            return fold(equations, p)
+            return fold(equations, p, pivots)
 
         monkeypatch.setattr(linalg, "_fold", recording_fold)
         return seen
+
+    @staticmethod
+    def fold_calls(monkeypatch):
+        """Record (p, pivots given, pivots returned) of every fold, each
+        pivots dict copied as it was then."""
+        calls = []
+        fold = linalg._fold
+
+        def recording_fold(equations, p, pivots=None):
+            given = None if pivots is None else dict(pivots)
+            result = fold(equations, p, pivots)
+            calls.append((p, given, dict(result)))
+            return result
+
+        monkeypatch.setattr(linalg, "_fold", recording_fold)
+        return calls
 
     @pytest.mark.parametrize(
         "build, size",
@@ -899,18 +916,37 @@ class TestSpanningRows:
             assert [len(rows) for rows in seen] == [709]
 
     # The only package-built systems here on which a row outside the hint
-    # fails a kernel vector of the hint.
-    @pytest.mark.parametrize("alpha", [3, 4])
-    @pytest.mark.parametrize("betas", [(1, 2), (2, 1)])
+    # fails a kernel vector of the hint.  The rows left to fold are the
+    # nonempty ones outside the hint: 1716 - 708 - 324 empty x(0) rows at
+    # window 4, 3124 - 1124 - 484 at window 5.
+    @pytest.mark.parametrize(
+        "alpha, betas, window, folds",
+        [
+            pytest.param(alpha, betas, 4, [708, 684],
+                         id="betas%d-%d" % (k, alpha))
+            for alpha in (3, 4)
+            for k, betas in enumerate([(1, 2), (2, 1)])
+        ] + [
+            pytest.param(4, (1, 2), 5, [1124, 1516], id="window5-betas0-4"),
+        ],
+    )
     def test_hint_that_falls_short_is_refolded(
-        self, monkeypatch, alpha, betas
+        self, monkeypatch, alpha, betas, window, folds
     ):
         system = build_matrix_system(
-            F(alpha), (F(betas[0]), F(betas[1])), "decomposable", 4
+            F(alpha), (F(betas[0]), F(betas[1])), "decomposable", window
         )
         seen = self.folded_rows(monkeypatch)
+        calls = self.fold_calls(monkeypatch)
         hinted = solve_linear(system)
-        assert [len(rows) for rows in seen] == [708, 1716]
+        assert [len(rows) for rows in seen] == folds
+        # the second fold continues the first at the same prime: it is
+        # given the first fold's pivots and keeps each of them
+        (p, given, first), (q, pivots, second) = calls
+        assert p == q == 2**61 - 1
+        assert given is None and pivots == first
+        assert all(second[col] == tail for col, tail in first.items())
+        assert len(second) > len(first)
         assert hinted.dimension == 3
         assert hinted == solve_linear(
             dataclasses.replace(system, spanning=None)

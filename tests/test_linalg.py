@@ -13,12 +13,12 @@ for one modulus, a coefficient, denominator or right-hand side divisible
 by the first primes (each then an unlucky prime, never a skipped one),
 an exhausted ladder, and an infeasibility that shows only after later
 rows.  The spanning-row cases force the paths of a fold restricted
-to some rows: a hint that does not span, after which every row is
-folded (also when only an unfolded row shows the last column to be a
-pivot: an infeasibility, or a smaller kernel), and a contradiction
-inside the folded rows.  The column-order
-cases force a pivot that the natural order would leave free, so the
-answer must be mapped back.
+to some rows: a hint that does not span, after which the other rows
+join the hint's echelon basis at the same prime (also when only an
+unfolded row shows the last column to be a pivot: an infeasibility, or
+a smaller kernel), and a contradiction inside the folded rows.  The
+column-order cases force a pivot that the natural order would leave
+free, so the answer must be mapped back.
 """
 
 import random
@@ -44,8 +44,8 @@ def count_primes(monkeypatch):
     seen = []
     fold = linalg._fold
 
-    def recording_fold(equations, p):
-        result = fold(equations, p)
+    def recording_fold(equations, p, pivots=None):
+        result = fold(equations, p, pivots)
         seen.append(p)
         return result
 
@@ -58,9 +58,9 @@ def count_folded_rows(monkeypatch):
     seen = []
     fold = linalg._fold
 
-    def recording_fold(equations, p):
+    def recording_fold(equations, p, pivots=None):
         seen.append(len(equations))
-        return fold(equations, p)
+        return fold(equations, p, pivots)
 
     monkeypatch.setattr(linalg, "_fold", recording_fold)
     return seen
@@ -242,25 +242,28 @@ def test_infeasibility_after_later_rows():
 
 def test_hint_that_does_not_span_falls_back(monkeypatch):
     # Folding x + y = 1 alone gives the kernel vector (-1, 1), which fails
-    # y = 2: the hint misses a row, so every row is folded again.
+    # y = 2: the hint misses a row, so that row joins the hint's echelon
+    # basis, at the same prime.
     seen = count_folded_rows(monkeypatch)
+    primes = count_primes(monkeypatch)
     equations = [({0: F(1), 1: F(1)}, F(1)), ({1: F(1)}, F(2))]
     answer = (True, [F(-1), F(2)], [])
     assert solve_sparse(equations, 2, spanning=(0,)) == answer
-    assert seen == [1, 2]
+    assert seen == [1, 1]
+    assert primes == [P, P]
     assert solve_sparse(equations, 2) == answer
 
 
 def test_infeasibility_seen_only_by_an_unfolded_row(monkeypatch):
     # The kernel vector (-1, 1) of the hint x + y = 1 passes 2x + 2y = 3,
     # but the particular solution (1, 0) is exact on the hint and gives
-    # 2 != 3 on the other row.  The hint does not span [A | -b], so every
-    # row is folded again, and the column of -b is then a pivot: no
-    # solution exists.
+    # 2 != 3 on the other row.  The hint does not span [A | -b], so the
+    # other row is folded into its echelon basis, and the column of -b is
+    # then a pivot: no solution exists.
     seen = count_folded_rows(monkeypatch)
     equations = [({0: F(1), 1: F(1)}, F(1)), ({0: F(2), 1: F(2)}, F(3))]
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
-    assert seen == [1, 2]
+    assert seen == [1, 1]
     assert solve_sparse(equations, 2) == (False, None, [])
     # with the right-hand side 2 the same hint certifies the line
     equations[1] = ({0: F(2), 1: F(2)}, F(2))
@@ -287,29 +290,29 @@ def test_hint_containing_the_inconsistent_row(monkeypatch):
 
 def test_last_column_failing_an_unfolded_row_refolds(monkeypatch):
     # Folding x + y = 0 alone gives the vector (-1, 1) of the last column,
-    # which fails y = 0: the hint does not span, and folding every row
-    # makes column 1 a pivot, so the kernel is 0.
+    # which fails y = 0: the hint does not span, and folding the other row
+    # into its echelon basis makes column 1 a pivot, so the kernel is 0.
     seen = count_folded_rows(monkeypatch)
     equations = [({0: 1, 1: 1}, 0), ({1: 1}, 0)]
     assert solve_sparse(equations, 2, spanning=(0,)) == (True, [0, 0], [])
-    assert seen == [1, 2]
+    assert seen == [1, 1]
     # x + z = 0 alone: (0, 1, 0) passes z = 0 and (-1, 0, 1) fails it, so
-    # every row is folded, and the kernel is the line of y
+    # the other row is folded in, and the kernel is the line of y
     seen.clear()
     equations = [({0: 1, 2: 1}, 0), ({2: 1}, 0)]
     assert solve_sparse(equations, 3, spanning=(0,)) == (
         True, [0, 0, 0], [[0, 1, 0]]
     )
-    assert seen == [1, 2]
+    assert seen == [1, 1]
     assert solve_sparse(equations, 3) == (True, [0, 0, 0], [[0, 1, 0]])
 
 
 def test_empty_rows_outside_the_hint(monkeypatch):
     # Row 1 reads 0 = 0 and is never checked outside the hint; row 2
     # reads 0 = 3/2, the row 2 * (0 | -3/2) = (0 | -3) of [A | -b], which
-    # the particular solution of the hint fails: every row is folded
-    # again, and row 2 proves that x + y = 2 has no solution together
-    # with it.
+    # the particular solution of the hint fails: row 2, and not the empty
+    # row 1, joins the hint's echelon basis, and proves that x + y = 2 has
+    # no solution together with it.
     seen = count_folded_rows(monkeypatch)
     checked = []
     satisfies = linalg._satisfies
@@ -329,7 +332,7 @@ def test_empty_rows_outside_the_hint(monkeypatch):
     equations.append(({}, F(3, 2)))
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
     assert [(2, -3)] in checked
-    assert seen == [1, 3]
+    assert seen == [1, 1]
     # folded, the same rows give the same answers
     assert solve_sparse(equations[:2], 2) == answer
     assert solve_sparse(equations, 2) == (False, None, [])
@@ -483,7 +486,7 @@ def certified(equations, vec, t):
     A vec = 0, as for a kernel vector.
     """
     return linalg._satisfies(
-        linalg._exact_rows(equations, len(vec)),
+        linalg._exact_rows(equations, len(vec), range(len(vec))),
         clear_denominators(vec + [F(t)])[0],
     )
 
@@ -503,7 +506,7 @@ MIXED_KERNEL = [F(-25), F(15), F(1)]
 def test_certificate_rows_are_cleared_row_by_row():
     # row 0 by lcm(3, 2, 6, 5) = 30, row 1 by lcm(2, 6, 7) = 42; the
     # right-hand sides become the entries -6 in column 3
-    assert linalg._exact_rows(MIXED, 3) == [
+    assert linalg._exact_rows(MIXED, 3, range(3)) == [
         [(0, 10), (1, 15), (2, 25), (3, -6)],
         [(0, 21), (1, 35), (3, -6)],
     ]
@@ -553,7 +556,9 @@ def test_certificate_on_the_nullspace_path():
     # 2x + 3y + 5z = 0, so x = -(3/2) y - (5/2) z
     row = [F(1, 3), F(1, 2), F(5, 6)]
     equations = [({0: row[0], 1: row[1], 2: row[2]}, 0)]
-    assert linalg._exact_rows(equations, 3) == [[(0, 2), (1, 3), (2, 5)]]
+    assert linalg._exact_rows(equations, 3, range(3)) == [
+        [(0, 2), (1, 3), (2, 5)]
+    ]
     kernel = [[F(-3, 2), F(1), F(0)], [F(-5, 2), F(0), F(1)]]
     assert nullspace([row], 3) == kernel
     assert all(certified(equations, vec, t=0) for vec in kernel)

@@ -8,15 +8,20 @@ its inverse, so a row whose cleared form vanishes or moves a pivot mod
 the first prime is drawn too.
 
 Eliminating the columns in another order changes the pivots mod p but
-not the answer mapped back to the natural columns.  The systems mix int
-and Fraction values, repeat combinations of their rows (rank-deficient),
-take right-hand sides either from a hidden solution (feasible, often
-inhomogeneous) or at random (often inconsistent), and carry a spanning
-hint half of the time.
+not the answer mapped back to the natural columns, and neither does a
+spanning hint: each answer equals the one of the natural order with
+every row folded.  The systems mix int and Fraction values, repeat
+combinations of their rows (rank-deficient), take right-hand sides
+either from a hidden solution (feasible, often inhomogeneous) or at
+random (often inconsistent), and carry a spanning hint half of the time,
+an arbitrary subset of the rows that often falls short, so the fold
+that continues from the hint's pivots runs on many systems.
 
 The fold keeps the columns of its working row in a heap; on any integer
 rows it must build the identical echelon basis as the plain fold below,
-which searches the row for its smallest column after every step.
+which searches the row for its smallest column after every step.  A
+fold continued from the pivots of earlier rows must build the basis of
+a single fold of the earlier rows and the new ones.
 
 Wang's rational reconstruction runs its loop from the first step: a
 residue within the bound, or within the bound below the modulus, comes
@@ -105,9 +110,9 @@ def ordered_systems(draw):
           (1, 0)))
 def test_any_column_order_gives_the_identical_answer(case):
     equations, ncols, spanning, order = case
-    assert solve_sparse(equations, ncols, spanning, order=order) == (
-        solve_sparse(equations, ncols, spanning)
-    )
+    natural = solve_sparse(equations, ncols)
+    assert solve_sparse(equations, ncols, spanning) == natural
+    assert solve_sparse(equations, ncols, spanning, order=order) == natural
 
 
 def reference_fold(rows, p):
@@ -173,6 +178,17 @@ def integer_rows(draw):
 def test_heap_fold_builds_the_identical_pivots(case):
     rows, p = case
     assert _fold(rows, p) == reference_fold(rows, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows(), st.data())
+def test_continued_fold_is_one_fold_of_all_rows(case, data):
+    rows, p = case
+    cut = data.draw(st.integers(0, len(rows)))
+    earlier, later = rows[:cut], rows[cut:]
+    assert _fold(later, p, _fold(earlier, p)) == _fold(rows, p) == (
+        reference_fold(rows, p)
+    )
 
 
 def reference_reconstruct(r, m, bound):

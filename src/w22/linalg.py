@@ -3,7 +3,8 @@
 ``solve_sparse`` solves A u = b for a system given as rows
 (col -> coeff dict, rhs) and returns (feasible, particular, kernel_basis)
 with list-of-Fraction vectors.  ``nullspace`` returns the kernel basis of
-dense rows.  Both read one routine, which computes only kernels: A u = b
+rows given as the same col -> coeff dicts.  Both read their rows through
+one reader and one routine, which computes only kernels: A u = b
 is solved as the kernel of M = [A | -b], the matrix A with -b as column
 ncols.  The system is feasible exactly when column ncols of M is free;
 its kernel vector is then (x, 1), and x is the particular solution, 0 on
@@ -182,11 +183,15 @@ def _exact_rows(equations, ncols, position):
     the entry -b in column ncols.  A row is scaled by the lcm of its own
     denominators (b included), so it keeps its kernel and every entry
     stays exact.  Column c < ncols is relabelled position[c] in the same
-    pass.  A column outside range(ncols) raises ValueError, and a value
-    that is not an int or a Fraction TypeError.
+    pass.  A row that is not a col -> coeff dict raises TypeError, a
+    column outside range(ncols) ValueError, and a value that is not an int
+    or a Fraction TypeError.
     """
     # One check on the union of the keys costs a fifth of one per row.
-    cols = set().union(*[coeffs for coeffs, _ in equations])
+    try:
+        cols = set().union(*[coeffs.keys() for coeffs, _ in equations])
+    except AttributeError:
+        raise TypeError("each row must be a col -> coeff dict") from None
     if cols and (min(cols) < 0 or max(cols) >= ncols):
         raise ValueError("columns must lie in range(%d)" % ncols)
     out = []
@@ -378,8 +383,12 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
 
 
 def nullspace(rows, ncols):
-    """Kernel basis of dense rows: one vector per free column, ascending."""
+    """Kernel basis of rows given as col -> coeff dicts.
+
+    One vector per free column, ascending, read and certified as by
+    ``solve_sparse`` with every right-hand side 0.
+    """
     # _kernel rather than solve_sparse, so that wrapping either public name
     # (as perfbench's layer tracer does) times the two callers apart.
-    equations = [({c: v for c, v in enumerate(row) if v}, 0) for row in rows]
+    equations = [(row, 0) for row in rows]
     return _kernel(_exact_rows(equations, ncols, range(ncols)), ncols)

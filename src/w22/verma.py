@@ -9,8 +9,11 @@ and [x(1), I(n)] = (n-1) I(n+1), the generators x(1), x(2), I(1), I(2)
 generate the positive part, so it suffices to check gen(1) and gen(2) of
 both kinds (gen(1) alone at level 1).
 
-``find_singular`` computes joint kernels of the raising matrices with the
-certified exact solver in ``linalg``, at every level up to the maximum.
+``find_singular`` computes, at every level up to the maximum, the joint
+kernel of gen(1) and gen(2) of both kinds with the certified exact solver
+in ``linalg``.  Their rows are built sparse, as col -> coeff dicts, straight
+from the PBW action on the level basis; ``raising_matrix`` is a dense view
+of the same rows.
 ``is_verma_irreducible`` stops at the first level with a nonzero kernel and
 reports that evidence next to the closed-form root list
 2 c0 - (m^2-1)/12 c1 = 0, flagging any disagreement between the two rather
@@ -117,7 +120,21 @@ class SingularVectorReport:
         }
 
 
-def raising_matrix(k, n, params, gen_kind, actor=None):
+def _raising_rows(g, n, actor):
+    """The matrix of g from level n to level n - g.index as sparse rows.
+
+    One col -> coeff dict per level n - g.index monomial, in canonical
+    monomial order; the columns are the positions of the level n basis.
+    """
+    target_pos = {mono: i for i, mono in enumerate(_level_basis(n - g.index))}
+    rows = [{} for _ in target_pos]
+    for col, mono in enumerate(_level_basis(n)):
+        for m2, coeff in actor.apply_generator(g, mono).items():
+            rows[target_pos[m2]][col] = coeff
+    return rows
+
+
+def raising_matrix(k, n, params, gen_kind):
     """Matrix of gen(+k) from level n to level n - k.
 
     Rows are indexed by the level n-k basis, columns by the level n basis,
@@ -129,21 +146,13 @@ def raising_matrix(k, n, params, gen_kind, actor=None):
         raise ValueError("need 1 <= k <= n")
     if gen_kind not in ("X", "I"):
         raise ValueError("gen_kind must be 'X' or 'I'")
-    if actor is None:
-        actor = HighestWeightActor(params)
     g = x(k) if gen_kind == "X" else I(k)
-    source = _level_basis(n)
-    target = _level_basis(n - k)
-    target_pos = {mono: i for i, mono in enumerate(target)}
-    matrix = [[Fraction(0)] * len(source) for _ in target]
-    for col, mono in enumerate(source):
-        image = actor.apply_generator(g, mono)
-        for m2, coeff in image.items():
-            matrix[target_pos[m2]][col] = coeff
-    return matrix
+    cols = range(len(_level_basis(n)))
+    rows = _raising_rows(g, n, HighestWeightActor(params))
+    return [[row.get(col, Fraction(0)) for col in cols] for row in rows]
 
 
-def joint_kernel(params, level, actor=None):
+def joint_kernel(params, level):
     """Kernel of every raising operator at a level: gen(1), gen(2), both kinds.
 
     These generate the positive part (module docstring), so the kernel is
@@ -151,14 +160,16 @@ def joint_kernel(params, level, actor=None):
     int, or is negative, raises ValueError.
     """
     check_int(level, 0, "level")
-    if actor is None:
-        actor = HighestWeightActor(params)
-    dim = len(_level_basis(level))
+    return _joint_kernel(HighestWeightActor(params), level)
+
+
+def _joint_kernel(actor, level):
+    """joint_kernel at the params of actor, whose action cache it shares."""
     rows = []
     for k in range(1, min(level, 2) + 1):
-        for kind in ("I", "X"):
-            rows.extend(raising_matrix(k, level, params, kind, actor=actor))
-    return linalg.nullspace(rows, dim)
+        for g in (I(k), x(k)):
+            rows.extend(_raising_rows(g, level, actor))
+    return linalg.nullspace(rows, len(_level_basis(level)))
 
 
 def _normalize_first_one(vec):
@@ -179,7 +190,7 @@ def _singular_reports(params, max_level):
     check_int(max_level, 0, "max_level")
     actor = HighestWeightActor(params)
     for level in range(1, max_level + 1):
-        kernel = joint_kernel(params, level, actor=actor)
+        kernel = _joint_kernel(actor, level)
         if not kernel:
             continue
         vec = _normalize_first_one(kernel[0])
@@ -212,7 +223,11 @@ def criterion_value(m, c0, c1):
 
 
 def criterion_roots(params, max_level):
-    """The m in 1..max_level with 2 c0 - (m^2-1)/12 c1 = 0, ascending."""
+    """The m in 1..max_level with 2 c0 - (m^2-1)/12 c1 = 0, ascending.
+
+    A max_level that is not an int, or is negative, raises ValueError.
+    """
+    check_int(max_level, 0, "max_level")
     return [
         m
         for m in range(1, max_level + 1)

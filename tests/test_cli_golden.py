@@ -15,7 +15,11 @@ Three digests were taken before a short spanning hint came to continue
 its fold and the short verify summary came to be read off ``report``:
 the decomposable system at alpha = 3 with betas (1, 2), whose hint
 falls short, and the short summaries of a feasible f-system and of an
-infeasible ``ext_b`` system.  A change that keeps the answers keeps
+infeasible ``ext_b`` system.  Three digests were taken before the Verma
+joint kernel came to read sparse rows straight from the PBW action: the
+deepest Verma searches, a generic point to level 6 (no kernel), the
+m = 3 line to level 5 (witness at level 3) and c0 = 0 to level 5 (a
+kernel at every level).  A change that keeps the answers keeps
 these digests; a change of the output contract must update them and say
 so.  Every command runs in under a second."""
 
@@ -69,6 +73,15 @@ GOLDEN = [
     (("verma-check", "--lambda", "1/3", "--c", "2", "--c0", "1", "--c1",
       "8", "--max-level", "4"),
      "28ff260bcb7e7887c38691d5f4e53cd4b8920c13af91fbd2e156d0e8897b6ebd"),
+    (("verma-singular", "--lambda", "5", "--c", "3", "--c0", "2/7", "--c1",
+      "3/11", "--max-level", "6"),
+     "c27e01cc609226ee608760e22849b5dde7baf23d4165ffd02e295655366cd84c"),
+    (("verma-check", "--lambda", "2", "--c", "1", "--c0", "2", "--c1", "6",
+      "--max-level", "5"),
+     "6f9c0d5959c03c9eb9df8dc6481987f8b7ae9b64078f1aefd94755e955d5254d"),
+    (("verma-singular", "--lambda", "2", "--c", "1", "--c0", "0", "--c1",
+      "7", "--max-level", "5"),
+     "7463850a74bde897128f1b9eca3f981ef049377f7da31e234e53fd17230ac9c8"),
     (("im-act", "--family", "Aa", "--a", "1/2", "--window", "3"),
      "dce092bbc729e172555300b5e2b9558afc15b232f35960a58a0a903861c5a59e"),
     (("im-act", "--family", "Ba", "--a", "-2", "--window", "3", "--output",

@@ -68,17 +68,18 @@ def count_folded_rows(monkeypatch):
 
 def test_nullspace_rank_deficient_dense():
     # 2x + 4y = 0 and x + 2y = 0: rank 1, pivot column 0, kernel (-2, 1)
-    assert nullspace([[F(2), F(4)], [F(1), F(2)]], 2) == [[F(-2), F(1)]]
+    rows = [{0: F(2), 1: F(4)}, {0: F(1), 1: F(2)}]
+    assert nullspace(rows, 2) == [[F(-2), F(1)]]
 
 
 def test_nullspace_known_line():
     # x + 2y = 0 has kernel spanned by (-2, 1)
-    kernel = nullspace([[F(1), F(2)]], 2)
+    kernel = nullspace([{0: F(1), 1: F(2)}], 2)
     assert kernel == [[F(-2), F(1)]]
 
 
 def test_nullspace_full_rank():
-    assert nullspace([[F(1), F(0)], [F(0), F(1)]], 2) == []
+    assert nullspace([{0: F(1), 1: F(0)}, {0: F(0), 1: F(1)}], 2) == []
 
 
 def test_solve_sparse_feasible_unique():
@@ -211,7 +212,7 @@ def test_exhausted_ladder_raises(monkeypatch):
         lambda: solve_sparse([({2: F(1)}, F(0)), ({0: F(1)}, F(1))], 2),
         lambda: solve_sparse([({-1: F(1)}, F(0))], 2),
         lambda: solve_sparse([({0: F(1), 2: F(1)}, F(0))], 2, order=(1, 0)),
-        lambda: nullspace([[1, 2, 3]], 2),
+        lambda: nullspace([{0: 1, 1: 2, 2: 3}], 2),
     ],
     ids=["column-of-b", "negative", "with-order", "dense-row-too-long"],
 )
@@ -387,12 +388,29 @@ def test_spanning_must_list_row_indices(spanning):
     [
         lambda: solve_sparse([({0: 1.5}, F(1))], 1),
         lambda: solve_sparse([({0: F(1)}, 0.5)], 1),
-        lambda: nullspace([[1, 0.5]], 2),
+        lambda: nullspace([{0: 1, 1: 0.5}], 2),
     ],
     ids=["coefficient", "right-hand-side", "nullspace"],
 )
 def test_float_values_are_refused(solve):
     with pytest.raises(TypeError, match="ints or Fractions"):
+        solve()
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_sparse([([1, 2], 0)], 2),
+        lambda: solve_sparse([([0, 1], 0)], 2),
+        lambda: nullspace([[F(1), F(2)]], 2),
+    ],
+    ids=["solve_sparse-values-out-of-range", "solve_sparse", "nullspace"],
+)
+def test_rows_that_are_not_dicts_are_refused(solve):
+    # Read with its values as column keys, a list row would fail the
+    # column check ([1, 2]) or the value check ([0, 1]) and be refused
+    # with a message about something else.
+    with pytest.raises(TypeError, match=r"col -> coeff dict"):
         solve()
 
 
@@ -459,7 +477,7 @@ def test_solve_sparse_matches_dense_on_random_systems():
             trial,
             hint,
         )
-        assert nullspace(rows, ncols) == _sympy_answer(
+        assert nullspace([eq for eq, _ in equations], ncols) == _sympy_answer(
             rows, [F(0)] * nrows, ncols
         )[2]
 
@@ -554,8 +572,8 @@ def test_certificate_on_the_nullspace_path():
     # nullspace hands the rows over with the int right-hand side 0, which
     # adds no column of -b; (1/3) x + (1/2) y + (5/6) z = 0 clears by 6 to
     # 2x + 3y + 5z = 0, so x = -(3/2) y - (5/2) z
-    row = [F(1, 3), F(1, 2), F(5, 6)]
-    equations = [({0: row[0], 1: row[1], 2: row[2]}, 0)]
+    row = {0: F(1, 3), 1: F(1, 2), 2: F(5, 6)}
+    equations = [(row, 0)]
     assert linalg._exact_rows(equations, 3, range(3)) == [
         [(0, 2), (1, 3), (2, 5)]
     ]

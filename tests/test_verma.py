@@ -14,7 +14,6 @@ import pytest
 from w22 import linalg, verma
 from w22 import (
     I,
-    HighestWeightActor,
     HighestWeightParams,
     UEAElement,
     act_on_highest,
@@ -119,6 +118,40 @@ class TestRaisingMatrices:
         assert len(m) == len(level_basis(2))
         assert len(m[0]) == len(level_basis(3))
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            HighestWeightParams(F(0), F(0), F(0), F(0)),
+            HighestWeightParams(F(7), F(11), F(2), F(5)),
+            HighestWeightParams(F(-1, 3), F(5, 2), F(2, 7), F(-3, 11)),
+        ],
+        ids=["zero", "integral", "fractional"],
+    )
+    def test_every_column_is_gen_times_its_monomial(self, params):
+        # Column col of gen(k) from level n is gen(k) applied to the
+        # monomial at col, evaluated through normal_order and
+        # act_on_highest, and read on the level n-k basis.
+        for n in range(1, 5):
+            source = level_basis(n)
+            for k in range(1, n + 1):
+                target = level_basis(n - k)
+                for kind, gen in (("X", x(k)), ("I", I(k))):
+                    matrix = raising_matrix(k, n, params, kind)
+                    assert len(matrix) == len(target)
+                    assert all(
+                        len(row) == len(source)
+                        and all(type(v) is Fraction for v in row)
+                        for row in matrix
+                    )
+                    for col, mono in enumerate(source):
+                        image = act_on_highest(
+                            normal_order((gen,) + mono), params
+                        ).terms
+                        assert set(image) <= set(target), (gen, mono)
+                        want = [image.get(m2, 0) for m2 in target]
+                        got = [row[col] for row in matrix]
+                        assert got == want, (gen, mono)
+
 
 def _check_singular_via_independent_path(params, level, coords):
     """Re-verify a claimed singular vector via normal_order evaluation."""
@@ -179,16 +212,15 @@ class TestJointKernel:
             (HighestWeightParams(F(2), F(1), F(2), F(6)), 3),  # c1 = 3 c0
         ]
         for params, m in points:
-            actor = HighestWeightActor(params)
             for level in range(1, 6):
                 rows = [
-                    row
+                    {col: v for col, v in enumerate(row) if v}
                     for k in range(1, level + 1)
                     for kind in ("I", "X")
-                    for row in raising_matrix(k, level, params, kind, actor)
+                    for row in raising_matrix(k, level, params, kind)
                 ]
                 all_k = linalg.nullspace(rows, len(level_basis(level)))
-                assert joint_kernel(params, level, actor) == all_k
+                assert joint_kernel(params, level) == all_k
                 if level == m:
                     assert all_k
                 if m is None:
@@ -355,6 +387,20 @@ class TestMaxLevelRejection:
         report = is_verma_irreducible(self.params, 0)
         assert report.verdict == "no-singular-vector-up-to-0"
         assert report.witness is None
+
+
+@pytest.mark.parametrize(
+    "max_level, message",
+    [
+        (2.5, "max_level must be an int, got 2.5"),
+        (-1, "max_level must be at least 0, got -1"),
+    ],
+)
+def test_criterion_roots_refuses_a_bad_max_level(max_level, message):
+    params = HighestWeightParams(F(0), F(0), F(1), F(8))
+    with pytest.raises(ValueError) as exc:
+        criterion_roots(params, max_level)
+    assert str(exc.value) == message
 
 
 def test_roots_agree_with_direct_enumeration():

@@ -48,7 +48,7 @@ system, solution = classify(F(1, 2), F(1, 3), 5)
 
 # The one linear ray is the expected family f(m, t) = a + b m + t (up to
 # scale), which is I acting as a multiple of x.
-ray = solution.ray(0)
+ray = solution.basis[0]
 family = f_family_assignment(F(1, 2), F(1, 3), 5)
 scale = ray["f(1,0)"] / family["f(1,0)"]
 print(

@@ -57,7 +57,7 @@ result = classify("decomposable")
 # either zero or the square-zero corner (alpha + n) E_{12}.
 solution, survivors = result
 for k in survivors:
-    entries = {name: str(v) for name, v in solution.ray(k).items() if v and name != "C1"}
+    entries = {name: str(v) for name, v in solution.basis[k].items() if v and name != "C1"}
     sector = sorted({name.split(")[")[1] for name in entries})
     print("  surviving ray %d lives in entry sector [%s]" % (k, sector[0].rstrip("]")))
 
@@ -73,6 +73,6 @@ print()
 classify("ext_a", normalized=False)
 solution, survivors = classify("ext_b", normalized=False) or (None, None)
 if solution is not None:
-    ray = solution.ray(survivors[0])
+    ray = solution.basis[survivors[0]]
     nonzero = {n: str(v) for n, v in ray.items() if v and n != "C1"}
     print("  ext_b surviving ray, first entries:", dict(sorted(nonzero.items())[:4]))

@@ -35,12 +35,9 @@ from .pbw import (
     HighestWeightParams,
     UEAElement,
     act_on_highest,
-    is_normal_ordered,
     monomial_degree,
-    monomial_from_json,
     monomial_key,
     monomial_to_json,
-    multiply,
     normal_order,
 )
 from .verma import (
@@ -61,7 +58,6 @@ from .intermediate import (
     ModuleSpec,
     ProbeReport,
     act,
-    act_element,
     action_table_rows,
     bracket_compatibility_check,
     coefficient,
@@ -78,7 +74,6 @@ from .constraints import (
     check_quadratic,
     f_family_assignment,
     make_x_matrices,
-    matrix_family_assignment,
     report,
     solve_linear,
     verify_x_action,

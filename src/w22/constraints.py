@@ -91,10 +91,6 @@ class SolutionSpace:
     basis: list
     dimension: int
 
-    def ray(self, i):
-        """The i-th basis assignment (homogeneous ray) as a name -> value dict."""
-        return self.basis[i]
-
 
 def _assignment_from_vector(unknowns, vector):
     return {
@@ -372,8 +368,10 @@ def f_family_assignment(a, b, window, scale=1):
     """The closed-form solution family f(m, t) = scale * (a + b m + t), C1 = 0.
 
     Specializing (a, b) reproduces the degenerate families as well:
-    (0, 1) gives f(m, t) = m + t and (0, 0) gives f(m, t) = t.
+    (0, 1) gives f(m, t) = m + t and (0, 0) gives f(m, t) = t.  A window
+    that is not an int, or is negative, raises ValueError.
     """
+    check_int(window, 0, "window")
     a = rat(a)
     b = rat(b)
     scale = rat(scale)
@@ -580,26 +578,3 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         unknowns, equations, quadratics, meta, spanning=tuple(spanning),
         order=order,
     )
-
-
-def matrix_family_assignment(alpha, window, d_matrix):
-    """The scalar family F(i, n) = (alpha + n) D for a constant matrix D.
-
-    No library path calls it: the solver finds this family itself.  It
-    stays public as a test oracle that a caller can reuse: the paper's
-    decomposable answer, written down by hand, must satisfy every row of
-    the system (``ConstraintSystem.evaluate_equations``), which checks the
-    builder without the solver.
-    """
-    alpha = rat(alpha)
-    out = {}
-    for i in range(-window, window + 1):
-        for n in range(-window, window + 1):
-            scale = alpha + n
-            for r in (1, 2):
-                for s in (1, 2):
-                    value = scale * rat(d_matrix[r - 1][s - 1])
-                    if value:
-                        out[_mat_name(i, n, r, s)] = value
-    out["C1"] = Fraction(0)
-    return out

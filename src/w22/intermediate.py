@@ -80,22 +80,6 @@ def act(spec, gen, vec):
     return {m + i: c for i, v in vec.items() if (c := coefficient(spec, m, i) * v)}
 
 
-def act_element(spec, elem, vec):
-    """Linear extension of ``act`` to LieElements.
-
-    No library path calls it: the module checks read ``coefficient``
-    directly.  It stays public as a test oracle that a caller can reuse:
-    a combination such as ``vir_embed(e, n)`` can be applied as a whole,
-    so that the action of each Virasoro copy is checked against that of
-    x(n) without going through the scalar table.
-    """
-    out = {}
-    for g, cg in elem.terms.items():
-        for j, c in act(spec, g, vec).items():
-            out[j] = out.get(j, Fraction(0)) + cg * c
-    return {j: c for j, c in out.items() if c}
-
-
 def bracket_compatibility_check(spec, window):
     """Check g(h v_i) - h(g v_i) = [g,h] v_i on the window, exactly.
 

@@ -93,10 +93,6 @@ class BasisElement:
             rec["index"] = self.index
         return rec
 
-    @classmethod
-    def from_json(cls, rec):
-        return cls(rec["kind"], rec.get("index"))
-
 
 def x(n):
     return BasisElement(X_KIND, n)
@@ -120,8 +116,8 @@ class Combination:
 
     Zero coefficients are dropped.  A subclass fixes what a key is by
     supplying ``sort_key`` (the order of ``items``), ``term_str`` (how one
-    key is shown in ``repr``) and ``term_to_json`` / ``term_from_json``
-    (the JSON record of one key, to which ``coeff`` is appended).
+    key is shown in ``repr``) and ``term_to_json`` (the JSON record of one
+    key, to which ``coeff`` is appended).
     Elements of two different subclasses are never equal.
     """
 
@@ -177,10 +173,6 @@ class Combination:
             ]
         }
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({cls.term_from_json(r): r["coeff"] for r in data["terms"]})
-
 
 class LieElement(Combination):
     """A finite linear combination of basis generators."""
@@ -189,7 +181,6 @@ class LieElement(Combination):
     sort_key = staticmethod(term_key)
     term_str = staticmethod(repr)
     term_to_json = staticmethod(BasisElement.to_json)
-    term_from_json = staticmethod(BasisElement.from_json)
 
 
 ZERO = LieElement()
@@ -239,7 +230,11 @@ def bracket(a, b):
 
 
 def basis_window(window):
-    """All basis generators with |index| <= window, plus C and C1."""
+    """All basis generators with |index| <= window, plus C and C1.
+
+    A window that is not an int, or is negative, raises ValueError.
+    """
+    check_int(window, 0, "window")
     gens = [C, C1]
     gens += [I(n) for n in range(-window, window + 1)]
     gens += [x(n) for n in range(-window, window + 1)]
@@ -263,9 +258,9 @@ def jacobi_check(window, pair=pair_bracket):
     its Jacobi sum.  As D^2 != 0, the one is zero exactly when the other
     is.
 
-    A window that is not an int, or is negative, raises ValueError.
+    A window that is not an int, or is negative, raises ValueError
+    (``basis_window``).
     """
-    check_int(window, 0, "window")
     gens = basis_window(window)
     reached = set(gens).union(*[pair(b, c).terms for b in gens for c in gens])
     table, _ = clear_table(

@@ -85,7 +85,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import isqrt, lcm
 
-from .rationals import clear_denominators
+from .rationals import check_int, clear_denominators
 
 # Exponents e of the Mersenne primes 2^e - 1 (OEIS A000043), each at least
 # 1.7 times the last, so that ten attempts lift entries of up to about
@@ -353,9 +353,11 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
     columns.  Without it the order is the identity.  The answer is the
     same in every order (see the module docstring); only the work of the
     fold changes.  Anything but a permutation raises ValueError, and so
-    does a column key outside range(ncols).  A coefficient or right-hand
-    side that is not an int or a Fraction raises TypeError.
+    does a column key outside range(ncols), and an ncols that is not an
+    int or is negative.  A coefficient or right-hand side that is not an
+    int or a Fraction raises TypeError.
     """
+    check_int(ncols, 0, "ncols")
     if spanning is not None:
         spanning = tuple(spanning)
         if not all(isinstance(i, int) and 0 <= i < len(equations)
@@ -386,8 +388,10 @@ def nullspace(rows, ncols):
     """Kernel basis of rows given as col -> coeff dicts.
 
     One vector per free column, ascending, read and certified as by
-    ``solve_sparse`` with every right-hand side 0.
+    ``solve_sparse`` with every right-hand side 0.  An ncols that is not
+    an int, or is negative, raises ValueError.
     """
+    check_int(ncols, 0, "ncols")
     # _kernel rather than solve_sparse, so that wrapping either public name
     # (as perfbench's layer tracer does) times the two callers apart.
     equations = [(row, 0) for row in rows]

@@ -17,7 +17,7 @@ Both the rewriting and the action below read the memoized
 ``UEAElement`` is the shared ``liecore.Combination`` keyed by ordered
 monomials (tuples of generators), sorted by degree and then by the term
 order of their factors; a monomial's JSON record is the list of its
-generators' records, written and read by ``BasisElement``.
+generators' records, each written by ``BasisElement``.
 
 ``act_on_highest`` evaluates a word or enveloping-algebra element on the
 highest-weight vector v of the module with parameters (lambda, c, c0, c1):
@@ -29,17 +29,12 @@ strictly negative indices.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liecore import BasisElement, Combination, pair_bracket, term_key
+from .liecore import Combination, pair_bracket, term_key
 from .rationals import rat, rat_str
 
 
 def monomial_degree(mono):
     return sum(b.degree for b in mono)
-
-
-def is_normal_ordered(word):
-    keys = [term_key(b) for b in word]
-    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
 
 
 def monomial_key(mono):
@@ -48,10 +43,6 @@ def monomial_key(mono):
 
 def monomial_to_json(mono):
     return [b.to_json() for b in mono]
-
-
-def monomial_from_json(data):
-    return tuple(BasisElement.from_json(rec) for rec in data)
 
 
 class UEAElement(Combination):
@@ -67,10 +58,6 @@ class UEAElement(Combination):
     @staticmethod
     def term_to_json(mono):
         return {"monomial": monomial_to_json(mono)}
-
-    @staticmethod
-    def term_from_json(rec):
-        return monomial_from_json(rec["monomial"])
 
 
 def normal_order(word):
@@ -94,22 +81,6 @@ def normal_order(word):
     return UEAElement(result)
 
 
-def multiply(u, v):
-    """Product in the enveloping algebra, re-straightened to PBW form.
-
-    No library path calls it: the PBW action works on the highest-weight
-    vector directly.  It stays public as a test oracle that a caller can
-    reuse: straightening the product of two normal-ordered words must give
-    the normal order of their concatenation, which checks
-    ``normal_order`` against itself by a different route.
-    """
-    out = UEAElement()
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            out = out + (c1 * c2) * normal_order(m1 + m2)
-    return out
-
-
 @dataclass(frozen=True)
 class HighestWeightParams:
     lam: Fraction
@@ -128,10 +99,6 @@ class HighestWeightParams:
             "c0": rat_str(self.c0),
             "c1": rat_str(self.c1),
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["lambda"], data["c"], data["c0"], data["c1"])
 
 
 class HighestWeightActor:

@@ -41,7 +41,7 @@ from .pbw import (
     monomial_key,
     monomial_to_json,
 )
-from .rationals import check_int, rat_str
+from .rationals import check_int, rat, rat_str
 
 
 def _partitions(n, largest=None):
@@ -139,10 +139,12 @@ def raising_matrix(k, n, params, gen_kind):
 
     Rows are indexed by the level n-k basis, columns by the level n basis,
     both in canonical monomial order.  gen_kind is "X" or "I".  A level n
-    that is not an int, or is negative, raises ValueError.
+    that is not an int, or is negative, raises ValueError, and so does a k
+    that is not an int, is below 1 or is above n.
     """
     check_int(n, 0, "level")
-    if k < 1 or k > n:
+    check_int(k, 1, "k")
+    if k > n:
         raise ValueError("need 1 <= k <= n")
     if gen_kind not in ("X", "I"):
         raise ValueError("gen_kind must be 'X' or 'I'")
@@ -217,9 +219,12 @@ def criterion_value(m, c0, c1):
     """The closed-form reducibility expression 2 c0 - (m^2-1)/12 c1.
 
     This is 2 h_W + (m^2-1)/12 c_W at h_W = c0, c_W = -c1, the image of
-    (c0, c1) under the dictionary in the module docstring.
+    (c0, c1) under the dictionary in the module docstring.  An m that is
+    not an int, or is below 1, raises ValueError; c0 and c1 are read by
+    ``rat``.
     """
-    return 2 * Fraction(c0) - Fraction(m * m - 1, 12) * Fraction(c1)
+    check_int(m, 1, "m")
+    return 2 * rat(c0) - Fraction(m * m - 1, 12) * rat(c1)
 
 
 def criterion_roots(params, max_level):

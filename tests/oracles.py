@@ -1,0 +1,97 @@
+"""Independent routes that the tests compare the library against.
+
+The library, its command line, the demos and the benchmark use none of
+these.  Each stays because a test checks a library result against it, by
+a second route:
+
+``multiply``
+    straightens the product of two normal-ordered elements, so the
+    normal order of a concatenated word is checked against
+    ``normal_order`` applied piece by piece.
+``is_normal_ordered``
+    reads a word's order from ``term_key`` alone, so the ordering of
+    ``normal_order`` and ``level_basis`` is checked without rewriting.
+``act_element``
+    applies a ``LieElement`` such as ``vir_embed(e, n)`` as a whole,
+    term by term through ``act``, so each Virasoro copy is checked
+    against x(n) alone.
+``matrix_family_assignment``
+    writes the paper's decomposable answer F(i, n) = (alpha + n) D by
+    hand, so the matrix builder's rows are checked without the solver.
+``generator_from_json``, ``monomial_from_json``, ``element_from_json``,
+``params_from_json``
+    read back the JSON records that the library writes (it reads none),
+    for the round-trip tests and criterion 10.  They are built only on
+    the public constructors, so every coefficient goes through ``rat``.
+"""
+
+from fractions import Fraction
+
+from w22 import (
+    BasisElement,
+    HighestWeightParams,
+    UEAElement,
+    act,
+    normal_order,
+    rat,
+    term_key,
+)
+
+
+def multiply(u, v):
+    """Product of two UEAElements, re-straightened to PBW form."""
+    out = UEAElement()
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            out = out + (c1 * c2) * normal_order(m1 + m2)
+    return out
+
+
+def is_normal_ordered(word):
+    keys = [term_key(b) for b in word]
+    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
+
+
+def act_element(spec, elem, vec):
+    """Linear extension of ``act`` to LieElements."""
+    out = {}
+    for g, cg in elem.terms.items():
+        for j, c in act(spec, g, vec).items():
+            out[j] = out.get(j, Fraction(0)) + cg * c
+    return {j: c for j, c in out.items() if c}
+
+
+def matrix_family_assignment(alpha, window, d_matrix):
+    """The scalar family F(i, n) = (alpha + n) D for a constant matrix D,
+    with C1 = 0, as a name -> value assignment."""
+    alpha = rat(alpha)
+    out = {}
+    for i in range(-window, window + 1):
+        for n in range(-window, window + 1):
+            for r in (1, 2):
+                for s in (1, 2):
+                    value = (alpha + n) * rat(d_matrix[r - 1][s - 1])
+                    if value:
+                        out["F(%d,%d)[%d,%d]" % (i, n, r, s)] = value
+    out["C1"] = Fraction(0)
+    return out
+
+
+def generator_from_json(rec):
+    return BasisElement(rec["kind"], rec.get("index"))
+
+
+def monomial_from_json(data):
+    return tuple(generator_from_json(rec) for rec in data)
+
+
+def element_from_json(cls, data):
+    """A LieElement or UEAElement (cls) from its ``to_json`` record."""
+    if cls is UEAElement:
+        return cls({monomial_from_json(r["monomial"]): r["coeff"]
+                    for r in data["terms"]})
+    return cls({generator_from_json(r): r["coeff"] for r in data["terms"]})
+
+
+def params_from_json(data):
+    return HighestWeightParams(data["lambda"], data["c"], data["c0"], data["c1"])

@@ -39,6 +39,8 @@ from w22 import (
     vir_embed,
 )
 
+from oracles import element_from_json
+
 
 def F(a, b=1):
     return Fraction(a, b)
@@ -205,7 +207,7 @@ def _matches_family(system, solution, family):
     """The solution space equals the line spanned by the family assignment."""
     if solution.dimension != 1:
         return False
-    ray = solution.ray(0)
+    ray = solution.basis[0]
     anchor = next(
         (n for n in system.unknowns if family.get(n, F(0)) != 0), None
     )
@@ -249,7 +251,7 @@ def test_criterion_08_two_dimensional_weight_spaces():
     pattern_ok = shape_ok
     if shape_ok:
         for k in range(4):
-            ray = solution.ray(k)
+            ray = solution.basis[k]
             d = {}
             for name, value in ray.items():
                 if name == "C1":
@@ -343,9 +345,9 @@ def test_criterion_10_cli_determinism():
         ):
             unstable.append(argv[0])
     lie_data = json.loads(_cli("bracket", "--left", "x:3", "--right", "x:-3").stdout)
-    lie_ok = LieElement.from_json(lie_data).to_json() == lie_data
+    lie_ok = element_from_json(LieElement, lie_data).to_json() == lie_data
     uea_data = json.loads(_cli("normal-order", "x:2", "x:-2", "i:1").stdout)
-    uea_ok = UEAElement.from_json(uea_data).to_json() == uea_data
+    uea_ok = element_from_json(UEAElement, uea_data).to_json() == uea_data
     ok = unstable == [] and lie_ok and uea_ok
     _verdict(
         10,

@@ -33,6 +33,8 @@ from w22 import (  # noqa: E402
     x,
 )
 
+from oracles import element_from_json  # noqa: E402
+
 generators = st.one_of(st.builds(x, st.integers(-4, 4)),
                        st.builds(I, st.integers(-4, 4)),
                        st.sampled_from([C, C1]))
@@ -92,7 +94,7 @@ def test_word_acts_as_its_normal_order(word, p):
 @given(same_kind_pairs)
 def test_combination_json_round_trip_and_cancellation(pair):
     u, v = pair
-    assert type(u).from_json(json.loads(json.dumps(u.to_json()))) == u
+    assert element_from_json(type(u), json.loads(json.dumps(u.to_json()))) == u
     assert (u + v) - v == u
     assert (u + (-u)).is_zero
 

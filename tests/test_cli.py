@@ -9,6 +9,8 @@ import pytest
 
 from w22 import LieElement, ModuleSpec, UEAElement, action_table_rows
 
+from oracles import element_from_json
+
 
 def run(*args):
     return subprocess.run(
@@ -251,19 +253,19 @@ class TestRoundTrips:
     def test_bracket_output_parses_as_lie_element(self):
         proc = run("bracket", "--left", "x:3", "--right", "x:-3")
         data = json.loads(proc.stdout)
-        element = LieElement.from_json(data)
+        element = element_from_json(LieElement, data)
         assert element.to_json() == data
 
     def test_vir_embed_output_parses(self):
         proc = run("vir-embed", "--e", "-1/2", "--n", "3")
         data = json.loads(proc.stdout)
-        element = LieElement.from_json(data)
+        element = element_from_json(LieElement, data)
         assert element.to_json() == data
 
     def test_normal_order_output_parses_as_uea_element(self):
         proc = run("normal-order", "x:2", "x:-2", "i:1")
         data = json.loads(proc.stdout)
-        element = UEAElement.from_json(data)
+        element = element_from_json(UEAElement, data)
         assert element.to_json() == data
 
     def test_verma_singular_report_round_trip(self):

@@ -18,11 +18,12 @@ from w22 import (
     coefficient,
     f_family_assignment,
     make_x_matrices,
-    matrix_family_assignment,
     report,
     solve_linear,
     verify_x_action,
 )
+
+from oracles import matrix_family_assignment
 
 
 def F(a, b=1):
@@ -63,6 +64,16 @@ class TestFSystemShape:
     def test_window_that_is_not_an_int_rejected(self, window):
         with pytest.raises(ValueError, match="window must be an int"):
             build_f_system(F(1), F(0), window)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [(-1, "window must be at least 0, got -1"),
+         (2.5, "window must be an int, got 2.5")],
+    )
+    def test_family_assignment_refuses_a_bad_window(self, window, message):
+        with pytest.raises(ValueError) as exc:
+            f_family_assignment(1, 2, window)
+        assert str(exc.value) == message
 
     def test_meta(self):
         meta = build_f_system(F(1, 2), F(1, 3), 3).meta
@@ -114,7 +125,7 @@ class TestFSystemSolutions:
         assert solution.feasible
         assert solution.dimension == 1
         assert c1_is_forced_zero(solution)
-        ray = solution.ray(0)
+        ray = solution.basis[0]
         family = f_family_assignment(a, b, 5)
         # the ray is a scalar multiple of the family
         anchor = "f(1,0)"
@@ -130,7 +141,7 @@ class TestFSystemSolutions:
         solution = solve_linear(system)
         assert solution.dimension == 1
         assert c1_is_forced_zero(solution)
-        ray = solution.ray(0)
+        ray = solution.basis[0]
         family = f_family_assignment(a, b, 5)
         anchor = next(n for n in system.unknowns if family.get(n, F(0)) != 0)
         scale = ray.get(anchor, F(0)) / family[anchor]
@@ -599,7 +610,7 @@ class TestMatrixSystem:
         # (alpha + n)-multiple pattern there, with no i-dependence
         sectors = []
         for k in range(solution.dimension):
-            ray = solution.ray(k)
+            ray = solution.basis[k]
             seen = {}
             for name, value in ray.items():
                 if name == "C1" or value == 0:
@@ -637,7 +648,7 @@ class TestMatrixSystem:
         assert sorted(check_quadratic(system, solution)) == sorted(
             k
             for k in range(4)
-            if _ray_sector(solution.ray(k)) in [(1, 2), (2, 1)]
+            if _ray_sector(solution.basis[k]) in [(1, 2), (2, 1)]
         )
 
     @pytest.mark.parametrize("ext_type", ["ext_a", "ext_b"])
@@ -659,7 +670,7 @@ class TestMatrixSystem:
         assert len(survivors) == 1
         # the surviving line is (alpha + n) E12: square-zero, i-independent
         alpha = F(1, 3)
-        ray = solution.ray(survivors[0])
+        ray = solution.basis[survivors[0]]
         anchor = ray.get("F(1,0)[1,2]", F(0))
         assert anchor != 0
         scale = anchor / alpha

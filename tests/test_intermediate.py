@@ -10,7 +10,6 @@ from w22 import (
     I,
     ModuleSpec,
     act,
-    act_element,
     action_table_rows,
     bracket_compatibility_check,
     coefficient,
@@ -22,6 +21,8 @@ from w22 import (
     x,
 )
 from w22 import intermediate
+
+from oracles import act_element
 
 
 def F(a, b=1):

@@ -38,6 +38,8 @@ from w22 import (
     x,
 )
 
+from oracles import element_from_json, generator_from_json
+
 
 class TestPairBrackets:
     def test_x_x_generic(self):
@@ -303,7 +305,7 @@ class TestBasisElement:
         assert x(3) is x(3)
         assert BasisElement("I", -2) is I(-2)
         assert BasisElement("C") is C
-        assert BasisElement.from_json({"kind": "X", "index": 4}) is x(4)
+        assert generator_from_json({"kind": "X", "index": 4}) is x(4)
 
     def test_bool_index_is_the_int_generator(self):
         assert x(True) is x(1)
@@ -344,7 +346,7 @@ def test_element_json_round_trip():
     elem = LieElement({x(2): Fraction(-4), C: Fraction(1, 2), I(-3): 7})
     data = elem.to_json()
     assert data["terms"][0]["kind"] == "C"  # canonical order
-    assert LieElement.from_json(data) == elem
+    assert element_from_json(LieElement, data) == elem
 
 
 def test_element_repr():
@@ -357,6 +359,17 @@ def test_element_repr():
 def test_zero_handling():
     assert LieElement({x(1): 0}) == ZERO
     assert (bracket(x(1), x(-1)) - bracket(x(1), x(-1))).is_zero
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [(-1, "window must be at least 0, got -1"),
+     (2.5, "window must be an int, got 2.5")],
+)
+def test_basis_window_refuses_a_bad_window(window, message):
+    with pytest.raises(ValueError) as exc:
+        basis_window(window)
+    assert str(exc.value) == message
 
 
 def test_basis_window_contents():

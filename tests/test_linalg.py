@@ -221,6 +221,23 @@ def test_column_out_of_range_rejected(solve):
         solve()
 
 
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (lambda: solve_sparse([], -2), "ncols must be at least 0, got -2"),
+        (lambda: solve_sparse([], 2.5), "ncols must be an int, got 2.5"),
+        (lambda: nullspace([], -1), "ncols must be at least 0, got -1"),
+        (lambda: nullspace([{0: 1}], 2.5), "ncols must be an int, got 2.5"),
+    ],
+    ids=["solve-negative", "solve-float", "nullspace-negative",
+         "nullspace-float"],
+)
+def test_bad_column_count_refused(solve, message):
+    with pytest.raises(ValueError) as exc:
+        solve()
+    assert str(exc.value) == message
+
+
 def test_infeasibility_after_later_rows():
     # Rows 0-2 are consistent; row 3 = row 0 - row 1 + row 2 with the
     # wrong right-hand side; rows after it still fold.

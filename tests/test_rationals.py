@@ -15,6 +15,8 @@ from w22 import (
 )
 from w22.rationals import check_int, clear_table, integer
 
+from oracles import element_from_json, params_from_json
+
 
 def test_parses_integers_and_fractions():
     assert rat("3") == Fraction(3)
@@ -94,14 +96,15 @@ def test_check_int_refusals_name_the_value(value, least, message):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: LieElement.from_json(
-            {"terms": [{"kind": "X", "index": 1, "coeff": "1.5"}]}
+        lambda: element_from_json(
+            LieElement, {"terms": [{"kind": "X", "index": 1, "coeff": "1.5"}]}
         ),
-        lambda: UEAElement.from_json(
+        lambda: element_from_json(
+            UEAElement,
             {"terms": [{"monomial": [{"kind": "X", "index": -1}],
-                        "coeff": " 1.5e0 "}]}
+                        "coeff": " 1.5e0 "}]},
         ),
-        lambda: HighestWeightParams.from_json(
+        lambda: params_from_json(
             {"lambda": "0.1", "c": "0", "c0": "0", "c1": "0"}
         ),
         lambda: HighestWeightParams(0.1, 0, 0, 0),

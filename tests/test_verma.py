@@ -25,11 +25,12 @@ from w22 import (
     joint_kernel,
     level_basis,
     monomial_degree,
-    is_normal_ordered,
     normal_order,
     raising_matrix,
     x,
 )
+
+from oracles import is_normal_ordered
 
 
 def F(a, b=1):
@@ -104,10 +105,33 @@ class TestRaisingMatrices:
         want = [[F(0), F(0), F(0), F(-4) * F(2) + F(5) / 2, F(6) * F(2)]]
         assert raising_matrix(2, 2, self.params, "I") == want
 
-    @pytest.mark.parametrize("k, n", [(0, 2), (3, 2)])
-    def test_k_outside_one_to_n_refused(self, k, n):
-        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+    @pytest.mark.parametrize(
+        "k, n, message",
+        [(0, 2, "k must be at least 1, got 0"), (3, 2, "need 1 <= k <= n")],
+        ids=["0-2", "3-2"],
+    )
+    def test_k_outside_one_to_n_refused(self, k, n, message):
+        with pytest.raises(ValueError) as exc:
             raising_matrix(k, n, self.params, "X")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("1", "k must be an int, got '1'"),
+            (1.5, "k must be an int, got 1.5"),
+            (F(1), "k must be an int, got Fraction(1, 1)"),
+        ],
+    )
+    def test_k_that_is_not_an_int_refused(self, k, message):
+        with pytest.raises(ValueError) as exc:
+            raising_matrix(k, 2, self.params, "X")
+        assert str(exc.value) == message
+
+    def test_true_is_k_one(self):
+        assert raising_matrix(True, 2, self.params, "X") == raising_matrix(
+            1, 2, self.params, "X"
+        )
 
     def test_unknown_gen_kind_refused(self):
         with pytest.raises(ValueError, match="gen_kind must be 'X' or 'I'"):
@@ -401,6 +425,28 @@ def test_criterion_roots_refuses_a_bad_max_level(max_level, message):
     with pytest.raises(ValueError) as exc:
         criterion_roots(params, max_level)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "m, c0, c1, message",
+    [
+        (1.5, 0, 1, "m must be an int, got 1.5"),
+        (0, 0, 1, "m must be at least 1, got 0"),
+        (2, 0.1, 0, "not a rational: 0.1 (expected p or p/q)"),
+        (2, " 1.5e0 ", 0, "not a rational: ' 1.5e0 ' (expected p or p/q)"),
+        (2, 0, "1.5", "not a rational: '1.5' (expected p or p/q)"),
+    ],
+    ids=["m-float", "m-zero", "c0-float", "c0-exponent", "c1-decimal"],
+)
+def test_criterion_value_refuses_what_the_readers_refuse(m, c0, c1, message):
+    with pytest.raises(ValueError) as exc:
+        criterion_value(m, c0, c1)
+    assert str(exc.value) == message
+
+
+def test_criterion_value_reads_rational_text():
+    assert criterion_value(True, "3", 99) == F(6)
+    assert criterion_value(2, " 1 ", "8") == 0
 
 
 def test_roots_agree_with_direct_enumeration():

@@ -6,9 +6,13 @@ F(j, n) v as unknown.  With d = dim V_n, A(i, n) and F(j, n) are d x d
 matrices, and one builder (``_build``) imposes the defining relation
 [x(i), I(j)] = (j - i) I(i + j) + delta(i, -j) (i^3 - i)/12 C1 on V_n:
 one linear equation per matrix entry of every index triple (i, j, n) on
-a finite window.  Solving the linear system and then filtering by the
-quadratic constraints coming from [I, I] = 0 recovers every I-action
-compatible with the given x-action on that window.
+a finite window.  Each equation of x(i) is the relation times a positive
+int D_i, so every coefficient is an int: the builders read A(i, n) over
+the weights the rows use as integers over one denominator, and the
+solver takes integer rows as they are.  Solving the linear system and
+then filtering by the quadratic constraints coming from [I, I] = 0
+recovers every I-action compatible with the given x-action on that
+window.
 
 ``build_f_system(a, b, window)`` is d = 1, one-dimensional weight
 spaces: x(n) v_t = (a + t + b n) v_{n+t} and I(m) v_t = f(m, t) v_{m+t}.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import solve_sparse
 from .rationals import check_int, clear_denominators, clear_table, rat, rat_str
@@ -43,7 +48,10 @@ class ConstraintSystem:
     sum(coeff * unknown[col]) = rhs.  ``quadratics`` holds bilinear
     constraints as lists of (col, col, coeff) triples, to be read as
     sum(coeff * unknown[col1] * unknown[col2]) = 0.  Coefficients are
-    exact ints or Fractions, and zero coefficients are omitted.
+    exact ints or Fractions, and zero coefficients are omitted.  The
+    builders write every equation with int coefficients, as D_i times
+    the relation of x(i) (see ``_build``); only the pinning row of a
+    normalized matrix system has a Fraction right-hand side.
     ``spanning`` lists the indices of equations expected to span the
     linear part (see ``linalg.solve_sparse``); None means every equation.
     ``order`` lists the columns in the order the solver eliminates them;
@@ -62,7 +70,8 @@ class ConstraintSystem:
 
     def evaluate_equations(self, assignment):
         """Residual (lhs - rhs) of every linear equation at an assignment
-        (name -> value; missing names are 0)."""
+        (name -> value; missing names are 0).  For a built system the
+        residual of a row of x(i) is D_i times that of the relation."""
         values = self._values(assignment)
         out = []
         for coeffs, rhs in self.equations:
@@ -179,26 +188,34 @@ def report(system, solution, survivors=None):
 # ---------------------------------------------------------------------------
 
 
-def _build(act, d, window, names):
+def _build(cleared, d, window, names):
     """Rows of [x(i), I(j)] = (j - i) I(i + j) + delta (i^3 - i)/12 C1.
 
-    ``act(i, n)`` is the d x d matrix A(i, n) of x(i) on V_n (a tuple of
-    rows), and ``names(j, n, r, s)`` names entry (r, s) of the unknown
-    F(j, n), counting from 0.  Applied to V_n the relation reads
+    ``cleared(i, weights)`` gives the d x d matrices A(i, n) of x(i) on
+    V_n for the n in weights, in the shape of ``rationals.clear_table``:
+    ({n: [(r d + s, int), ...]}, den), every entry listed in the order of
+    r d + s, with A(i, n)[r][s] = int / den.
+    ``names(j, n, r, s)`` names entry (r, s) of the unknown F(j, n),
+    counting from 0.  Applied to V_n the relation reads
 
         A(i, j+n) F(j, n) - F(j, i+n) A(i, n) + (i - j) F(i+j, n)
             - delta(i, -j) (i^3 - i)/12 C1 = 0,
 
     one row per entry (r, s) of every triple (i, j, n) whose indices all
-    stay inside the window, in the order j, i, n, (r, s).
+    stay inside the window, in the order j, i, n, (r, s).  Every row of
+    x(i) is written as D_i times the relation, with all coefficients
+    ints: D_i is the lcm of den and 12 / gcd(i^3 - i, 12), so that the C1
+    coefficient -(i^3 - i)/12 D_i is an int too.  Scaling a row by a
+    positive int keeps its solutions, and the solver reads integer rows
+    as they are.
 
     Precondition: A(0, n) = (lambda + n) Id for some scalar lambda, as in
     every action the package builds.  The i = 0 rows then read
     (lambda + j + n - lambda - n - j) F(j, n) = 0, so they are written as
-    empty rows ({}, 0) without reading ``act(0, .)``.  They are kept, not
-    dropped, so that every windowed triple keeps its rows: the equation
-    count, the row indices and the outputs read from them stay those of
-    the full relation.
+    empty rows ({}, 0) without reading ``cleared(0, .)``.  They are kept,
+    not dropped, so that every windowed triple keeps its rows: the
+    equation count, the row indices and the outputs read from them stay
+    those of the full relation.
 
     The rows with i in (1, -1, -2) are listed as ``spanning``.  x(1),
     x(-1) and x(-2) generate only the x(n) with n <= 1, so no theorem says
@@ -250,18 +267,23 @@ def _build(act, d, window, names):
     ]
     diagonal = range(0, dd, d + 1)
 
-    # tables[i][n] holds, per entry e, the nonzero terms of A(i, n) F and of
-    # -F A(i, n) as (flat index into F, coefficient), built once per
-    # matrix the rows read: j and n run over [lo, hi], so the rows read
-    # A(i, j + n) and A(i, n) for weights in [2 lo, 2 hi].
+    # tables[i] = (D_i, {n: terms}), where terms holds, per entry e, the
+    # nonzero terms of D_i A(i, n) F and of -D_i F A(i, n) as (flat index
+    # into F, int), built once per matrix the rows read: j and n run over
+    # [lo, hi], so the rows read A(i, j + n) and A(i, n) for weights in
+    # [2 lo, 2 hi].
     tables = {}
     for i in rng:
         if not i:
             continue
         lo, hi = max(-window, -window - i), min(window, window - i)
-        tables[i] = table = {}
-        for n in range(2 * lo, 2 * hi + 1):
-            flat = [v for row in act(i, n) for v in row]
+        matrices, den = cleared(i, range(2 * lo, 2 * hi + 1))
+        scale = lcm(den, 12 // gcd(i**3 - i, 12))
+        up = scale // den
+        table = {}
+        tables[i] = scale, table
+        for n, pairs in matrices.items():
+            flat = [v * up for _, v in pairs]
             table[n] = (
                 [tuple((y, flat[x]) for x, y in prod if flat[x])
                  for prod in products],
@@ -279,9 +301,10 @@ def _build(act, d, window, names):
             if not i:
                 equations.extend(({}, 0) for _ in range(len(rng) * dd))
                 continue
-            central = -Fraction(i**3 - i, 12) if i + j == 0 else 0
+            scale, table = tables[i]
+            central = -(i**3 - i) * scale // 12 if i + j == 0 else 0
+            shift = (i - j) * scale
             spans = i in (1, -1, -2)
-            table = tables[i]
             bij = bj + i * step
             for n in rng:
                 if abs(i + n) > window:
@@ -297,8 +320,8 @@ def _build(act, d, window, names):
                         coeffs[bjn + y] = v
                     for x, v in a_right[e]:
                         coeffs[bjin + x] = v
-                    if i != j:
-                        coeffs[bijn + e] = i - j
+                    if shift:
+                        coeffs[bijn + e] = shift
                     if central and e in diagonal:
                         coeffs[c1] = central
                     equations.append((coeffs, 0))
@@ -337,7 +360,8 @@ def build_f_system(a, b, window):
     """Linear/quadratic system for I(m) v_t = f(m, t) v_{m+t}.
 
     The x-action is x(n) v_t = (a + t + b n) v_{n+t}, so this is the
-    d = 1 case of ``_build``, with f(m, t) the 1x1 matrix F(m, t): one
+    d = 1 case of ``_build``, with f(m, t) the 1x1 matrix F(m, t), and
+    x(n) written as the ints a + b n + t times lcm(den a, den b): one
     linear equation per windowed triple (m, n, t), in the order m, n, t,
     and one quadratic per windowed triple with m < n.  A window that is
     not an int raises ValueError, and so does one below 3: it contains no
@@ -347,10 +371,15 @@ def build_f_system(a, b, window):
     a = rat(a)
     b = rat(b)
     check_int(window, 3, "window")
-    shift = {n: a + b * n for n in range(-window, window + 1)}
+    (a_int, b_int), den = clear_denominators([a, b])
+
+    def cleared(n, weights):
+        # x(n) on v_t is a + b n + t = (a_int + b_int n + den t) / den
+        base = a_int + b_int * n
+        return {t: [(0, base + den * t)] for t in weights}, den
+
     unknowns, equations, quadratics, spanning, order = _build(
-        lambda n, t: ((shift[n] + t,),), 1, window,
-        lambda m, t, r, s: _f_name(m, t),
+        cleared, 1, window, lambda m, t, r, s: _f_name(m, t),
     )
     meta = {
         "kind": "f-system",
@@ -443,7 +472,7 @@ def make_x_matrices(alpha, betas, ext_type):
     The sum runs on integers: with d = p/q it accumulates
     N/D = sum k (m - k)/(p + s k q), and c = s q^2 N / ((p + i q) D).
     The memo saves computing again the matrices that both
-    ``verify_x_action`` and ``_build`` read.
+    ``verify_x_action`` and ``build_matrix_system`` read.
     """
     alpha = rat(alpha)
     beta1, beta2 = _beta_pair(betas)
@@ -538,7 +567,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
 
     The x-action A(i, n) is fixed by (alpha, betas, ext_type); unknowns are
     the four entries of F(i, n) for |i|, |n| <= window plus C1, and the
-    rows are those of ``_build`` with d = 2.  Before any equation is
+    rows are those of ``_build`` with d = 2, each x(i) read through
+    ``clear_table`` over its own denominator.  Before any equation is
     emitted the A-matrices themselves are checked against the x-bracket
     on the window (a consistency failure raises ValueError).  A window
     that is not an int, or is below 4, raises ValueError too, and so do
@@ -561,7 +591,11 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         )
     verify_x_action(a_mat, window)
     unknowns, equations, quadratics, spanning, order = _build(
-        a_mat, 2, window, lambda i, n, r, s: _mat_name(i, n, r + 1, s + 1)
+        lambda i, weights: clear_table({
+            n: dict(enumerate(v for row in a_mat(i, n) for v in row))
+            for n in weights
+        }),
+        2, window, lambda i, n, r, s: _mat_name(i, n, r + 1, s + 1),
     )
     if normalized:
         spanning.append(len(equations))

@@ -13,14 +13,16 @@ ncols and form the kernel basis of A.  When every rhs is 0 the column of
 -b is left out, since its kernel vector would be (0, 1).  No elimination
 runs over Fraction:
 
-1. Each row of M is cleared of its denominators once, on entry: it is
-   scaled by the lcm of its own denominators (b included), which keeps
-   its kernel.  The integer rows to fold (all of them, or a hint, below)
-   are folded, in input order, into an echelon basis keyed by leading
-   column (the smallest column left in the reduced row), over GF(p) on
-   plain ints.  p runs up a ladder of Mersenne primes 2^e - 1, e = 61,
-   127, 521, ..., 86243; each attempt starts from scratch with one prime,
-   and no residues are combined.
+1. Each row of M is read once, on entry: a row whose entries are all
+   integers (b included) is taken as it is, and any other row is scaled
+   by the lcm of its own denominators, which keeps its kernel.  The
+   constraint builders write integer rows; the Verma joint kernels hand
+   over Fraction rows.  The integer rows to fold (all of them, or a hint,
+   below) are folded, in input order, into an echelon basis keyed by
+   leading column (the smallest column left in the reduced row), over
+   GF(p) on plain ints.  p runs up a ladder of Mersenne primes 2^e - 1,
+   e = 61, 127, 521, ..., 86243; each attempt starts from scratch with
+   one prime, and no residues are combined.
 2. Back-substitution mod p gives one kernel vector per free column f (1
    at f, 0 at the other free columns).
 3. The residues are lifted by Wang's rational reconstruction (Wang,
@@ -59,7 +61,7 @@ every row, and the vectors it gives are checked on every row again.
 Each row is folded at most once per prime.
 
 A caller can also pass ``order``, a permutation of the columns of A:
-column order[k] is relabelled k as the rows are cleared, so the fold
+column order[k] is relabelled k as the rows are read, so the fold
 takes its pivots in that order, and the certified answer of the
 relabelled rows is mapped back over Q.  Column ncols keeps its place.
 Without ``order`` the order is the identity, and the map leaves the
@@ -180,12 +182,13 @@ def _exact_rows(equations, ncols, position):
     """The rows of [A | -b], each cleared of denominators once.
 
     Each row is a list of (col, int) pairs; a nonzero right-hand side b is
-    the entry -b in column ncols.  A row is scaled by the lcm of its own
-    denominators (b included), so it keeps its kernel and every entry
-    stays exact.  Column c < ncols is relabelled position[c] in the same
-    pass.  A row that is not a col -> coeff dict raises TypeError, a
-    column outside range(ncols) ValueError, and a value that is not an int
-    or a Fraction TypeError.
+    the entry -b in column ncols.  A row whose lcm of denominators (b
+    included) is 1 keeps its values, read as ints through ``numerator``
+    (a Fraction k/1 becomes k); any other row is scaled by that lcm, so it
+    keeps its kernel and every entry stays exact.  Column c < ncols is
+    relabelled position[c] in the same pass.  A row that is not a
+    col -> coeff dict raises TypeError, a column outside range(ncols)
+    ValueError, and a value that is not an int or a Fraction TypeError.
     """
     # One check on the union of the keys costs a fifth of one per row.
     try:
@@ -199,8 +202,11 @@ def _exact_rows(equations, ncols, position):
         for coeffs, rhs in equations:
             den = lcm(rhs.denominator,
                       *[v.denominator for v in coeffs.values()])
-            pairs = [(position[c], v.numerator * (den // v.denominator))
-                     for c, v in coeffs.items()]
+            if den == 1:
+                pairs = [(position[c], v.numerator) for c, v in coeffs.items()]
+            else:
+                pairs = [(position[c], v.numerator * (den // v.denominator))
+                         for c, v in coeffs.items()]
             if rhs:
                 pairs.append(
                     (ncols, -rhs.numerator * (den // rhs.denominator))

@@ -11,7 +11,7 @@ surrounding whitespace first, so ``" 1/2 "`` reads as 1/2.
 level): the value must be an int and at least a given least value.
 ``clear_denominators`` moves a list of rationals to integers, and
 ``clear_table`` a table of them, for the exact checks that run in integer
-arithmetic.
+arithmetic and for the integer rows of the constraint systems.
 """
 
 import re

@@ -2,10 +2,12 @@
 
 import dataclasses
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from w22 import constraints, linalg
+from w22.rationals import clear_table
 from w22 import (
     EXT_TYPES,
     ConstraintSystem,
@@ -28,6 +30,63 @@ from oracles import matrix_family_assignment
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def relation_rows(act, d, window, col, c1):
+    """(i, row) for every row of x(i) of the defining relation on d x d
+    blocks, over Q, in the order j, i, n, (r, s): entry (r, s) of
+
+        A(i, j+n) F(j, n) - F(j, i+n) A(i, n) + (i - j) F(i+j, n)
+            - delta(i, -j) (i^3 - i)/12 C1,
+
+    with A(i, n) = act(i, n), col(j, n, r, s) the column of F(j, n)[r, s]
+    (r and s from 0) and c1 the column of C1.
+    """
+    rng = range(-window, window + 1)
+    out = []
+    for j in rng:
+        for i in rng:
+            if abs(i + j) > window:
+                continue
+            for n in rng:
+                if abs(i + n) > window:
+                    continue
+                left, right = act(i, j + n), act(i, n)
+                for r in range(d):
+                    for s in range(d):
+                        terms = [(col(i + j, n, r, s), F(i - j))]
+                        for k in range(d):
+                            terms.append((col(j, n, k, s), left[r][k]))
+                            terms.append((col(j, i + n, r, k), -right[k][s]))
+                        if i + j == 0 and r == s:
+                            terms.append((c1, -F(i**3 - i, 12)))
+                        row = {}
+                        for c, v in terms:
+                            row[c] = row.get(c, F(0)) + v
+                        out.append((i, {c: v for c, v in row.items() if v}))
+    return out
+
+
+def row_scales(rows, expected):
+    """{i: D_i} for built rows that are D_i times their rational rows.
+
+    rows are (col -> coeff, rhs) rows of a built system; expected lists
+    the (i, col -> rational) row of x(i) that each should be a multiple
+    of, in the same order.  Every coefficient and right-hand side must be
+    an int, and all rows of one x(i) one positive int D_i times their
+    expected rows.  An x(i) whose expected rows are all 0 gets no D_i.
+    """
+    assert len(rows) == len(expected)
+    scales = {}
+    for k, ((coeffs, rhs), (i, want)) in enumerate(zip(rows, expected)):
+        assert type(rhs) is int and rhs == 0, k
+        assert all(type(v) is int for v in coeffs.values()), k
+        assert coeffs.keys() == want.keys(), k
+        for c, v in coeffs.items():
+            scale = scales.setdefault(i, v / want[c])
+            assert v == scale * want[c], (k, i)
+    assert all(s > 0 and s.denominator == 1 for s in scales.values())
+    return scales
 
 
 def f_triples(window):
@@ -103,15 +162,25 @@ class TestFSystemResiduals:
         assert any(r != 0 for r in residuals)
 
     def test_central_rows_isolate_c1(self):
+        # A row of x(n) is D_n times the relation, so at f = 0, C1 = 1 its
+        # residual is -D_n (n^3 - n)/12 when n + m = 0 and 0 otherwise.
+        # The x-action (1, 2) is integral, so D_n = 12 / gcd(n^3 - n, 12):
+        # 2 at n = +-2, where (n^3 - n)/12 = +-1/2, and 1 elsewhere.
         window = 5
         system = build_f_system(F(1), F(2), window)
+        assert all(
+            type(v) is int and type(rhs) is int
+            for coeffs, rhs in system.equations for v in coeffs.values()
+        )
         zero_f = {name: F(0) for name in system.unknowns}
         zero_f["C1"] = F(1)
         residuals = system.evaluate_equations(zero_f)
         triples = f_triples(window)
         assert len(residuals) == len(triples)
         expected = [
-            -F(n**3 - n, 12) if n + m == 0 else F(0) for m, n, t in triples
+            -F(n**3 - n, 12) * (12 // gcd(n**3 - n, 12)) if n + m == 0
+            else F(0)
+            for m, n, t in triples
         ]
         assert residuals == expected
         assert sum(1 for r in residuals if r != 0) == 60
@@ -170,78 +239,67 @@ class TestFSystemOracle:
         # relation [x(n), I(m)] = (m - n) I(n + m) + delta c1-term, written
         # against the weight-module action x(n) v_t = (a + t + b n) v_{n+t},
         # expressed through the same table the intermediate-series module
-        # code uses.
-        a, b = F(2, 3), F(1, 5)
+        # code uses.  Each row of x(n) is that rational row times one int
+        # D_n: the lcm of den a and den b, times 2 at n = +-2, where the
+        # C1 coefficient -(n^3 - n)/12 is +-1/2.
         window = 3
-        spec = ModuleSpec("Aab", a, b)
-        system = build_f_system(a, b, window)
-        triples = f_triples(window)
-        assert len(triples) == len(system.equations)
-        for (m, n, t), (coeffs, rhs) in zip(triples, system.equations):
-            expected = {}
-            for name, val in [
-                ("f(%d,%d)" % (m, t), coefficient(spec, n, m + t)),
-                ("f(%d,%d)" % (m, n + t), -coefficient(spec, n, t)),
-                ("f(%d,%d)" % (n + m, t), -F(m - n)),
-            ]:
-                if val:
-                    col = system.unknowns.index(name)
-                    expected[col] = expected.get(col, F(0)) + val
-            if n + m == 0 and n**3 != n:
-                expected[system.unknowns.index("C1")] = -F(n**3 - n, 12)
-            expected = {k: v for k, v in expected.items() if v}
-            assert coeffs == expected, (m, n, t)
-            assert rhs == 0
+        for a, b, den in [(F(2, 3), F(1, 5), 15), (F(1, 3), F(1, 5), 15),
+                          (F(1), F(2), 1)]:
+            spec = ModuleSpec("Aab", a, b)
+            system = build_f_system(a, b, window)
+            expected = []
+            for m, n, t in f_triples(window):
+                row = {}
+                for name, val in [
+                    ("f(%d,%d)" % (m, t), coefficient(spec, n, m + t)),
+                    ("f(%d,%d)" % (m, n + t), -coefficient(spec, n, t)),
+                    ("f(%d,%d)" % (n + m, t), -F(m - n)),
+                ]:
+                    if val:
+                        col = system.unknowns.index(name)
+                        row[col] = row.get(col, F(0)) + val
+                if n + m == 0 and n**3 != n:
+                    row[system.unknowns.index("C1")] = -F(n**3 - n, 12)
+                expected.append((n, {k: v for k, v in row.items() if v}))
+            assert row_scales(system.equations, expected) == {
+                n: den * (2 if abs(n) == 2 else 1)
+                for n in range(-window, window + 1) if n
+            }, (a, b)
 
 
 class TestMatrixSystemOracle:
     def test_rows_match_the_relation_on_2x2_blocks(self):
-        # Independent regeneration from make_x_matrices: entry (r, s) of
-        # A(i, j+n) F(j, n) - F(j, i+n) A(i, n) + (i - j) F(i+j, n)
-        # - delta(i, -j) (i^3 - i)/12 C1 for every windowed triple, in the
-        # order j, i, n, r, s, and then the pinning row F(1,0)[2,1] = alpha.
-        alpha, window = F(1, 2), 4
-        a_mat = make_x_matrices(alpha, (F(0), F(0)), "ext_b")
-        system = build_matrix_system(alpha, (F(0), F(0)), "ext_b", window)
-
-        def col(i, n, r, s):
-            return system.unknowns.index("F(%d,%d)[%d,%d]" % (i, n, r, s))
-
-        rng = range(-window, window + 1)
-        expected = []
-        for j in rng:
-            for i in rng:
-                if abs(i + j) > window:
-                    continue
-                for n in rng:
-                    if abs(i + n) > window:
-                        continue
-                    left, right = a_mat(i, j + n), a_mat(i, n)
-                    for r in (1, 2):
-                        for s in (1, 2):
-                            terms = [(col(i + j, n, r, s), F(i - j))]
-                            for k in (1, 2):
-                                terms.append(
-                                    (col(j, n, k, s), left[r - 1][k - 1])
-                                )
-                                terms.append(
-                                    (col(j, i + n, r, k), -right[k - 1][s - 1])
-                                )
-                            if i + j == 0 and r == s:
-                                terms.append(
-                                    (system.unknowns.index("C1"),
-                                     -F(i**3 - i, 12))
-                                )
-                            row = {}
-                            for c, v in terms:
-                                row[c] = row.get(c, F(0)) + v
-                            expected.append(
-                                ({c: v for c, v in row.items() if v}, 0)
-                            )
-        expected.append(({col(1, 0, 2, 1): 1}, alpha))
-        assert len(expected) == len(system.equations)
-        for k, (row, want) in enumerate(zip(system.equations, expected)):
-            assert row == want, k
+        # Independent regeneration from make_x_matrices: every row of x(i)
+        # is one positive int D_i times its row of the relation on 2 x 2
+        # blocks (see relation_rows), with int coefficients, and a
+        # normalized extension ends with the pinning row F(1,0)[2,1] =
+        # alpha, its rational right-hand side kept.
+        window = 4
+        for alpha, betas, ext_type in [
+            (F(1, 2), (F(1, 2), F(-1, 3)), "decomposable"),
+            (F(1, 3), (F(0), F(0)), "ext_a"),
+            (F(1, 2), (F(0), F(0)), "ext_b"),
+        ]:
+            a_mat = make_x_matrices(alpha, betas, ext_type)
+            system = build_matrix_system(alpha, betas, ext_type, window)
+            column = {name: c for c, name in enumerate(system.unknowns)}
+            expected = relation_rows(
+                a_mat, 2, window,
+                lambda j, n, r, s: column[
+                    "F(%d,%d)[%d,%d]" % (j, n, r + 1, s + 1)
+                ],
+                column["C1"],
+            )
+            rows = system.equations
+            if ext_type != "decomposable":
+                (pin, rhs), rows = rows[-1], rows[:-1]
+                assert pin == {column["F(1,0)[2,1]"]: 1}
+                assert type(pin[column["F(1,0)[2,1]"]]) is int
+                assert rhs == alpha
+            scales = row_scales(rows, expected)
+            assert sorted(scales) == [
+                i for i in range(-window, window + 1) if i
+            ], ext_type
 
 
 def reference_corner(alpha):
@@ -793,34 +851,70 @@ class TestEliminationOrder:
 
 
 def _built_system(act, d, window):
-    """A ConstraintSystem straight from _build, for actions no public
-    builder makes."""
+    """A ConstraintSystem straight from _build, for rational actions
+    act(i, n) that no public builder makes; each x(i) is cleared with
+    ``clear_table`` over the weights the rows read, as
+    ``build_matrix_system`` clears its own."""
     unknowns, equations, quadratics, spanning, order = constraints._build(
-        act, d, window, lambda j, n, r, s: "F(%d,%d)[%d,%d]" % (j, n, r, s)
+        lambda i, weights: clear_table({
+            n: dict(enumerate(v for row in act(i, n) for v in row))
+            for n in weights
+        }),
+        d, window, lambda j, n, r, s: "F(%d,%d)[%d,%d]" % (j, n, r, s),
     )
     return ConstraintSystem(
         unknowns, equations, quadratics, spanning=tuple(spanning), order=order
     )
 
 
-def _d3_system(b_matrix):
-    """x(i) acting on V_n as (alpha + n) Id + i B, at alpha = 1/3, window 4."""
-    return _built_system(
-        lambda i, n: tuple(
-            tuple((F(1, 3) + n) * (r == s) + i * b_matrix[r][s]
-                  for s in range(3))
-            for r in range(3)
-        ),
-        3, 4,
+def _d3_act(b_matrix):
+    """x(i) acting on V_n as (alpha + n) Id + i B, at alpha = 1/3."""
+    return lambda i, n: tuple(
+        tuple((F(1, 3) + n) * (r == s) + i * b_matrix[r][s] for s in range(3))
+        for r in range(3)
     )
+
+
+def _d3_system(b_matrix):
+    """The d = 3 system of ``_d3_act`` at window 4."""
+    return _built_system(_d3_act(b_matrix), 3, 4)
+
+
+def _module_act(spec):
+    """x(i) on v_n of an intermediate-series family, read through
+    ``coefficient``, as a 1 x 1 matrix."""
+    return lambda i, n: ((coefficient(spec, i, n),),)
 
 
 def _module_system(spec, window):
-    """The f-system of an intermediate-series family, read through
-    ``coefficient``."""
-    return _built_system(
-        lambda i, n: ((coefficient(spec, i, n),),), 1, window
+    """The f-system of an intermediate-series family."""
+    return _built_system(_module_act(spec), 1, window)
+
+
+# alpha = 1/3 and a = 1/3 give x(+-2) denominators prime to 2, so the
+# rows of x(+-2) are integer only because D_2 carries the 2 of
+# (2^3 - 2)/12 = 1/2.
+@pytest.mark.parametrize(
+    "act, d, window",
+    [
+        (_d3_act([[0, -1, 0], [0, 0, -1], [0, 0, 0]]), 3, 4),
+        (_module_act(ModuleSpec("Aa", F(1, 3))), 1, 5),
+    ],
+    ids=["d3--J3", "Aa-1/3"],
+)
+def test_built_rows_are_integer_and_solve_as_the_relation(act, d, window):
+    system = _built_system(act, d, window)
+    column = {name: c for c, name in enumerate(system.unknowns)}
+    expected = relation_rows(
+        act, d, window,
+        lambda j, n, r, s: column["F(%d,%d)[%d,%d]" % (j, n, r, s)],
+        column["C1"],
     )
+    assert 2 in row_scales(system.equations, expected)
+    rational = dataclasses.replace(
+        system, equations=[(row, 0) for _, row in expected]
+    )
+    assert solve_linear(system) == solve_linear(rational)
 
 
 class TestSpanningRows:

@@ -7,6 +7,11 @@ row's solutions, so ``solve_sparse`` must return the identical
 its inverse, so a row whose cleared form vanishes or moves a pivot mod
 the first prime is drawn too.
 
+The reader takes a row of ints as it is.  Scaling each row of an
+integer system by a nonzero int, or writing a row's ints as
+``Fraction(k, 1)``, must give the identical answer from ``solve_sparse``
+and ``nullspace``: a Fraction that reached the fold would raise there.
+
 Eliminating the columns in another order changes the pivots mod p but
 not the answer mapped back to the natural columns, and neither does a
 spanning hint: each answer equals the one of the natural order with
@@ -39,7 +44,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from math import isqrt  # noqa: E402
 
-from w22.linalg import _fold, _reconstruct, solve_sparse  # noqa: E402
+from w22.linalg import (  # noqa: E402
+    _fold,
+    _reconstruct,
+    nullspace,
+    solve_sparse,
+)
 
 P = 2**61 - 1  # the first prime the solver tries
 NCOLS = 4
@@ -65,6 +75,44 @@ def test_scaled_rows_give_the_identical_answer(system):
         for (coeffs, rhs), s in system
     ]
     assert solve_sparse(scaled, NCOLS) == solve_sparse(equations, NCOLS)
+
+
+int_rows = st.tuples(
+    st.dictionaries(st.integers(0, NCOLS - 1), st.integers(-9, 9),
+                    max_size=NCOLS),
+    st.integers(-9, 9),
+)
+int_scales = st.one_of(
+    st.integers(-50, 50).filter(bool), st.sampled_from([P, -P, 2 * P])
+)
+int_systems = st.lists(
+    st.tuples(int_rows, int_scales, st.booleans()), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_systems)
+@example([(({0: 2, 1: -4}, 6), P, True), (({1: 3}, 0), -1, True)])
+def test_integer_rows_scaled_or_as_fractions_give_the_identical_answer(
+    system,
+):
+    equations = [row for row, _, _ in system]
+    scaled = [
+        ({c: s * v for c, v in coeffs.items()}, s * rhs)
+        for (coeffs, rhs), s, _ in system
+    ]
+    # the rows drawn True carry every int as Fraction(k, 1)
+    fractions = [
+        ({c: Fraction(v) for c, v in coeffs.items()}, Fraction(rhs))
+        if written else (coeffs, rhs)
+        for (coeffs, rhs), _, written in system
+    ]
+    answer = solve_sparse(equations, NCOLS)
+    assert solve_sparse(scaled, NCOLS) == answer
+    assert solve_sparse(fractions, NCOLS) == answer
+    kernel = nullspace([coeffs for coeffs, _ in equations], NCOLS)
+    assert nullspace([coeffs for coeffs, _ in scaled], NCOLS) == kernel
+    assert nullspace([coeffs for coeffs, _ in fractions], NCOLS) == kernel
 
 
 values = st.one_of(

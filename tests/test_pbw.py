@@ -8,8 +8,6 @@ same associative product, results must agree term for term.
 import random
 from fractions import Fraction
 
-import pytest
-
 from w22 import (
     C,
     C1,
@@ -23,7 +21,6 @@ from w22 import (
     monomial_key,
     monomial_to_json,
     normal_order,
-    pair_bracket,
     term_key,
     x,
 )

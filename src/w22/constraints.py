@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .linalg import solve_sparse
@@ -56,6 +57,9 @@ class ConstraintSystem:
     linear part (see ``linalg.solve_sparse``); None means every equation.
     ``order`` lists the columns in the order the solver eliminates them;
     None means the natural order.  Neither changes the answer.
+    ``evaluate_quadratics`` and ``check_quadratic`` evaluate the
+    quadratics by one integer loop over values cleared of their common
+    denominator.
     """
 
     unknowns: tuple
@@ -68,29 +72,22 @@ class ConstraintSystem:
     def _values(self, assignment):
         return [assignment.get(name, 0) for name in self.unknowns]
 
-    def evaluate_equations(self, assignment):
-        """Residual (lhs - rhs) of every linear equation at an assignment
-        (name -> value; missing names are 0).  For a built system the
-        residual of a row of x(i) is D_i times that of the relation."""
-        values = self._values(assignment)
-        out = []
-        for coeffs, rhs in self.equations:
-            acc = Fraction(-rhs)
-            for col, coeff in coeffs.items():
-                acc += coeff * values[col]
-            out.append(acc)
-        return out
+    def _quadratic_residuals(self, ints):
+        """The residual of each quadratic, in order, at the values ints."""
+        for terms in self.quadratics:
+            acc = 0
+            for left, right, coeff in terms:
+                acc += coeff * ints[left] * ints[right]
+            yield acc
 
     def evaluate_quadratics(self, assignment):
-        """Residual of every quadratic constraint at an assignment."""
-        values = self._values(assignment)
-        out = []
-        for terms in self.quadratics:
-            acc = Fraction(0)
-            for left, right, coeff in terms:
-                acc += coeff * values[left] * values[right]
-            out.append(acc)
-        return out
+        """Residual of every quadratic constraint at an assignment (name ->
+        value; missing names are 0), as a Fraction.  The values are cleared
+        to integers over one denominator den, and each residual is the one
+        ``check_quadratic`` computes on those integers, divided by den^2."""
+        ints, den = clear_denominators(self._values(assignment))
+        square = den * den
+        return [Fraction(r) / square for r in self._quadratic_residuals(ints)]
 
 
 @dataclass(frozen=True)
@@ -136,18 +133,13 @@ def check_quadratic(system, solution):
     integers: each ray, read over the columns as the equations are,
     becomes one integer vector by clearing its common denominator, which
     scales every homogeneous quadratic residual by the same nonzero
-    square.
+    square.  The loop is the one ``ConstraintSystem.evaluate_quadratics``
+    runs, and it stops at a ray's first nonzero quadratic.
     """
     survivors = []
     for i, ray in enumerate(solution.basis):
-        vec = clear_denominators(system._values(ray))[0]
-        for terms in system.quadratics:
-            acc = 0
-            for left, right, coeff in terms:
-                acc += coeff * vec[left] * vec[right]
-            if acc:
-                break
-        else:
+        ints = clear_denominators(system._values(ray))[0]
+        if not any(system._quadratic_residuals(ints)):
             survivors.append(i)
     return survivors
 
@@ -159,8 +151,9 @@ def c1_is_forced_zero(solution):
     )
 
 
-def report(system, solution, survivors=None):
-    """Machine-readable summary of a solved system."""
+def report(system, solution, survivors):
+    """Machine-readable summary of a solved system, with survivors the
+    indices of the rays that pass the quadratics (``check_quadratic``)."""
     c1_zero = c1_is_forced_zero(solution)
     out = {
         "kind": system.meta.get("kind", "constraint-system"),
@@ -173,10 +166,9 @@ def report(system, solution, survivors=None):
             {name: rat_str(value) for name, value in ray.items()}
             for ray in solution.basis
         ],
+        "quadratic_survivors": len(survivors),
+        "surviving_rays": list(survivors),
     }
-    if survivors is not None:
-        out["quadratic_survivors"] = len(survivors)
-        out["surviving_rays"] = list(survivors)
     for key, value in system.meta.items():
         if key != "kind":
             out.setdefault(key, value)
@@ -393,8 +385,8 @@ def build_f_system(a, b, window):
     )
 
 
-def f_family_assignment(a, b, window, scale=1):
-    """The closed-form solution family f(m, t) = scale * (a + b m + t), C1 = 0.
+def f_family_assignment(a, b, window):
+    """The closed-form solution family f(m, t) = a + b m + t, C1 = 0.
 
     Specializing (a, b) reproduces the degenerate families as well:
     (0, 1) gives f(m, t) = m + t and (0, 0) gives f(m, t) = t.  A window
@@ -403,11 +395,10 @@ def f_family_assignment(a, b, window, scale=1):
     check_int(window, 0, "window")
     a = rat(a)
     b = rat(b)
-    scale = rat(scale)
     out = {}
     for m in range(-window, window + 1):
         for t in range(-window, window + 1):
-            value = scale * (a + b * m + t)
+            value = a + b * m + t
             if value:
                 out[_f_name(m, t)] = value
     out["C1"] = Fraction(0)
@@ -483,28 +474,22 @@ def make_x_matrices(alpha, betas, ext_type):
     if ext_type == "ext_b" and alpha.denominator == 1:
         raise ValueError("ext_b is defined only for non-integral alpha")
 
-    cache = {}
-
+    @lru_cache(maxsize=None)
     def a_mat(i, n):
-        key = (i, n)
-        if key in cache:
-            return cache[key]
         d = alpha + n
+        zero = Fraction(0)
         if ext_type == "decomposable":
-            out = ((d + i * beta1, Fraction(0)), (Fraction(0), d + i * beta2))
-        elif ext_type == "ext_a":
-            out = ((d, Fraction(-i)), (Fraction(0), d))
-        else:
-            p, q = d.numerator, d.denominator
-            sign, m = (i > 0) - (i < 0), abs(i)
-            num, den = 0, 1
-            for k in range(1, m):
-                factor = p + sign * k * q
-                num, den = num * factor + k * (m - k) * den, den * factor
-            corner = Fraction(sign * q * q * num, (p + i * q) * den)
-            out = ((d, corner), (Fraction(0), d))
-        cache[key] = out
-        return out
+            return ((d + i * beta1, zero), (zero, d + i * beta2))
+        if ext_type == "ext_a":
+            return ((d, Fraction(-i)), (zero, d))
+        p, q = d.numerator, d.denominator
+        sign, m = (i > 0) - (i < 0), abs(i)
+        num, den = 0, 1
+        for k in range(1, m):
+            factor = p + sign * k * q
+            num, den = num * factor + k * (m - k) * den, den * factor
+        corner = Fraction(sign * q * q * num, (p + i * q) * den)
+        return ((d, corner), (zero, d))
 
     return a_mat
 

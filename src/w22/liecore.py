@@ -136,9 +136,6 @@ class Combination:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, key):
-        return self.terms.get(key, Fraction(0))
-
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():

@@ -18,6 +18,14 @@ a second route:
 ``matrix_family_assignment``
     writes the paper's decomposable answer F(i, n) = (alpha + n) D by
     hand, so the matrix builder's rows are checked without the solver.
+``equation_residuals``
+    evaluates a constraint system's linear equations at an assignment,
+    so the builders' rows are checked against known families without
+    the solver.
+``quadratic_residuals``
+    evaluates its quadratics in ``Fraction`` arithmetic straight from
+    the assignment, the reference for the one integer loop that
+    ``evaluate_quadratics`` and ``check_quadratic`` share.
 ``generator_from_json``, ``monomial_from_json``, ``element_from_json``,
 ``params_from_json``
     read back the JSON records that the library writes (it reads none),
@@ -74,6 +82,38 @@ def matrix_family_assignment(alpha, window, d_matrix):
                     if value:
                         out["F(%d,%d)[%d,%d]" % (i, n, r, s)] = value
     out["C1"] = Fraction(0)
+    return out
+
+
+def _values(system, assignment):
+    return [assignment.get(name, 0) for name in system.unknowns]
+
+
+def equation_residuals(system, assignment):
+    """Residual (lhs - rhs) of every linear equation of a ConstraintSystem
+    at an assignment (name -> value; missing names are 0).  For a built
+    system the residual of a row of x(i) is D_i times that of the
+    relation."""
+    values = _values(system, assignment)
+    out = []
+    for coeffs, rhs in system.equations:
+        acc = Fraction(-rhs)
+        for col, coeff in coeffs.items():
+            acc += coeff * values[col]
+        out.append(acc)
+    return out
+
+
+def quadratic_residuals(system, assignment):
+    """Residual of every quadratic constraint at an assignment, summed
+    as Fractions."""
+    values = _values(system, assignment)
+    out = []
+    for terms in system.quadratics:
+        acc = Fraction(0)
+        for left, right, coeff in terms:
+            acc += coeff * values[left] * values[right]
+        out.append(acc)
     return out
 
 

@@ -25,7 +25,7 @@ from w22 import (
     verify_x_action,
 )
 
-from oracles import matrix_family_assignment
+from oracles import equation_residuals, matrix_family_assignment
 
 
 def F(a, b=1):
@@ -150,14 +150,14 @@ class TestFSystemResiduals:
         for a, b, window in cases:
             system = build_f_system(a, b, window)
             family = f_family_assignment(a, b, window)
-            assert all(r == 0 for r in system.evaluate_equations(family))
+            assert all(r == 0 for r in equation_residuals(system, family))
 
     def test_family_fails_quadratics(self):
         # I(m) proportional to x(m) does not commute with itself: the
-        # quadratic residual at (m, n, t) is (n - m)(a + t + b(n + m))
-        # up to the square of the scale, so a generic family violates it.
+        # quadratic residual at (m, n, t) is (n - m)(a + t + b(n + m)), so
+        # a generic family violates it.
         system = build_f_system(F(1, 2), F(1, 3), 3)
-        family = f_family_assignment(F(1, 2), F(1, 3), 3, scale=2)
+        family = f_family_assignment(F(1, 2), F(1, 3), 3)
         residuals = system.evaluate_quadratics(family)
         assert any(r != 0 for r in residuals)
 
@@ -174,7 +174,7 @@ class TestFSystemResiduals:
         )
         zero_f = {name: F(0) for name in system.unknowns}
         zero_f["C1"] = F(1)
-        residuals = system.evaluate_equations(zero_f)
+        residuals = equation_residuals(system, zero_f)
         triples = f_triples(window)
         assert len(residuals) == len(triples)
         expected = [
@@ -697,7 +697,7 @@ class TestMatrixSystem:
         system = build_matrix_system(alpha, (F(0), F(0)), "decomposable", 4)
         d_matrix = ((F(2), F(3)), (F(5), F(7)))
         family = matrix_family_assignment(alpha, 4, d_matrix)
-        assert all(r == 0 for r in system.evaluate_equations(family))
+        assert all(r == 0 for r in equation_residuals(system, family))
 
     def test_decomposable_distinct_betas_same_classification(self):
         system = build_matrix_system(F(1, 3), (F(0), F(1)), "decomposable", 4)
@@ -755,10 +755,11 @@ class TestMatrixSystem:
     def test_report_infeasible(self):
         system = build_matrix_system(F(1, 3), (F(0), F(0)), "ext_a", 4)
         solution = solve_linear(system)
-        data = report(system, solution)
+        data = report(system, solution, check_quadratic(system, solution))
         assert data["infeasible"] is True
         assert data["dimension"] == 0
-        assert "quadratic_survivors" not in data
+        assert data["quadratic_survivors"] == 0
+        assert data["surviving_rays"] == []
 
 
 def test_check_quadratic_on_rays_with_mixed_denominators():

@@ -94,7 +94,7 @@ def test_criterion_value_is_the_lowering_pairing_on_v():
     # which is -m times the criterion value.
     params = HighestWeightParams(F(7), F(11), F(2, 3), F(-5, 4))
     for m in range(1, WINDOW + 1):
-        got = act_on_highest((x(m), I(-m)), params).coefficient(())
+        got = act_on_highest((x(m), I(-m)), params).terms.get((), 0)
         assert got == -m * criterion_value(m, params.c0, params.c1)
 
 
@@ -113,7 +113,7 @@ def gram_matrix(params, level):
         [
             act_on_highest(
                 normal_order(_anti_involution(left) + right), params
-            ).coefficient(())
+            ).terms.get((), 0)
             for right in basis
         ]
         for left in basis

@@ -8,8 +8,9 @@ matrices, and one builder (``_build``) imposes the defining relation
 one linear equation per matrix entry of every index triple (i, j, n) on
 a finite window.  Each equation of x(i) is the relation times a positive
 int D_i, so every coefficient is an int: the builders read A(i, n) over
-the weights the rows use as integers over one denominator, and the
-solver takes integer rows as they are.  Solving the linear system and
+the weights the rows use as integers over one denominator.  The pinning
+row of a normalized extension is written over the ints too, and the
+solver reads these integer rows in place.  Solving the linear system and
 then filtering by the quadratic constraints coming from [I, I] = 0
 recovers every I-action compatible with the given x-action on that
 window.
@@ -50,9 +51,10 @@ class ConstraintSystem:
     constraints as lists of (col, col, coeff) triples, to be read as
     sum(coeff * unknown[col1] * unknown[col2]) = 0.  Coefficients are
     exact ints or Fractions, and zero coefficients are omitted.  The
-    builders write every equation with int coefficients, as D_i times
-    the relation of x(i) (see ``_build``); only the pinning row of a
-    normalized matrix system has a Fraction right-hand side.
+    builders write every equation with int coefficients and an int
+    right-hand side: a row of x(i) is D_i times the relation of x(i)
+    (see ``_build``), and the pinning row of a normalized matrix system
+    is q F(1, 0)[2, 1] = p for alpha = p/q.
     ``spanning`` lists the indices of equations expected to span the
     linear part (see ``linalg.solve_sparse``); None means every equation.
     ``order`` lists the columns in the order the solver eliminates them;
@@ -560,7 +562,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     betas that are not a pair (see ``make_x_matrices``).
 
     With ``normalized`` (extension types only) the single inhomogeneous
-    pinning equation F(1, 0)[2, 1] = alpha is appended and recorded as
+    pinning equation F(1, 0)[2, 1] = alpha is appended, written over the
+    ints as q F(1, 0)[2, 1] = p for alpha = p/q, and recorded as
     ``spanning``; the classification question is then whether any
     I-action meets that normalization.  At alpha = 0 the pin is
     homogeneous and normalizes nothing, so it is refused there.
@@ -584,7 +587,8 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     )
     if normalized:
         spanning.append(len(equations))
-        equations.append(({unknowns.index(_mat_name(1, 0, 2, 1)): 1}, alpha))
+        pin = unknowns.index(_mat_name(1, 0, 2, 1))
+        equations.append(({pin: alpha.denominator}, alpha.numerator))
     meta = {
         "kind": "matrix-system",
         "alpha": rat_str(alpha),

@@ -13,16 +13,19 @@ ncols and form the kernel basis of A.  When every rhs is 0 the column of
 -b is left out, since its kernel vector would be (0, 1).  No elimination
 runs over Fraction:
 
-1. Each row of M is read once, on entry: a row whose entries are all
-   integers (b included) is taken as it is, and any other row is scaled
-   by the lcm of its own denominators, which keeps its kernel.  The
-   constraint builders write integer rows; the Verma joint kernels hand
-   over Fraction rows.  The integer rows to fold (all of them, or a hint,
+1. A system whose values are all ints (b included) is read in place, as
+   the caller wrote it: the constraint builders write such rows, and
+   they are neither copied nor relabelled on entry.  Any other system,
+   such as the Fraction rows of the Verma joint kernels, is cleared once,
+   on entry: each row is scaled by the lcm of its own denominators, which
+   keeps its kernel.  The integer rows to fold (all of them, or a hint,
    below) are folded, in input order, into an echelon basis keyed by
    leading column (the smallest column left in the reduced row), over
-   GF(p) on plain ints.  p runs up a ladder of Mersenne primes 2^e - 1,
-   e = 61, 127, 521, ..., 86243; each attempt starts from scratch with
-   one prime, and no residues are combined.
+   GF(p) on plain ints.  A row is reduced mod p, its columns relabelled
+   and b moved into column ncols as -b, only as it is folded.  p runs up
+   a ladder of Mersenne primes 2^e - 1, e = 61, 127, 521, ..., 86243;
+   each attempt starts from scratch with one prime, and no residues are
+   combined.
 2. Back-substitution mod p gives one kernel vector per free column f (1
    at f, 0 at the other free columns).
 3. The residues are lifted by Wang's rational reconstruction (Wang,
@@ -32,9 +35,10 @@ runs over Fraction:
    kernel vector, (x, 1) included.  A vector with no lift, or one that
    fails a folded row, takes the next prime of the ladder; past the last
    one ArithmeticError is raised, never an unchecked answer.  The check
-   reads the same integer rows as the fold: each lifted vector is
-   cleared once to ints over a common denominator, and a row holds when
-   its integer dot product with the ints is 0.
+   reads the same integer rows as the fold, as they are: each lifted
+   vector (x, t) is cleared once to ints over a common denominator and
+   read back in the natural columns, and a row (A_i, b_i) holds when the
+   integer dot product of A_i with x equals b_i t.
 
 The check is a certificate, not a heuristic, whichever rows were folded.
 Let M_F be the folded rows and suppose every vector passes every row of
@@ -61,9 +65,10 @@ every row, and the vectors it gives are checked on every row again.
 Each row is folded at most once per prime.
 
 A caller can also pass ``order``, a permutation of the columns of A:
-column order[k] is relabelled k as the rows are read, so the fold
+column order[k] is relabelled k as the rows are folded, so the fold
 takes its pivots in that order, and the certified answer of the
 relabelled rows is mapped back over Q.  Column ncols keeps its place.
+The exact check reads each vector in the natural columns.
 Without ``order`` the order is the identity, and the map leaves the
 answer as it is.
 The natural answer depends only on ker(M): the vector of free column f
@@ -85,6 +90,7 @@ Q, whose vector cannot pass the exact check, so it is one failed attempt.
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 from math import isqrt, lcm
 
 from .rationals import check_int, clear_denominators
@@ -97,22 +103,27 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _fold(rows, p, pivots=None):
-    """Leading-column echelon fold mod p of integer rows from _exact_rows.
+def _fold(rows, p, position, pivots=None):
+    """Leading-column echelon fold mod p of the rows from _exact_rows.
 
-    Returns pivots, which maps each leading column to the tail of its
-    monic pivot row: the (col, coeff) pairs after the leading 1.  Given
-    the pivots of earlier rows at the same p, the rows are folded into
-    them, which are extended in place: the result is the one a single fold
-    of the earlier rows followed by these would build.  Each input row is
-    reduced mod p only when it is folded, so no second copy of the system
-    is held.  The columns of the working row are kept in a heap, so the
-    leading column is popped rather than searched for.
+    Each row is read as the caller wrote it, a (col -> int dict, rhs)
+    pair in the natural columns, and is reduced mod p only when it is
+    folded: column c becomes column position[c], and a nonzero rhs b the
+    entry -b in column len(position), the column of -b.  So no second
+    copy of the system is held.  Returns pivots, which maps each leading
+    column to the tail of its monic pivot row: the (col, coeff) pairs
+    after the leading 1.  Given the pivots of earlier rows at the same p,
+    the rows are folded into them, which are extended in place: the
+    result is the one a single fold of the earlier rows followed by these
+    would build.  The columns of the working row are kept in a heap, so
+    the leading column is popped rather than searched for.
     """
     if pivots is None:
         pivots = {}
-    for pairs in rows:
-        row = {c: r for c, v in pairs if (r := v % p)}
+    for coeffs, rhs in rows:
+        row = {position[c]: r for c, v in coeffs.items() if (r := v % p)}
+        if rhs and (r := -rhs % p):
+            row[len(position)] = r
         # Entries are reduced mod p only when they lead or the row becomes
         # a pivot row, so an entry that cancels is dropped when it leads.
         # heap holds each key of row once: a column is pushed only when a
@@ -149,7 +160,6 @@ def _back_substitute(pivots, order, v, p):
             if value:
                 acc -= coeff * value
         v[col] = acc % p
-    return v
 
 
 def _reconstruct(r, m, bound):
@@ -178,17 +188,20 @@ def _lift(residues, cols, modulus, vec):
     return True
 
 
-def _exact_rows(equations, ncols, position):
-    """The rows of [A | -b], each cleared of denominators once.
+def _exact_rows(equations, ncols):
+    """The rows of [A | -b] as the fold and the exact check read them.
 
-    Each row is a list of (col, int) pairs; a nonzero right-hand side b is
-    the entry -b in column ncols.  A row whose lcm of denominators (b
-    included) is 1 keeps its values, read as ints through ``numerator``
-    (a Fraction k/1 becomes k); any other row is scaled by that lcm, so it
-    keeps its kernel and every entry stays exact.  Column c < ncols is
-    relabelled position[c] in the same pass.  A row that is not a
-    col -> coeff dict raises TypeError, a column outside range(ncols)
-    ValueError, and a value that is not an int or a Fraction TypeError.
+    Each row is a (col -> int dict, int rhs) pair in the natural columns.
+    When every coefficient and right-hand side is an int (bool included),
+    as the constraint builders write them, equations are returned as
+    they are: no row is copied.  Otherwise each row is cleared of
+    denominators once, into a new pair: a row whose lcm of denominators
+    (rhs included) is 1 keeps its values, read as ints through
+    ``numerator`` (a Fraction k/1 becomes k), and any other row is scaled
+    by that lcm, so it keeps its kernel and every entry stays exact.  A
+    row that is not a col -> coeff dict raises TypeError, a column outside
+    range(ncols) ValueError, and a value that is not an int or a Fraction
+    TypeError.
     """
     # One check on the union of the keys costs a fifth of one per row.
     try:
@@ -197,48 +210,55 @@ def _exact_rows(equations, ncols, position):
         raise TypeError("each row must be a col -> coeff dict") from None
     if cols and (min(cols) < 0 or max(cols) >= ncols):
         raise ValueError("columns must lie in range(%d)" % ncols)
-    out = []
+    # One scan over every value, which stops at the first that is not an
+    # int, so a Fraction system costs next to nothing here.
+    values = chain(*[coeffs.values() for coeffs, _ in equations])
+    rhs = [b for _, b in equations]
+    if all(map(int.__instancecheck__, chain(values, rhs))):
+        return equations
     try:
-        for coeffs, rhs in equations:
-            den = lcm(rhs.denominator,
-                      *[v.denominator for v in coeffs.values()])
-            if den == 1:
-                pairs = [(position[c], v.numerator) for c, v in coeffs.items()]
-            else:
-                pairs = [(position[c], v.numerator * (den // v.denominator))
-                         for c, v in coeffs.items()]
-            if rhs:
-                pairs.append(
-                    (ncols, -rhs.numerator * (den // rhs.denominator))
-                )
-            out.append(pairs)
+        return [_cleared(coeffs, b) for coeffs, b in equations]
     except AttributeError:
         # A float has no denominator; one handler keeps valid rows free
         # of a per-coefficient type check.
         raise TypeError(
             "coefficients and right-hand sides must be ints or Fractions"
         ) from None
-    return out
+
+
+def _cleared(coeffs, rhs):
+    """A row (coeffs, rhs) scaled by the lcm of its denominators, as ints."""
+    den = lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
+    if den == 1:
+        return {c: v.numerator for c, v in coeffs.items()}, rhs.numerator
+    scaled = {c: v.numerator * (den // v.denominator)
+              for c, v in coeffs.items()}
+    return scaled, rhs.numerator * (den // rhs.denominator)
 
 
 def _satisfies(rows, ints):
-    """Exact check that every integer row from _exact_rows is 0 on ints."""
-    for pairs in rows:
+    """Exact check that every row from _exact_rows holds on ints.
+
+    ints is a vector (x, t) of [A | -b] cleared to ints, x in the natural
+    columns: a row (coeffs, b) holds when coeffs . x = b t.
+    """
+    for coeffs, rhs in rows:
         acc = 0
-        for c, coeff in pairs:
+        for c, coeff in coeffs.items():
             acc += coeff * ints[c]
-        if acc:
+        if acc != rhs * ints[-1]:
             return False
     return True
 
 
-def _lifted(pivots, width, p, rows):
+def _lifted(pivots, position, width, p, rows):
     """The kernel vectors of an echelon basis mod p, lifted over Q.
 
     Returns a (vec, ints) pair for each free column f, ascending: vec is 1
-    at f and has entries at the pivots left of f, and ints is vec cleared
-    to ints.  Returns None as soon as an entry has no lift within the
-    bound or a vector fails one of rows, which are checked exactly.
+    at f and has entries at the pivots left of f, in the columns of the
+    fold, and ints is vec cleared to ints and read back as (x, t) in the
+    natural columns.  Returns None as soon as an entry has no lift within
+    the bound or a vector fails one of rows, which are checked exactly.
     """
     order = sorted(pivots, reverse=True)
     out = []
@@ -253,14 +273,17 @@ def _lifted(pivots, width, p, rows):
         vec[f] = _ONE
         if not _lift(residues, cols, p, vec):
             return None
-        ints = clear_denominators(vec)[0]
+        cleared = clear_denominators(vec)[0]
+        # The last entry is t, at the column of -b; without that column
+        # every b is 0, and the last entry only meets b = 0.
+        ints = [cleared[k] for k in position] + [cleared[-1]]
         if not _satisfies(rows, ints):
             return None
         out.append((vec, ints))
     return out
 
 
-def _attempt(folded, rest, width, p):
+def _attempt(folded, rest, position, width, p):
     """The certified kernel from the prime p, or None if p gives none.
 
     folded are the rows to fold and rest the nonempty rows outside them.
@@ -269,24 +292,27 @@ def _attempt(folded, rest, width, p):
     echelon basis of folded at the same p.  The basis is local, so that
     the next prime never folds while this one is held.
     """
-    pivots = _fold(folded, p)
-    lifted = _lifted(pivots, width, p, folded)
+    pivots = _fold(folded, p, position)
+    lifted = _lifted(pivots, position, width, p, folded)
     if lifted and not all(_satisfies(rest, ints) for _, ints in lifted):
-        lifted = _lifted(_fold(rest, p, pivots), width, p, folded + rest)
+        _fold(rest, p, position, pivots)
+        lifted = _lifted(pivots, position, width, p, folded + rest)
     return None if lifted is None else [vec for vec, _ in lifted]
 
 
-def _kernel(rows, width, spanning=None):
-    """The certified kernel basis of integer rows with width columns."""
+def _kernel(rows, position, width, spanning=None):
+    """The certified kernel basis of the rows from _exact_rows, folded in
+    the columns of position, with width columns."""
     if spanning is None:
         folded, rest = rows, []
     else:
         chosen = set(spanning)
         folded = [rows[i] for i in spanning]
         # An empty row holds for every vector.
-        rest = [row for i, row in enumerate(rows) if i not in chosen and row]
+        rest = [row for i, row in enumerate(rows)
+                if i not in chosen and any(row)]
     for e in _EXPONENTS:
-        kernel = _attempt(folded, rest, width, 2**e - 1)
+        kernel = _attempt(folded, rest, position, width, 2**e - 1)
         if kernel is not None:
             return kernel
     raise ArithmeticError(
@@ -294,21 +320,16 @@ def _kernel(rows, width, spanning=None):
     )
 
 
-def _in_natural_order(kernel, order):
-    """The kernel basis of rows relabelled by order, in the natural columns.
+def _in_natural_order(kernel, position):
+    """The kernel basis of rows folded in the columns of position, in the
+    natural columns.
 
-    Each vector is un-permuted (a column past order keeps its place) and
-    the basis is brought to reduced trailing-column echelon form: each
-    vector 1 at its largest nonzero column f and 0 at the other such
-    columns, ascending in f.  This is the basis of the natural order (see
-    the module docstring).
+    Each vector is read back through position (a column past it keeps its
+    place) and the basis is brought to reduced trailing-column echelon
+    form: each vector 1 at its largest nonzero column f and 0 at the other
+    such columns, ascending in f.  This is the basis of the natural order
+    (see the module docstring).
     """
-
-    def natural(vec):
-        out = vec[:]
-        for k, c in enumerate(order):
-            out[c] = vec[k]
-        return out
 
     def reduce(vec, f, by):
         scale = vec[f]
@@ -317,8 +338,9 @@ def _in_natural_order(kernel, order):
                 if x:
                     vec[i] -= scale * x
 
+    ncols = len(position)
     echelon = {}
-    for vec in map(natural, kernel):
+    for vec in ([v[k] for k in position] + v[ncols:] for v in kernel):
         for f, by in echelon.items():
             reduce(vec, f, by)
         f = max(i for i, x in enumerate(vec) if x)
@@ -380,12 +402,12 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
         position[c] = k
     # The column of -b is left out when every b is 0.
     width = ncols + any(rhs for _, rhs in equations)
-    kernel = _kernel(_exact_rows(equations, ncols, position), width, spanning)
+    kernel = _kernel(_exact_rows(equations, ncols), position, width, spanning)
     # A u = b is feasible exactly when column ncols of [A | -b] is free;
     # its vector (x, 1) is then the last one, the only one nonzero there.
     if width > ncols and not (kernel and kernel[-1][ncols]):
         return False, None, []
-    kernel = _in_natural_order(kernel, order)
+    kernel = _in_natural_order(kernel, position)
     particular = kernel.pop()[:ncols] if width > ncols else [_ZERO] * ncols
     return True, particular, [vec[:ncols] for vec in kernel]
 
@@ -401,4 +423,4 @@ def nullspace(rows, ncols):
     # _kernel rather than solve_sparse, so that wrapping either public name
     # (as perfbench's layer tracer does) times the two callers apart.
     equations = [(row, 0) for row in rows]
-    return _kernel(_exact_rows(equations, ncols, range(ncols)), ncols)
+    return _kernel(_exact_rows(equations, ncols), list(range(ncols)), ncols)

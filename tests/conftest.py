@@ -5,12 +5,21 @@ on ``sys.path`` for the tests' own imports.  The CLI, golden, acceptance
 and demo tests also start new interpreters (``python -m w22``, the demo
 scripts), which inherit the environment, so ``pytest_configure`` puts the
 same ``src`` first on ``PYTHONPATH`` and keeps whatever was there after it.
+
+The ``folds`` fixture is the one recorder of the solver's folds.
 """
 
 import os
+from collections import namedtuple
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# One fold of linalg._fold: the rows folded, the prime, the pivots it was
+# given (a copy, or None) and the pivots it returned (a copy).
+Fold = namedtuple("Fold", "rows p given pivots")
 
 
 def pytest_configure(config):
@@ -18,3 +27,21 @@ def pytest_configure(config):
     os.environ["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([inherited] if inherited else [])
     )
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """Record every fold the solver runs, in order, as a ``Fold``."""
+    from w22 import linalg
+
+    seen = []
+    fold = linalg._fold
+
+    def recording_fold(rows, p, position, pivots=None):
+        given = None if pivots is None else dict(pivots)
+        result = fold(rows, p, position, pivots)
+        seen.append(Fold(list(rows), p, given, dict(result)))
+        return result
+
+    monkeypatch.setattr(linalg, "_fold", recording_fold)
+    return seen

@@ -93,7 +93,8 @@ def equation_residuals(system, assignment):
     """Residual (lhs - rhs) of every linear equation of a ConstraintSystem
     at an assignment (name -> value; missing names are 0).  For a built
     system the residual of a row of x(i) is D_i times that of the
-    relation."""
+    relation, and that of the pinning row q F(1,0)[2,1] = p is q times
+    F(1,0)[2,1] - alpha, alpha = p/q."""
     values = _values(system, assignment)
     out = []
     for coeffs, rhs in system.equations:

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from w22 import constraints, linalg
+from w22 import constraints
 from w22.rationals import clear_table
 from w22 import (
     EXT_TYPES,
@@ -273,7 +273,7 @@ class TestMatrixSystemOracle:
         # is one positive int D_i times its row of the relation on 2 x 2
         # blocks (see relation_rows), with int coefficients, and a
         # normalized extension ends with the pinning row F(1,0)[2,1] =
-        # alpha, its rational right-hand side kept.
+        # alpha written over the ints, q F(1,0)[2,1] = p for alpha = p/q.
         window = 4
         for alpha, betas, ext_type in [
             (F(1, 2), (F(1, 2), F(-1, 3)), "decomposable"),
@@ -293,9 +293,9 @@ class TestMatrixSystemOracle:
             rows = system.equations
             if ext_type != "decomposable":
                 (pin, rhs), rows = rows[-1], rows[:-1]
-                assert pin == {column["F(1,0)[2,1]"]: 1}
+                assert pin == {column["F(1,0)[2,1]"]: alpha.denominator}
                 assert type(pin[column["F(1,0)[2,1]"]]) is int
-                assert rhs == alpha
+                assert type(rhs) is int and rhs == alpha.numerator
             scales = row_scales(rows, expected)
             assert sorted(scales) == [
                 i for i in range(-window, window + 1) if i
@@ -831,10 +831,9 @@ class TestEliminationOrder:
         ],
     )
     def test_matrix_order_gives_the_natural_answer(
-        self, monkeypatch, alpha, betas, ext_type, normalized, primes
+        self, folds, alpha, betas, ext_type, normalized, primes
     ):
         system = build_matrix_system(alpha, betas, ext_type, 4, normalized)
-        folds = TestSpanningRows.folded_rows(monkeypatch)
         ordered = solve_linear(system)
         assert len(folds) == primes
         assert ordered == solve_linear(
@@ -930,34 +929,6 @@ class TestSpanningRows:
     one found by folding every row.
     """
 
-    @staticmethod
-    def folded_rows(monkeypatch):
-        seen = []
-        fold = linalg._fold
-
-        def recording_fold(equations, p, pivots=None):
-            seen.append(list(equations))
-            return fold(equations, p, pivots)
-
-        monkeypatch.setattr(linalg, "_fold", recording_fold)
-        return seen
-
-    @staticmethod
-    def fold_calls(monkeypatch):
-        """Record (p, pivots given, pivots returned) of every fold, each
-        pivots dict copied as it was then."""
-        calls = []
-        fold = linalg._fold
-
-        def recording_fold(equations, p, pivots=None):
-            given = None if pivots is None else dict(pivots)
-            result = fold(equations, p, pivots)
-            calls.append((p, given, dict(result)))
-            return result
-
-        monkeypatch.setattr(linalg, "_fold", recording_fold)
-        return calls
-
     @pytest.mark.parametrize(
         "build, size",
         [
@@ -978,33 +949,28 @@ class TestSpanningRows:
         ],
         ids=["matrix-ext_a", "matrix-decomposable", "f-system"],
     )
-    def test_only_spanning_rows_are_folded(self, monkeypatch, build, size):
+    def test_only_spanning_rows_are_folded(self, folds, build, size):
         system = build()
         assert len(system.spanning) == size
-        # the folded rows carry each column relabelled by its place in
-        # the elimination order
-        position = {c: k for k, c in enumerate(system.order)}
-        expected = linalg._exact_rows(
-            [system.equations[k] for k in system.spanning],
-            len(system.unknowns),
-            position,
-        )
-        seen = self.folded_rows(monkeypatch)
+        # the folded rows are the builder's own rows, read in place: each
+        # is the very object at its index of system.equations
+        expected = [system.equations[k] for k in system.spanning]
         hinted = solve_linear(system)
-        assert seen and all(rows == expected for rows in seen)
-        seen.clear()
+        assert folds and all(
+            len(fold.rows) == size
+            and all(row is want for row, want in zip(fold.rows, expected))
+            for fold in folds
+        )
+        folds.clear()
         unhinted = solve_linear(dataclasses.replace(system, spanning=None))
-        assert len(seen[0]) == len(system.equations)
+        assert len(folds[0].rows) == len(system.equations)
         assert hinted == unhinted
 
     # The relation holds on every weight, so an integral alpha gets every
     # row: the answers are those of alpha = 1/3 (dimension 4 / 3 / 2 for
     # the three betas), and the x(1), x(-1), x(-2) rows span, folded once.
     @pytest.mark.parametrize("alpha", [0, 1, -1, 2, -2])
-    def test_integral_alpha_folds_the_spanning_rows_once(
-        self, monkeypatch, alpha
-    ):
-        seen = self.folded_rows(monkeypatch)
+    def test_integral_alpha_folds_the_spanning_rows_once(self, folds, alpha):
         for betas, dimension, survivors in [
             ((F(0), F(0)), 4, 2),
             ((F(1), F(2)), 3, 1),
@@ -1012,21 +978,21 @@ class TestSpanningRows:
         ]:
             system = build_matrix_system(F(alpha), betas, "decomposable", 4)
             solution = solve_linear(system)
-            assert [len(rows) for rows in seen] == [708]
+            assert [len(fold.rows) for fold in folds] == [708]
             assert solution.dimension == dimension
             assert len(check_quadratic(system, solution)) == survivors
-            seen.clear()
+            folds.clear()
         if alpha:
             system = build_matrix_system(F(alpha), (F(0), F(0)), "ext_a", 4)
             assert not solve_linear(system).feasible
-            assert [len(rows) for rows in seen] == [709]
+            assert [len(fold.rows) for fold in folds] == [709]
 
     # The only package-built systems here on which a row outside the hint
     # fails a kernel vector of the hint.  The rows left to fold are the
     # nonempty ones outside the hint: 1716 - 708 - 324 empty x(0) rows at
     # window 4, 3124 - 1124 - 484 at window 5.
     @pytest.mark.parametrize(
-        "alpha, betas, window, folds",
+        "alpha, betas, window, sizes",
         [
             pytest.param(alpha, betas, 4, [708, 684],
                          id="betas%d-%d" % (k, alpha))
@@ -1037,18 +1003,16 @@ class TestSpanningRows:
         ],
     )
     def test_hint_that_falls_short_is_refolded(
-        self, monkeypatch, alpha, betas, window, folds
+        self, folds, alpha, betas, window, sizes
     ):
         system = build_matrix_system(
             F(alpha), (F(betas[0]), F(betas[1])), "decomposable", window
         )
-        seen = self.folded_rows(monkeypatch)
-        calls = self.fold_calls(monkeypatch)
         hinted = solve_linear(system)
-        assert [len(rows) for rows in seen] == folds
+        assert [len(fold.rows) for fold in folds] == sizes
         # the second fold continues the first at the same prime: it is
         # given the first fold's pivots and keeps each of them
-        (p, given, first), (q, pivots, second) = calls
+        (_, p, given, first), (_, q, pivots, second) = folds
         assert p == q == 2**61 - 1
         assert given is None and pivots == first
         assert all(second[col] == tail for col, tail in first.items())
@@ -1103,11 +1067,12 @@ class TestSpanningRows:
             ]
         ],
     )
-    def test_hint_spans(self, monkeypatch, build):
+    def test_hint_spans(self, folds, build):
         system = build()
-        seen = self.folded_rows(monkeypatch)
         hinted = solve_linear(system)
-        assert seen and all(len(rows) == len(system.spanning) for rows in seen)
+        assert folds and all(
+            len(fold.rows) == len(system.spanning) for fold in folds
+        )
         assert hinted == solve_linear(
             dataclasses.replace(system, spanning=None)
         )

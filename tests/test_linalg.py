@@ -5,14 +5,14 @@ systems) the rref-normalised answer of sympy's DomainMatrix over QQ, an
 implementation written independently of this package.  The solver
 computes only kernels: A u = b is the kernel of [A | -b], feasible when
 the column of -b is free, with the particular solution read from its
-kernel vector (x, 1).  It clears each row of [A | -b] of denominators
-once, on entry, and folds and checks those integer rows mod one
-Mersenne prime at a time, up a fixed ladder.  The certificate cases
-force the paths the first prime cannot settle alone: entries too large
-for one modulus, a coefficient, denominator or right-hand side divisible
-by the first primes (each then an unlucky prime, never a skipped one),
-an exhausted ladder, and an infeasibility that shows only after later
-rows.  The spanning-row cases force the paths of a fold restricted
+kernel vector (x, 1).  It reads a system of ints as it is, clears each
+row of any other system of denominators once, on entry, and folds and
+checks those integer rows mod one Mersenne prime at a time, up a fixed
+ladder.  The certificate cases force the paths the first prime cannot
+settle alone: entries too large for one modulus, a coefficient,
+denominator or right-hand side divisible by the first primes (each then
+an unlucky prime, never a skipped one), an exhausted ladder, and an
+infeasibility that shows only after later rows.  The spanning-row cases force the paths of a fold restricted
 to some rows: a hint that does not span, after which the other rows
 join the hint's echelon basis at the same prime (also when only an
 unfolded row shows the last column to be a pivot: an infeasibility, or
@@ -39,31 +39,14 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
-def count_primes(monkeypatch):
-    """Record every prime the solver completes a fold with."""
-    seen = []
-    fold = linalg._fold
-
-    def recording_fold(equations, p, pivots=None):
-        result = fold(equations, p, pivots)
-        seen.append(p)
-        return result
-
-    monkeypatch.setattr(linalg, "_fold", recording_fold)
-    return seen
+def primes(folds):
+    """The prime of each fold the ``folds`` fixture recorded."""
+    return [fold.p for fold in folds]
 
 
-def count_folded_rows(monkeypatch):
-    """Record the number of rows of every fold the solver runs."""
-    seen = []
-    fold = linalg._fold
-
-    def recording_fold(equations, p, pivots=None):
-        seen.append(len(equations))
-        return fold(equations, p, pivots)
-
-    monkeypatch.setattr(linalg, "_fold", recording_fold)
-    return seen
+def sizes(folds):
+    """The number of rows of each fold the ``folds`` fixture recorded."""
+    return [len(fold.rows) for fold in folds]
 
 
 def test_nullspace_rank_deficient_dense():
@@ -114,71 +97,67 @@ def test_solve_sparse_infeasible():
     assert not ok and particular is None and kernel == []
 
 
-def test_answer_with_large_entries_needs_several_primes(monkeypatch):
+def test_answer_with_large_entries_needs_several_primes(folds):
     # (2^35 + 1) x + 3 y = 2^40: the particular solution and the kernel
     # vector have 36-bit denominators, beyond one 61-bit modulus (Wang
     # reconstruction from modulus M reaches numerators and denominators
     # up to sqrt(M / 2)).
-    seen = count_primes(monkeypatch)
     a = 2**35 + 1
     ok, particular, kernel = solve_sparse([({0: F(a), 1: F(3)}, F(2**40))], 2)
     assert ok
     assert particular == [F(2**40, a), F(0)]
     assert kernel == [[F(-3, a), F(1)]]
-    assert len(seen) == 2
+    assert len(folds) == 2
 
     # 70-bit entries take a third prime
-    seen.clear()
+    folds.clear()
     big = F(2**70 + 1, 2**64 + 3)
     ok, particular, kernel = solve_sparse([({0: F(1)}, big)], 1)
     assert ok and particular == [big] and kernel == []
-    assert len(seen) == 3
+    assert len(folds) == 3
 
 
-def test_coefficient_vanishing_mod_the_first_prime(monkeypatch):
+def test_coefficient_vanishing_mod_the_first_prime(folds):
     # P x + y = 1.  Mod P the row reads y = 1, so the first prime puts the
     # pivot in column 1 and its lift fails the exact check.  Over Q the
     # pivot is column 0 and y is free; 1/P lifts from the second prime.
-    seen = count_primes(monkeypatch)
     ok, particular, kernel = solve_sparse([({0: F(P), 1: F(1)}, F(1))], 2)
     assert ok
     assert particular == [F(1, P), F(0)]
     assert kernel == [[F(-1, P), F(1)]]
-    assert seen == [P, P127]
+    assert primes(folds) == [P, P127]
 
     # the first prime also sees a lower rank: P x = 2 has no kernel over Q
     ok, particular, kernel = solve_sparse([({0: F(P)}, F(2))], 1)
     assert ok and particular == [F(2, P)] and kernel == []
 
 
-def test_right_hand_side_vanishing_mod_the_first_prime(monkeypatch):
+def test_right_hand_side_vanishing_mod_the_first_prime(folds):
     # x + a y = 0 and x + a y = b contradict each other over Q: [A | -b]
     # has rank 2.  The first two primes divide b and see rank 1, so they
     # are unlucky: each leaves column 2 (the column of -b) free, and the
     # attempt fails.  The third prime sees rank 2; the kernel vector
     # (-a, 1, 0), with its 71-bit numerator, lifts from it and certifies
     # column 2 as a pivot.
-    seen = count_primes(monkeypatch)
     a = F(2**70 + 1, 3)
     b = F(P * P127)
     row = {0: F(1), 1: a}
     assert solve_sparse([(row, F(0)), (row, b)], 2) == (False, None, [])
-    assert seen == [P, P127, P521]
+    assert primes(folds) == [P, P127, P521]
     # the same rows with equal right-hand sides: the line x = b - a y
     ok, particular, kernel = solve_sparse([(row, b), (row, b)], 2)
     assert ok and particular == [b, F(0)] and kernel == [[-a, F(1)]]
 
 
-def test_denominator_divisible_by_the_first_prime(monkeypatch):
+def test_denominator_divisible_by_the_first_prime(folds):
     # x / P + y = 1 clears to x + P y = P, which reads x = 0 mod P: the
     # first prime's lift (0, 0) fails the exact check, and x = P lifts
     # from the second prime
-    seen = count_primes(monkeypatch)
     ok, particular, kernel = solve_sparse(
         [({0: F(1, P), 1: F(1)}, F(1)), ({1: F(1)}, F(0))], 2
     )
     assert ok and particular == [F(P), F(0)] and kernel == []
-    assert seen == [P, P127]
+    assert primes(folds) == [P, P127]
 
     ok, particular, kernel = solve_sparse([({0: F(1)}, F(3, 2 * P))], 1)
     assert ok and particular == [F(3, 2 * P)] and kernel == []
@@ -212,9 +191,12 @@ def test_exhausted_ladder_raises(monkeypatch):
         lambda: solve_sparse([({2: F(1)}, F(0)), ({0: F(1)}, F(1))], 2),
         lambda: solve_sparse([({-1: F(1)}, F(0))], 2),
         lambda: solve_sparse([({0: F(1), 2: F(1)}, F(0))], 2, order=(1, 0)),
+        # rows of ints only, which the solver would read as they are
         lambda: nullspace([{0: 1, 1: 2, 2: 3}], 2),
+        lambda: solve_sparse([({0: 1}, 1), ({2: 1}, 0)], 2),
     ],
-    ids=["column-of-b", "negative", "with-order", "dense-row-too-long"],
+    ids=["column-of-b", "negative", "with-order", "dense-row-too-long",
+         "int-column-of-b"],
 )
 def test_column_out_of_range_rejected(solve):
     with pytest.raises(ValueError, match=r"range\(2\)"):
@@ -258,30 +240,27 @@ def test_infeasibility_after_later_rows():
     assert kernel == []
 
 
-def test_hint_that_does_not_span_falls_back(monkeypatch):
+def test_hint_that_does_not_span_falls_back(folds):
     # Folding x + y = 1 alone gives the kernel vector (-1, 1), which fails
     # y = 2: the hint misses a row, so that row joins the hint's echelon
     # basis, at the same prime.
-    seen = count_folded_rows(monkeypatch)
-    primes = count_primes(monkeypatch)
     equations = [({0: F(1), 1: F(1)}, F(1)), ({1: F(1)}, F(2))]
     answer = (True, [F(-1), F(2)], [])
     assert solve_sparse(equations, 2, spanning=(0,)) == answer
-    assert seen == [1, 1]
-    assert primes == [P, P]
+    assert sizes(folds) == [1, 1]
+    assert primes(folds) == [P, P]
     assert solve_sparse(equations, 2) == answer
 
 
-def test_infeasibility_seen_only_by_an_unfolded_row(monkeypatch):
+def test_infeasibility_seen_only_by_an_unfolded_row(folds):
     # The kernel vector (-1, 1) of the hint x + y = 1 passes 2x + 2y = 3,
     # but the particular solution (1, 0) is exact on the hint and gives
     # 2 != 3 on the other row.  The hint does not span [A | -b], so the
     # other row is folded into its echelon basis, and the column of -b is
     # then a pivot: no solution exists.
-    seen = count_folded_rows(monkeypatch)
     equations = [({0: F(1), 1: F(1)}, F(1)), ({0: F(2), 1: F(2)}, F(3))]
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
-    assert seen == [1, 1]
+    assert sizes(folds) == [1, 1]
     assert solve_sparse(equations, 2) == (False, None, [])
     # with the right-hand side 2 the same hint certifies the line
     equations[1] = ({0: F(2), 1: F(2)}, F(2))
@@ -292,46 +271,44 @@ def test_infeasibility_seen_only_by_an_unfolded_row(monkeypatch):
     )
 
 
-def test_hint_containing_the_inconsistent_row(monkeypatch):
+def test_hint_containing_the_inconsistent_row(folds):
     # Rows 0 and 1 contradict each other (x + y = 1, 2x + 2y = 3) and are
     # both folded; row 2 (3x + 3y = 0) is not.  The kernel vector (-1, 1)
     # passes row 2, so the hint spans and the contradiction decides.
-    seen = count_folded_rows(monkeypatch)
     equations = [
         ({0: F(1), 1: F(1)}, F(1)),
         ({0: F(2), 1: F(2)}, F(3)),
         ({0: F(3), 1: F(3)}, F(0)),
     ]
     assert solve_sparse(equations, 2, spanning=(0, 1)) == (False, None, [])
-    assert seen == [2]
+    assert sizes(folds) == [2]
 
 
-def test_last_column_failing_an_unfolded_row_refolds(monkeypatch):
+def test_last_column_failing_an_unfolded_row_refolds(folds):
     # Folding x + y = 0 alone gives the vector (-1, 1) of the last column,
     # which fails y = 0: the hint does not span, and folding the other row
     # into its echelon basis makes column 1 a pivot, so the kernel is 0.
-    seen = count_folded_rows(monkeypatch)
     equations = [({0: 1, 1: 1}, 0), ({1: 1}, 0)]
     assert solve_sparse(equations, 2, spanning=(0,)) == (True, [0, 0], [])
-    assert seen == [1, 1]
+    assert sizes(folds) == [1, 1]
     # x + z = 0 alone: (0, 1, 0) passes z = 0 and (-1, 0, 1) fails it, so
     # the other row is folded in, and the kernel is the line of y
-    seen.clear()
+    folds.clear()
     equations = [({0: 1, 2: 1}, 0), ({2: 1}, 0)]
     assert solve_sparse(equations, 3, spanning=(0,)) == (
         True, [0, 0, 0], [[0, 1, 0]]
     )
-    assert seen == [1, 1]
+    assert sizes(folds) == [1, 1]
     assert solve_sparse(equations, 3) == (True, [0, 0, 0], [[0, 1, 0]])
 
 
-def test_empty_rows_outside_the_hint(monkeypatch):
+def test_empty_rows_outside_the_hint(monkeypatch, folds):
     # Row 1 reads 0 = 0 and is never checked outside the hint; row 2
-    # reads 0 = 3/2, the row 2 * (0 | -3/2) = (0 | -3) of [A | -b], which
-    # the particular solution of the hint fails: row 2, and not the empty
-    # row 1, joins the hint's echelon basis, and proves that x + y = 2 has
-    # no solution together with it.
-    seen = count_folded_rows(monkeypatch)
+    # reads 0 = 3/2, cleared by 2 to the row ({}, 3), which is (0 | -3) in
+    # [A | -b] and which the particular solution of the hint fails: row 2,
+    # and not the empty row 1, joins the hint's echelon basis, and proves
+    # that x + y = 2 has no solution together with it.  The rows are
+    # checked as _exact_rows hands them over, in the natural columns.
     checked = []
     satisfies = linalg._satisfies
 
@@ -343,14 +320,14 @@ def test_empty_rows_outside_the_hint(monkeypatch):
     equations = [({0: F(1), 1: F(1)}, F(2)), ({}, F(0))]
     answer = (True, [F(2), F(0)], [[F(-1), F(1)]])
     assert solve_sparse(equations, 2, spanning=(0,)) == answer
-    assert [] not in checked and [(0, 1), (1, 1), (2, -2)] in checked
-    assert seen == [1]
-    seen.clear()
+    assert ({}, 0) not in checked and ({0: 1, 1: 1}, 2) in checked
+    assert sizes(folds) == [1]
+    folds.clear()
     checked.clear()
     equations.append(({}, F(3, 2)))
     assert solve_sparse(equations, 2, spanning=(0,)) == (False, None, [])
-    assert [(2, -3)] in checked
-    assert seen == [1, 1]
+    assert ({}, 3) in checked
+    assert sizes(folds) == [1, 1]
     # folded, the same rows give the same answers
     assert solve_sparse(equations[:2], 2) == answer
     assert solve_sparse(equations, 2) == (False, None, [])
@@ -406,8 +383,13 @@ def test_spanning_must_list_row_indices(spanning):
         lambda: solve_sparse([({0: 1.5}, F(1))], 1),
         lambda: solve_sparse([({0: F(1)}, 0.5)], 1),
         lambda: nullspace([{0: 1, 1: 0.5}], 2),
+        # one float among ints: the type scan sends the system to be
+        # cleared, which refuses it
+        lambda: solve_sparse([({0: 1, 1: 2}, 3), ({0: 1.5}, 0), ({1: 4}, 1)],
+                             2),
     ],
-    ids=["coefficient", "right-hand-side", "nullspace"],
+    ids=["coefficient", "right-hand-side", "nullspace",
+         "float-in-int-system"],
 )
 def test_float_values_are_refused(solve):
     with pytest.raises(TypeError, match="ints or Fractions"):
@@ -420,13 +402,16 @@ def test_float_values_are_refused(solve):
         lambda: solve_sparse([([1, 2], 0)], 2),
         lambda: solve_sparse([([0, 1], 0)], 2),
         lambda: nullspace([[F(1), F(2)]], 2),
+        lambda: solve_sparse([({0: 1}, 1), ([0, 1], 0)], 2),
     ],
-    ids=["solve_sparse-values-out-of-range", "solve_sparse", "nullspace"],
+    ids=["solve_sparse-values-out-of-range", "solve_sparse", "nullspace",
+         "after-an-int-row"],
 )
 def test_rows_that_are_not_dicts_are_refused(solve):
     # Read with its values as column keys, a list row would fail the
     # column check ([1, 2]) or the value check ([0, 1]) and be refused
-    # with a message about something else.
+    # with a message about something else.  The rows of ints would
+    # otherwise be read as they are: the row check comes first.
     with pytest.raises(TypeError, match=r"col -> coeff dict"):
         solve()
 
@@ -509,8 +494,9 @@ def test_solve_sparse_deterministic():
 
 
 # The exact certificate runs on integers: each row is cleared of its own
-# denominators once, on entry, each lifted vector once, and a row holds
-# when its integer dot product equals rhs * den.  The cases below pin the
+# denominators once, on entry (a system of ints only is read as it is),
+# each lifted vector (x, t) once, and a row (coeffs, b) holds when its
+# integer dot product with x equals b * t.  The cases below pin the
 # scaling of rows, right-hand sides and vectors with answers worked by hand.
 
 
@@ -521,7 +507,7 @@ def certified(equations, vec, t):
     A vec = 0, as for a kernel vector.
     """
     return linalg._satisfies(
-        linalg._exact_rows(equations, len(vec), range(len(vec))),
+        linalg._exact_rows(equations, len(vec)),
         clear_denominators(vec + [F(t)])[0],
     )
 
@@ -539,12 +525,13 @@ MIXED_KERNEL = [F(-25), F(15), F(1)]
 
 
 def test_certificate_rows_are_cleared_row_by_row():
-    # row 0 by lcm(3, 2, 6, 5) = 30, row 1 by lcm(2, 6, 7) = 42; the
-    # right-hand sides become the entries -6 in column 3
-    assert linalg._exact_rows(MIXED, 3, range(3)) == [
-        [(0, 10), (1, 15), (2, 25), (3, -6)],
-        [(0, 21), (1, 35), (3, -6)],
-    ]
+    # row 0 by lcm(3, 2, 6, 5) = 30, row 1 by lcm(2, 6, 7) = 42; both
+    # right-hand sides become 6, which the fold reads as the entry -6 in
+    # column 3, the column of -b
+    cleared = linalg._exact_rows(MIXED, 3)
+    assert cleared == [({0: 10, 1: 15, 2: 25}, 6), ({0: 21, 1: 35}, 6)]
+    # rows of ints only are handed back as they are, none copied
+    assert linalg._exact_rows(cleared, 3) is cleared
     # the particular solution, as the vector (x, 1), is (120, -66, 0, 35) / 35
     assert clear_denominators(MIXED_PARTICULAR + [F(1)]) == (
         [120, -66, 0, 35],
@@ -591,9 +578,7 @@ def test_certificate_on_the_nullspace_path():
     # 2x + 3y + 5z = 0, so x = -(3/2) y - (5/2) z
     row = {0: F(1, 3), 1: F(1, 2), 2: F(5, 6)}
     equations = [(row, 0)]
-    assert linalg._exact_rows(equations, 3, range(3)) == [
-        [(0, 2), (1, 3), (2, 5)]
-    ]
+    assert linalg._exact_rows(equations, 3) == [({0: 2, 1: 3, 2: 5}, 0)]
     kernel = [[F(-3, 2), F(1), F(0)], [F(-5, 2), F(0), F(1)]]
     assert nullspace([row], 3) == kernel
     assert all(certified(equations, vec, t=0) for vec in kernel)

@@ -7,10 +7,13 @@ row's solutions, so ``solve_sparse`` must return the identical
 its inverse, so a row whose cleared form vanishes or moves a pivot mod
 the first prime is drawn too.
 
-The reader takes a row of ints as it is.  Scaling each row of an
-integer system by a nonzero int, or writing a row's ints as
-``Fraction(k, 1)``, must give the identical answer from ``solve_sparse``
-and ``nullspace``: a Fraction that reached the fold would raise there.
+The reader hands a system of ints over as it is, and the fold and the
+check read its rows in place, so neither may change them.  Scaling each
+row of an integer system by a nonzero int, writing a row's ints as
+``Fraction(k, 1)``, dividing one row by 3, or writing its coefficients 1
+as ``True`` (an int, read in place), must give the identical answer from
+``solve_sparse`` and ``nullspace``: a Fraction sends the system to be
+cleared, and one that reached the fold would raise there.
 
 Eliminating the columns in another order changes the pivots mod p but
 not the answer mapped back to the natural columns, and neither does a
@@ -22,9 +25,11 @@ random (often inconsistent), and carry a spanning hint half of the time,
 an arbitrary subset of the rows that often falls short, so the fold
 that continues from the hint's pivots runs on many systems.
 
-The fold keeps the columns of its working row in a heap; on any integer
-rows it must build the identical echelon basis as the plain fold below,
-which searches the row for its smallest column after every step.  A
+The fold reads the rows as the caller wrote them and relabels their
+columns as it reduces them; it keeps the columns of its working row in
+a heap.  On any integer rows and any relabelling it must build the
+identical echelon basis as the plain fold below, which searches the row
+for its smallest column after every step.  A
 fold continued from the pivots of earlier rows must build the basis of
 a single fold of the earlier rows and the new ones.
 
@@ -33,6 +38,7 @@ residue within the bound, or within the bound below the modulus, comes
 out of zero or one step as the same value that a direct return gave.
 """
 
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -107,12 +113,21 @@ def test_integer_rows_scaled_or_as_fractions_give_the_identical_answer(
         if written else (coeffs, rhs)
         for (coeffs, rhs), _, written in system
     ]
+    # the first row divided by 3, and every coefficient 1 written True
+    (coeffs, rhs), *others = equations
+    third = [({c: Fraction(v, 3) for c, v in coeffs.items()},
+              Fraction(rhs, 3))] + others
+    booleans = [
+        ({c: True if v == 1 else v for c, v in coeffs.items()}, rhs)
+        for coeffs, rhs in equations
+    ]
+    before = deepcopy(equations)
     answer = solve_sparse(equations, NCOLS)
-    assert solve_sparse(scaled, NCOLS) == answer
-    assert solve_sparse(fractions, NCOLS) == answer
     kernel = nullspace([coeffs for coeffs, _ in equations], NCOLS)
-    assert nullspace([coeffs for coeffs, _ in scaled], NCOLS) == kernel
-    assert nullspace([coeffs for coeffs, _ in fractions], NCOLS) == kernel
+    assert equations == before
+    for variant in (scaled, fractions, third, booleans):
+        assert solve_sparse(variant, NCOLS) == answer
+        assert nullspace([coeffs for coeffs, _ in variant], NCOLS) == kernel
 
 
 values = st.one_of(
@@ -163,11 +178,14 @@ def test_any_column_order_gives_the_identical_answer(case):
     assert solve_sparse(equations, ncols, spanning, order=order) == natural
 
 
-def reference_fold(rows, p):
+def reference_fold(rows, p, position):
     """The fold with a min() search for the leading column of each step."""
+    ncols = len(position)
     pivots = {}
-    for pairs in rows:
-        row = {c: r for c, v in pairs if (r := v % p)}
+    for coeffs, rhs in rows:
+        row = {position[c]: r for c, v in coeffs.items() if (r := v % p)}
+        if rhs % p:
+            row[ncols] = -rhs % p
         get = row.get
         while row:
             lead = min(row)
@@ -187,7 +205,8 @@ def reference_fold(rows, p):
 
 @st.composite
 def integer_rows(draw):
-    """(rows, p): rows of (col, int) pairs as _exact_rows writes them.
+    """(rows, p, position): rows of (col -> int dict, int rhs) as
+    _exact_rows hands them over, and a relabelling of their columns.
 
     Entries include multiples of p, and rows are repeated, left empty or
     built as integer combinations of earlier rows, so that they cancel
@@ -202,41 +221,49 @@ def integer_rows(draw):
             st.sampled_from(["new", "new", "empty", "repeat", "combo"])
         )
         if kind == "empty" or (kind != "new" and not rows):
-            rows.append([])
+            rows.append(({}, 0))
         elif kind == "repeat":
-            rows.append(list(draw(st.sampled_from(rows))))
+            coeffs, rhs = draw(st.sampled_from(rows))
+            rows.append((dict(coeffs), rhs))
         elif kind == "combo":
-            u = dict(draw(st.sampled_from(rows)))
-            v = dict(draw(st.sampled_from(rows)))
+            u, b = draw(st.sampled_from(rows))
+            v, d = draw(st.sampled_from(rows))
             s, t = draw(entry), draw(entry)
             combo = {c: s * u.get(c, 0) + t * v.get(c, 0) for c in {*u, *v}}
-            rows.append([(c, x) for c, x in sorted(combo.items()) if x])
+            rows.append((
+                {c: x for c, x in sorted(combo.items()) if x}, s * b + t * d
+            ))
         else:
             row = draw(st.dictionaries(st.integers(0, ncols - 1), entry,
                                        max_size=ncols))
-            rows.append(list(draw(st.permutations(list(row.items())))))
-    return rows, p
+            rows.append((
+                dict(draw(st.permutations(list(row.items())))),
+                draw(st.just(0) | entry),
+            ))
+    position = draw(st.permutations(range(ncols)))
+    return rows, p, position
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_rows())
-# a row that cancels to 0 exactly, one that vanishes mod 7, an empty row
-@example(([[(0, 1), (2, 3)], [(0, 2), (2, 6)], [(1, 7), (2, 14)], [],
-           [(2, 1), (1, 2)]], 7))
+# a row that cancels to 0 exactly, one that vanishes mod 7, an empty row,
+# and a right-hand side that vanishes mod 7
+@example(([({0: 1, 2: 3}, 1), ({0: 2, 2: 6}, 2), ({1: 7, 2: 14}, 7),
+           ({}, 0), ({2: 1, 1: 2}, 0)], 7, [0, 1, 2]))
 def test_heap_fold_builds_the_identical_pivots(case):
-    rows, p = case
-    assert _fold(rows, p) == reference_fold(rows, p)
+    rows, p, position = case
+    assert _fold(rows, p, position) == reference_fold(rows, p, position)
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_rows(), st.data())
 def test_continued_fold_is_one_fold_of_all_rows(case, data):
-    rows, p = case
+    rows, p, position = case
     cut = data.draw(st.integers(0, len(rows)))
     earlier, later = rows[:cut], rows[cut:]
-    assert _fold(later, p, _fold(earlier, p)) == _fold(rows, p) == (
-        reference_fold(rows, p)
-    )
+    assert _fold(later, p, position, _fold(earlier, p, position)) == (
+        _fold(rows, p, position)
+    ) == reference_fold(rows, p, position)
 
 
 def reference_reconstruct(r, m, bound):

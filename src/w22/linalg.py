@@ -14,10 +14,11 @@ ncols and form the kernel basis of A.  When every rhs is 0 the column of
 runs over Fraction:
 
 1. A system whose values are all ints (b included) is read in place, as
-   the caller wrote it: the constraint builders write such rows, and
-   they are neither copied nor relabelled on entry.  Any other system,
-   such as the Fraction rows of the Verma joint kernels, is cleared once,
-   on entry: each row is scaled by the lcm of its own denominators, which
+   the caller wrote it: every builder of the package writes such rows
+   (the constraint systems and the Verma joint kernels), and they are
+   neither copied nor relabelled on entry.  The clearing path is left
+   for a caller that passes Fractions: such a system is cleared once,
+   on entry, each row scaled by the lcm of its own denominators, which
    keeps its kernel.  The integer rows to fold (all of them, or a hint,
    below) are folded, in input order, into an echelon basis keyed by
    leading column (the smallest column left in the reduced row), over
@@ -193,9 +194,10 @@ def _exact_rows(equations, ncols):
 
     Each row is a (col -> int dict, int rhs) pair in the natural columns.
     When every coefficient and right-hand side is an int (bool included),
-    as the constraint builders write them, equations are returned as
-    they are: no row is copied.  Otherwise each row is cleared of
-    denominators once, into a new pair: a row whose lcm of denominators
+    as every builder of the package writes them, equations are returned
+    as they are: no row is copied.  Otherwise, as for a caller that
+    passes Fractions, each row is cleared of denominators once, into a
+    new pair: a row whose lcm of denominators
     (rhs included) is 1 keeps its values, read as ints through
     ``numerator`` (a Fraction k/1 becomes k), and any other row is scaled
     by that lcm, so it keeps its kernel and every entry stays exact.  A

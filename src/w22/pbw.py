@@ -24,10 +24,29 @@ highest-weight vector v of the module with parameters (lambda, c, c0, c1):
 x(0) v = lambda v, C v = c v, I(0) v = c0 v, C1 v = c1 v, and every
 positive-index generator kills v.  Results live on PBW monomials in
 strictly negative indices.
+
+``HighestWeightActor`` runs its one recursion on ints.  Each actor fixes
+one denominator D = lcm(2, den lambda, den c, den c0, den c1), and its
+memoized engine ``_act(g, mono)`` gives g mono as {m': N}, where the
+coefficient of m' is N / D^(len(mono) + 1 - len(m')).  The rule holds
+branch by branch:
+- a scalar s (C, C1, or an index-0 generator on v) is written D s;
+- g prepended in order is 1, as len(m') = len(mono) + 1;
+- g (head rest) = head (g rest) + [g, head] rest: composing two actions
+  multiplies their Ns, whose exponents add up to that of g mono;
+- a bracket term cb b multiplies the N of b rest by cb D, one power of D
+  for the factor head that is gone, and an int since every bracket
+  coefficient is a multiple of 1/2 (the central term (n^3 - n)/12 is)
+  and D is even.
+No ``Fraction`` arithmetic runs in the recursion.  ``apply_generator``,
+``apply_basis``, ``apply_word`` and ``act_on_highest`` read the same
+values as ``Fraction``s, and ``verma`` writes its raising rows straight
+from the ints.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .liecore import Combination, pair_bracket, term_key
 from .rationals import rat, rat_str
@@ -105,50 +124,58 @@ class HighestWeightActor:
     """Applies generators to combinations of negative PBW monomials times v.
 
     States are dicts mapping ordered monomials in strictly negative
-    indices to Fractions; the empty monomial is v itself.
+    indices to Fractions; the empty monomial is v itself.  The action
+    runs on ints over one denominator D, ``_d`` (module docstring).
     """
 
     def __init__(self, params):
-        self.p = params
+        values = (params.lam, params.c, params.c0, params.c1)
+        self._d = d = lcm(2, *[v.denominator for v in values])
+        self._scaled = {
+            kind: v.numerator * (d // v.denominator)
+            for kind, v in zip(("X", "C", "I", "C1"), values)
+        }
         self._cache = {}
 
-    def _scalar(self, g):
-        if g.kind == "C":
-            return self.p.c
-        if g.kind == "C1":
-            return self.p.c1
-        if g.kind == "X":
-            return self.p.lam
-        return self.p.c0
-
-    def apply_generator(self, g, mono):
+    def _act(self, g, mono):
+        """g mono as {m': N}, the coefficient of m' being
+        N / D^(len(mono) + 1 - len(m')); memoized (module docstring)."""
         key = (g, mono)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         if g.is_central:
-            out = {mono: self._scalar(g)}
+            out = {mono: self._scaled[g.kind]}
         elif not mono:
             if g.index > 0:
                 out = {}
             elif g.index == 0:
-                out = {(): self._scalar(g)}
+                out = {(): self._scaled[g.kind]}
             else:
-                out = {(g,): Fraction(1)}
+                out = {(g,): 1}
         elif g.index < 0 and term_key(g) <= term_key(mono[0]):
-            out = {(g,) + mono: Fraction(1)}
+            out = {(g,) + mono: 1}
         else:
             head, rest = mono[0], mono[1:]
             out = {}
-            for m2, c2 in self.apply_generator(g, rest).items():
-                for m3, c3 in self.apply_generator(head, m2).items():
-                    out[m3] = out.get(m3, 0) + c2 * c3
+            for m2, n2 in self._act(g, rest).items():
+                for m3, n3 in self._act(head, m2).items():
+                    out[m3] = out.get(m3, 0) + n2 * n3
             for b, cb in pair_bracket(g, head).terms.items():
-                for m2, c2 in self.apply_generator(b, rest).items():
-                    out[m2] = out.get(m2, 0) + cb * c2
-            out = {m: c for m, c in out.items() if c}
+                scale = cb.numerator * self._d // cb.denominator
+                for m2, n2 in self._act(b, rest).items():
+                    out[m2] = out.get(m2, 0) + scale * n2
+            out = {m: n for m, n in out.items() if n}
         self._cache[key] = out
         return out
+
+    def apply_generator(self, g, mono):
+        """g mono as {m': Fraction}: the view of ``_act(g, mono)``."""
+        d, size = self._d, len(mono) + 1
+        return {
+            m: Fraction(n, d ** (size - len(m)))
+            for m, n in self._act(g, mono).items()
+        }
 
     def apply_basis(self, g, state):
         out = {}

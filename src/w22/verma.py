@@ -11,9 +11,15 @@ both kinds (gen(1) alone at level 1).
 
 ``find_singular`` computes, at every level up to the maximum, the joint
 kernel of gen(1) and gen(2) of both kinds with the certified exact solver
-in ``linalg``.  Their rows are built sparse, as col -> coeff dicts, straight
-from the PBW action on the level basis; ``raising_matrix`` is a dense view
-of the same rows.
+in ``linalg``.  Their rows are built sparse, as col -> int dicts, straight
+from the int PBW action on the level basis (``pbw``): the actor gives the
+coefficient of m' in g mono as N / D^(len(mono) + 1 - len(m')), over its
+one denominator D, and row m' of g from level n holds N D^(n - len(mono))
+at the column of mono.  That is the row times D^(n + 1 - len(m')), a
+positive scale that keeps the kernel, and every exponent is at least 0
+since a level n monomial has at most n factors.  ``linalg.nullspace``
+reads these rows in place.  ``raising_matrix`` is the dense ``Fraction``
+view of the same rows, each divided by its scale.
 ``is_verma_irreducible`` stops at the first level with a nonzero kernel and
 reports that evidence next to the closed-form root list
 2 c0 - (m^2-1)/12 c1 = 0, flagging any disagreement between the two rather
@@ -121,21 +127,24 @@ class SingularVectorReport:
 
 
 def _raising_rows(g, n, actor):
-    """The matrix of g from level n to level n - g.index as sparse rows.
+    """The matrix of g from level n to level n - g.index as sparse int rows.
 
-    One col -> coeff dict per level n - g.index monomial, in canonical
+    One col -> int dict per level n - g.index monomial m', in canonical
     monomial order; the columns are the positions of the level n basis.
+    Row m' is the matrix row times D^(n + 1 - len(m')), D the actor's
+    denominator (module docstring).
     """
     target_pos = {mono: i for i, mono in enumerate(_level_basis(n - g.index))}
     rows = [{} for _ in target_pos]
     for col, mono in enumerate(_level_basis(n)):
-        for m2, coeff in actor.apply_generator(g, mono).items():
-            rows[target_pos[m2]][col] = coeff
+        scale = actor._d ** (n - len(mono))
+        for m2, coeff in actor._act(g, mono).items():
+            rows[target_pos[m2]][col] = coeff * scale
     return rows
 
 
 def raising_matrix(k, n, params, gen_kind):
-    """Matrix of gen(+k) from level n to level n - k.
+    """Matrix of gen(+k) from level n to level n - k, as Fractions.
 
     Rows are indexed by the level n-k basis, columns by the level n basis,
     both in canonical monomial order.  gen_kind is "X" or "I".  A level n
@@ -150,8 +159,13 @@ def raising_matrix(k, n, params, gen_kind):
         raise ValueError("gen_kind must be 'X' or 'I'")
     g = x(k) if gen_kind == "X" else I(k)
     cols = range(len(_level_basis(n)))
-    rows = _raising_rows(g, n, HighestWeightActor(params))
-    return [[row.get(col, Fraction(0)) for col in cols] for row in rows]
+    actor = HighestWeightActor(params)
+    d = actor._d
+    rows = _raising_rows(g, n, actor)
+    return [
+        [Fraction(row.get(col, 0), d ** (n + 1 - len(m))) for col in cols]
+        for row, m in zip(rows, _level_basis(n - k))
+    ]
 
 
 def joint_kernel(params, level):

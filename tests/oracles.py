@@ -26,6 +26,12 @@ a second route:
     evaluates its quadratics in ``Fraction`` arithmetic straight from
     the assignment, the reference for the one integer loop that
     ``evaluate_quadratics`` and ``check_quadratic`` share.
+``FractionActor``
+    applies a generator to a PBW monomial times v by the one recursion
+    of ``HighestWeightActor`` in ``Fraction`` arithmetic, as the library
+    ran it before its action moved to ints, so the actor's ``Fraction``
+    view, ``raising_matrix`` and the Verma row builder are checked
+    against it.
 ``generator_from_json``, ``monomial_from_json``, ``element_from_json``,
 ``params_from_json``
     read back the JSON records that the library writes (it reads none),
@@ -41,6 +47,7 @@ from w22 import (
     UEAElement,
     act,
     normal_order,
+    pair_bracket,
     rat,
     term_key,
 )
@@ -136,3 +143,49 @@ def element_from_json(cls, data):
 
 def params_from_json(data):
     return HighestWeightParams(data["lambda"], data["c"], data["c0"], data["c1"])
+
+
+class FractionActor:
+    """g mono on the highest-weight vector, as {monomial: Fraction}."""
+
+    def __init__(self, params):
+        self.p = params
+        self._cache = {}
+
+    def _scalar(self, g):
+        if g.kind == "C":
+            return self.p.c
+        if g.kind == "C1":
+            return self.p.c1
+        if g.kind == "X":
+            return self.p.lam
+        return self.p.c0
+
+    def apply_generator(self, g, mono):
+        key = (g, mono)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        if g.is_central:
+            out = {mono: self._scalar(g)}
+        elif not mono:
+            if g.index > 0:
+                out = {}
+            elif g.index == 0:
+                out = {(): self._scalar(g)}
+            else:
+                out = {(g,): Fraction(1)}
+        elif g.index < 0 and term_key(g) <= term_key(mono[0]):
+            out = {(g,) + mono: Fraction(1)}
+        else:
+            head, rest = mono[0], mono[1:]
+            out = {}
+            for m2, c2 in self.apply_generator(g, rest).items():
+                for m3, c3 in self.apply_generator(head, m2).items():
+                    out[m3] = out.get(m3, 0) + c2 * c3
+            for b, cb in pair_bracket(g, head).terms.items():
+                for m2, c2 in self.apply_generator(b, rest).items():
+                    out[m2] = out.get(m2, 0) + cb * c2
+            out = {m: c for m, c in out.items() if c}
+        self._cache[key] = out
+        return out

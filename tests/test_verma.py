@@ -250,6 +250,27 @@ class TestJointKernel:
                 if m is None:
                     assert all_k == []
 
+    def test_the_solver_reads_the_rows_in_place(self, monkeypatch):
+        # The rows are ints, so _exact_rows hands the system back as it
+        # is; a Fraction in them would send it to be cleared.
+        seen = []
+        exact_rows = linalg._exact_rows
+
+        def recording(equations, ncols):
+            rows = exact_rows(equations, ncols)
+            seen.append(rows is equations)
+            return rows
+
+        monkeypatch.setattr(linalg, "_exact_rows", recording)
+        for params in (
+            HighestWeightParams(F(0), F(0), F(0), F(0)),
+            HighestWeightParams(F(1), F(2), F(3), F(5)),
+            HighestWeightParams(F(-1, 3), F(5, 2), F(2, 7), F(16, 7)),
+        ):
+            for level in range(1, 6):
+                joint_kernel(params, level)
+        assert len(seen) == 15 and all(seen)
+
     def test_generic_parameters_have_no_kernel(self):
         params = HighestWeightParams(F(1), F(2), F(3), F(5))
         for level in (1, 2, 3):

@@ -9,8 +9,9 @@ spaces spanned by v_i and with I(n), C, C1 acting as zero:
   Ba(a):      x(m) v_i = i v_{m+i}         (i != -m),
               x(m) v_{-m} = -m (m + a) v_0
 
-A ModuleSpec may mask an index set; masked indices are excluded from the
-module (sources give zero, flows into masked targets are dropped).
+A ModuleSpec may mask an index set, of ints; masked indices are excluded
+from the module (sources give zero, flows into masked targets are
+dropped).
 ``coefficient`` alone holds the x-action and applies the mask; ``act``
 and ``bracket_compatibility_check`` read the module only through it.  The
 simple subquotient of Aab(0, 1) -- everything off the v_0 line -- is the
@@ -43,7 +44,11 @@ class ModuleSpec:
             object.__setattr__(self, "b", rat(self.b))
         elif self.b is not None:
             raise ValueError("family %s takes no b parameter" % self.family)
-        object.__setattr__(self, "masked", frozenset(self.masked))
+        masked = frozenset(self.masked)
+        for i in masked:
+            if not isinstance(i, int):
+                raise ValueError("mask entries must be ints, got %r" % (i,))
+        object.__setattr__(self, "masked", masked)
 
 
 def simple_subquotient():

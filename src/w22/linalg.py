@@ -18,11 +18,11 @@ runs over Fraction:
    (the constraint systems and the Verma joint kernels), and they are
    neither copied nor relabelled on entry.  The clearing path is left
    for a caller that passes Fractions: such a system is cleared once,
-   on entry, each row scaled by the lcm of its own denominators, which
-   keeps its kernel.  The integer rows to fold (all of them, or a hint,
-   below) are folded, in input order, into an echelon basis keyed by
-   leading column (the smallest column left in the reduced row), over
-   GF(p) on plain ints.  A row is reduced mod p, its columns relabelled
+   on entry, by ``rationals.clear_denominators``, each row scaled by the
+   lcm of its own denominators, which keeps its kernel.  The integer
+   rows to fold (all of them, or a hint, below) are folded, in input
+   order, into an echelon basis keyed by leading column (the smallest
+   column left in the reduced row), over GF(p) on plain ints.  A row is reduced mod p, its columns relabelled
    and b moved into column ncols as -b, only as it is folded.  p runs up
    a ladder of Mersenne primes 2^e - 1, e = 61, 127, 521, ..., 86243;
    each attempt starts from scratch with one prime, and no residues are
@@ -91,8 +91,7 @@ Q, whose vector cannot pass the exact check, so it is one failed attempt.
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain
-from math import isqrt, lcm
+from math import isqrt
 
 from .rationals import check_int, clear_denominators
 
@@ -196,46 +195,40 @@ def _exact_rows(equations, ncols):
     When every coefficient and right-hand side is an int (bool included),
     as every builder of the package writes them, equations are returned
     as they are: no row is copied.  Otherwise, as for a caller that
-    passes Fractions, each row is cleared of denominators once, into a
-    new pair: a row whose lcm of denominators
-    (rhs included) is 1 keeps its values, read as ints through
-    ``numerator`` (a Fraction k/1 becomes k), and any other row is scaled
-    by that lcm, so it keeps its kernel and every entry stays exact.  A
-    row that is not a col -> coeff dict raises TypeError, a column outside
-    range(ncols) ValueError, and a value that is not an int or a Fraction
-    TypeError.
+    passes Fractions, each row is cleared of denominators once by
+    ``clear_denominators``, into a new pair: it is scaled by the lcm of
+    its denominators (rhs included), so it keeps its kernel and every
+    entry stays exact, and a row whose lcm is 1 keeps its values, read
+    as ints (a Fraction k/1 becomes k).  A row that is not a col -> coeff
+    dict raises TypeError, a column outside range(ncols) ValueError, and
+    a value that is not an int or a Fraction TypeError.
     """
-    # One check on the union of the keys costs a fifth of one per row.
-    try:
-        cols = set().union(*[coeffs.keys() for coeffs, _ in equations])
-    except AttributeError:
-        raise TypeError("each row must be a col -> coeff dict") from None
-    if cols and (min(cols) < 0 or max(cols) >= ncols):
-        raise ValueError("columns must lie in range(%d)" % ncols)
-    # One scan over every value, which stops at the first that is not an
-    # int, so a Fraction system costs next to nothing here.
-    values = chain(*[coeffs.values() for coeffs, _ in equations])
-    rhs = [b for _, b in equations]
-    if all(map(int.__instancecheck__, chain(values, rhs))):
+    # One pass over each row's items checks its columns and its types.
+    integral = True
+    for coeffs, rhs in equations:
+        try:
+            items = coeffs.items()
+        except AttributeError:
+            raise TypeError("each row must be a col -> coeff dict") from None
+        for c, v in items:
+            if not 0 <= c < ncols:
+                raise ValueError("columns must lie in range(%d)" % ncols)
+            integral = integral and isinstance(v, int)
+        integral = integral and isinstance(rhs, int)
+    if integral:
         return equations
+    rows = []
     try:
-        return [_cleared(coeffs, b) for coeffs, b in equations]
+        for coeffs, b in equations:
+            (rhs, *ints), _ = clear_denominators([b, *coeffs.values()])
+            rows.append((dict(zip(coeffs, ints)), rhs))
     except AttributeError:
         # A float has no denominator; one handler keeps valid rows free
         # of a per-coefficient type check.
         raise TypeError(
             "coefficients and right-hand sides must be ints or Fractions"
         ) from None
-
-
-def _cleared(coeffs, rhs):
-    """A row (coeffs, rhs) scaled by the lcm of its denominators, as ints."""
-    den = lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
-    if den == 1:
-        return {c: v.numerator for c, v in coeffs.items()}, rhs.numerator
-    scaled = {c: v.numerator * (den // v.denominator)
-              for c, v in coeffs.items()}
-    return scaled, rhs.numerator * (den // rhs.denominator)
+    return rows
 
 
 def _satisfies(rows, ints):
@@ -362,9 +355,10 @@ def _in_natural_order(kernel, position):
 def solve_sparse(equations, ncols, spanning=None, order=None):
     """Solve a sparse linear system given as [(col -> coeff dict, rhs), ...].
 
-    Coefficients and right-hand sides are ints or Fractions.  Returns
-    (feasible, particular, kernel_basis); particular is None and the
-    basis empty when the system is infeasible.  The particular solution
+    equations is any iterable of rows, read once; a list is read in
+    place.  Coefficients and right-hand sides are ints or Fractions.
+    Returns (feasible, particular, kernel_basis); particular is None and
+    the basis empty when the system is infeasible.  The particular solution
     is 0 on the free columns, and the kernel vector of free column f is 1
     at f and 0 on the other free columns, so the answer is unique and
     fully deterministic.  Every returned vector has passed an exact check
@@ -388,6 +382,9 @@ def solve_sparse(equations, ncols, spanning=None, order=None):
     int or a Fraction raises TypeError.
     """
     check_int(ncols, 0, "ncols")
+    # Read once: an iterator would be used up by its first reader.
+    if not isinstance(equations, list):
+        equations = list(equations)
     if spanning is not None:
         spanning = tuple(spanning)
         if not all(isinstance(i, int) and 0 <= i < len(equations)

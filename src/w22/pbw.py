@@ -26,10 +26,10 @@ positive-index generator kills v.  Results live on PBW monomials in
 strictly negative indices.
 
 ``HighestWeightActor`` runs its one recursion on ints.  Each actor fixes
-one denominator D = lcm(2, den lambda, den c, den c0, den c1), and its
-memoized engine ``_act(g, mono)`` gives g mono as {m': N}, where the
-coefficient of m' is N / D^(len(mono) + 1 - len(m')).  The rule holds
-branch by branch:
+one denominator D = lcm(2, den lambda, den c, den c0, den c1), cleared by
+``rationals.clear_denominators``, and its memoized engine
+``_act(g, mono)`` gives g mono as {m': N}, where the coefficient of m' is
+N / D^(len(mono) + 1 - len(m')).  The rule holds branch by branch:
 - a scalar s (C, C1, or an index-0 generator on v) is written D s;
 - g prepended in order is 1, as len(m') = len(mono) + 1;
 - g (head rest) = head (g rest) + [g, head] rest: composing two actions
@@ -38,18 +38,18 @@ branch by branch:
   for the factor head that is gone, and an int since every bracket
   coefficient is a multiple of 1/2 (the central term (n^3 - n)/12 is)
   and D is even.
-No ``Fraction`` arithmetic runs in the recursion.  ``apply_generator``,
-``apply_basis``, ``apply_word`` and ``act_on_highest`` read the same
-values as ``Fraction``s, and ``verma`` writes its raising rows straight
-from the ints.
+The same composition carries a whole word: after k factors the
+coefficient of m is N / D^(k - len(m)).  So ``apply_word``, the one
+``Fraction`` reader of the actor, runs the word on ints and divides once
+at the end; ``act_on_highest`` and ``verma.raising_matrix`` read it, and
+``verma`` writes its raising rows straight from the ints.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .liecore import Combination, pair_bracket, term_key
-from .rationals import rat, rat_str
+from .rationals import clear_denominators, rat, rat_str
 
 
 def monomial_degree(mono):
@@ -121,20 +121,19 @@ class HighestWeightParams:
 
 
 class HighestWeightActor:
-    """Applies generators to combinations of negative PBW monomials times v.
+    """Applies words to the highest-weight vector v.
 
-    States are dicts mapping ordered monomials in strictly negative
+    Results are dicts mapping ordered monomials in strictly negative
     indices to Fractions; the empty monomial is v itself.  The action
     runs on ints over one denominator D, ``_d`` (module docstring).
     """
 
     def __init__(self, params):
-        values = (params.lam, params.c, params.c0, params.c1)
-        self._d = d = lcm(2, *[v.denominator for v in values])
-        self._scaled = {
-            kind: v.numerator * (d // v.denominator)
-            for kind, v in zip(("X", "C", "I", "C1"), values)
-        }
+        # 1/2 makes D even, so that every bracket term cb D is an int.
+        (_, *scaled), self._d = clear_denominators(
+            (Fraction(1, 2), params.lam, params.c, params.c0, params.c1)
+        )
+        self._scaled = dict(zip(("X", "C", "I", "C1"), scaled))
         self._cache = {}
 
     def _act(self, g, mono):
@@ -169,28 +168,27 @@ class HighestWeightActor:
         self._cache[key] = out
         return out
 
-    def apply_generator(self, g, mono):
-        """g mono as {m': Fraction}: the view of ``_act(g, mono)``."""
-        d, size = self._d, len(mono) + 1
-        return {
-            m: Fraction(n, d ** (size - len(m)))
-            for m, n in self._act(g, mono).items()
-        }
-
-    def apply_basis(self, g, state):
-        out = {}
-        for mono, cm in state.items():
-            for m2, c2 in self.apply_generator(g, mono).items():
-                out[m2] = out.get(m2, 0) + cm * c2
-        return {m: c for m, c in out.items() if c}
-
     def apply_word(self, factors, coeff=Fraction(1)):
-        state = {(): Fraction(coeff)}
-        for g in reversed(tuple(factors)):
-            state = self.apply_basis(g, state)
-            if not state:
-                return {}
-        return state
+        """The word times coeff on v, as {monomial: Fraction}, no zero kept.
+
+        The factors act from the right on the ints of ``_act``: after k
+        of them the coefficient of m is N / D^(k - len(m)), so the word
+        is divided once, at the end.
+        """
+        factors, coeff = tuple(factors), Fraction(coeff)
+        act = self._act
+        state = {(): coeff.numerator}
+        for g in reversed(factors):
+            out = {}
+            for mono, n in state.items():
+                for m2, n2 in act(g, mono).items():
+                    out[m2] = out.get(m2, 0) + n * n2
+            state = out
+        den, size = coeff.denominator, len(factors)
+        return {
+            m: Fraction(n, den * self._d ** (size - len(m)))
+            for m, n in state.items() if n
+        }
 
 
 def act_on_highest(u, params):

@@ -10,8 +10,11 @@ surrounding whitespace first, so ``" 1/2 "`` reads as 1/2.
 ``check_int`` is the one bound check on an integer argument (a window, a
 level): the value must be an int and at least a given least value.
 ``clear_denominators`` moves a list of rationals to integers, and
-``clear_table`` a table of them, for the exact checks that run in integer
-arithmetic and for the integer rows of the constraint systems.
+``clear_table`` a table of them, over the lcm of their denominators.
+The package clears rationals through these two: for the exact checks
+that run in integer arithmetic, the integer rows of the constraint
+systems, the one denominator of a PBW actor and the rows that a caller
+passes the solver as ``Fraction``s.
 """
 
 import re

@@ -19,7 +19,8 @@ at the column of mono.  That is the row times D^(n + 1 - len(m')), a
 positive scale that keeps the kernel, and every exponent is at least 0
 since a level n monomial has at most n factors.  ``linalg.nullspace``
 reads these rows in place.  ``raising_matrix`` is the dense ``Fraction``
-view of the same rows, each divided by its scale.
+matrix of the same action: column mono is the word g mono on v, read
+through ``HighestWeightActor.apply_word``, which divides once.
 ``is_verma_irreducible`` stops at the first level with a nonzero kernel and
 reports that evidence next to the closed-form root list
 2 c0 - (m^2-1)/12 c1 = 0, flagging any disagreement between the two rather
@@ -158,14 +159,13 @@ def raising_matrix(k, n, params, gen_kind):
     if gen_kind not in ("X", "I"):
         raise ValueError("gen_kind must be 'X' or 'I'")
     g = x(k) if gen_kind == "X" else I(k)
-    cols = range(len(_level_basis(n)))
+    target_pos = {mono: i for i, mono in enumerate(_level_basis(n - k))}
+    matrix = [[Fraction(0)] * len(_level_basis(n)) for _ in target_pos]
     actor = HighestWeightActor(params)
-    d = actor._d
-    rows = _raising_rows(g, n, actor)
-    return [
-        [Fraction(row.get(col, 0), d ** (n + 1 - len(m))) for col in cols]
-        for row, m in zip(rows, _level_basis(n - k))
-    ]
+    for col, mono in enumerate(_level_basis(n)):
+        for m2, coeff in actor.apply_word((g,) + mono).items():
+            matrix[target_pos[m2]][col] = coeff
+    return matrix
 
 
 def joint_kernel(params, level):

@@ -29,9 +29,9 @@ a second route:
 ``FractionActor``
     applies a generator to a PBW monomial times v by the one recursion
     of ``HighestWeightActor`` in ``Fraction`` arithmetic, as the library
-    ran it before its action moved to ints, so the actor's ``Fraction``
-    view, ``raising_matrix`` and the Verma row builder are checked
-    against it.
+    ran it before its action moved to ints, so the actor's word reader
+    ``apply_word`` (applied here one factor at a time), ``raising_matrix``
+    and the Verma row builder are checked against it.
 ``generator_from_json``, ``monomial_from_json``, ``element_from_json``,
 ``params_from_json``
     read back the JSON records that the library writes (it reads none),

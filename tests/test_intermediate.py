@@ -44,6 +44,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModuleSpec("Zb", F(1))
 
+    @pytest.mark.parametrize("entry", ["a", 1.5, F(1), None])
+    def test_mask_entries_must_be_ints(self, entry):
+        with pytest.raises(ValueError, match="mask entries must be ints, got"):
+            ModuleSpec("Aab", 1, 2, masked={entry, 1})
+
+    def test_mask_entry_true_counts_as_one(self):
+        spec = ModuleSpec("Aab", 1, 2, masked={True})
+        assert spec.masked == frozenset([1])
+        assert act(spec, x(1), {1: F(1)}) == {}
+
 
 class TestAction:
     def test_aab(self):

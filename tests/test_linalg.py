@@ -73,6 +73,20 @@ def test_solve_sparse_feasible_unique():
     assert ok and particular == [F(2), F(1)] and kernel == []
 
 
+@pytest.mark.parametrize(
+    "wrap", [lambda rows: (row for row in rows), tuple],
+    ids=["generator", "tuple"],
+)
+def test_solve_sparse_reads_any_iterable_of_rows_once(wrap):
+    # x + y = 3, x - y = 1: a generator must not be used up before the
+    # rows are folded and checked.
+    rows = [({0: 1, 1: 1}, 3), ({0: 1, 1: -1}, 1)]
+    assert solve_sparse(wrap(rows), 2) == (True, [F(2), F(1)], [])
+    assert solve_sparse(wrap(rows), 2, spanning=[1, 0]) == (
+        True, [F(2), F(1)], []
+    )
+
+
 def test_solve_sparse_infeasible_dependent_rows():
     # x + y = 1 and 2x + 2y = 3
     ok, particular, kernel = solve_sparse(

@@ -28,8 +28,9 @@ PUBLIC = """
 # Public names that no module, demo or benchmark file reads, with the
 # reason each stays public.
 UNCALLED = {
-    # the one public way to evaluate a word on the highest-weight vector,
-    # and the tests' independent route past the Verma row builder
+    # the one public way to evaluate a word or an enveloping-algebra
+    # element on the highest-weight vector; the library reaches the same
+    # action through HighestWeightActor.apply_word
     "act_on_highest",
 }
 

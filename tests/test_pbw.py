@@ -190,9 +190,8 @@ class TestHighestWeightAction:
         for _ in range(40):
             g, h = rng.choice(gens), rng.choice(gens)
             w = rng.choice(words)
-            base = {w: F(1)}
-            gh = actor.apply_basis(g, actor.apply_basis(h, base))
-            hg = actor.apply_basis(h, actor.apply_basis(g, base))
+            gh = actor.apply_word((g, h) + w)
+            hg = actor.apply_word((h, g) + w)
             lhs = {
                 m: gh.get(m, F(0)) - hg.get(m, F(0))
                 for m in set(gh) | set(hg)
@@ -200,7 +199,7 @@ class TestHighestWeightAction:
             lhs = {m: c for m, c in lhs.items() if c}
             rhs = {}
             for b, cb in bracket(g, h).terms.items():
-                for m, c in actor.apply_basis(b, base).items():
+                for m, c in actor.apply_word((b,) + w).items():
                     rhs[m] = rhs.get(m, F(0)) + cb * c
             rhs = {m: c for m, c in rhs.items() if c}
             assert lhs == rhs, (g, h, w)

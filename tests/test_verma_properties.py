@@ -2,12 +2,14 @@
 ``Fraction`` recursion, and the Verma rows are int multiples of its rows.
 
 ``HighestWeightActor`` runs its recursion on ints over one denominator D
-per actor; ``apply_generator`` and ``raising_matrix`` are ``Fraction``
-views of it, and ``verma._raising_rows`` writes each row as ints, scaled
-by a positive power of D.  The oracle ``FractionActor`` runs the same
-recursion in ``Fraction`` arithmetic.  Up to level 5, the views must
-equal it entry for entry, and each int row must be one positive multiple
-of its row, so that the joint kernel is the same.
+per actor.  ``apply_word`` runs whole words on those ints and divides
+once, ``raising_matrix`` reads its columns through it, and
+``verma._raising_rows`` writes each row as ints, scaled by a positive
+power of D.  The oracle ``FractionActor`` runs the same recursion in
+``Fraction`` arithmetic, one generator at a time.  Words must give its
+values factor by factor, the matrices must equal it entry for entry up
+to level 5, and each int row must be one positive multiple of its row,
+so that the joint kernel is the same.
 
 The parameters are drawn zero, integral, negative, small rationals and
 rationals with large denominators, c = c1 = 0 included, so D runs from 2
@@ -63,9 +65,45 @@ def test_fraction_view_is_the_fraction_recursion(p):
     for n in range(MAX_LEVEL):
         for mono in level_basis(n):
             for g in PROBES:
-                got = actor.apply_generator(g, mono)
-                assert got == oracle.apply_generator(g, mono), (g, mono)
+                got = actor.apply_word((g,) + mono)
+                want = oracle.apply_generator(g, mono)
+                assert got == {m: v for m, v in want.items() if v}, (g, mono)
                 assert all(type(v) is Fraction for v in got.values())
+
+
+def oracle_word(oracle, word, coeff):
+    """word times coeff on v through the oracle, one factor at a time
+    from the right, with no zero coefficient kept."""
+    state = {(): Fraction(coeff)}
+    for g in reversed(word):
+        out = {}
+        for mono, c in state.items():
+            for m2, c2 in oracle.apply_generator(g, mono).items():
+                out[m2] = out.get(m2, 0) + c * c2
+        state = out
+    return {m: c for m, c in state.items() if c}
+
+
+# Unordered words over central, index-0, negative and positive generators.
+words = st.lists(
+    st.sampled_from(
+        (C, C1)
+        + tuple(x(n) for n in range(-2, 3))
+        + tuple(I(n) for n in range(-2, 3))
+    ),
+    max_size=5,
+).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params, words, values)
+@example(zero_charges, (), Fraction(0))
+@example(zero_charges, (x(2), x(-2)), Fraction(0))
+@example(zero_charges, (I(2), x(1), C1, x(-1), I(-2)), Fraction(-7, 3))
+def test_word_is_the_fraction_recursion_factor_by_factor(p, word, coeff):
+    got = HighestWeightActor(p).apply_word(word, coeff)
+    assert got == oracle_word(FractionActor(p), word, coeff), word
+    assert all(type(v) is Fraction and v for v in got.values()), word
 
 
 def oracle_rows(oracle, g, n):

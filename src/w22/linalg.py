@@ -54,6 +54,16 @@ leading-column echelon form of M: the answer depends neither on p nor
 on which rows were folded.  Whether column ncols is free, and so
 whether the system is feasible, is certified with the rest.
 
+A basis with a pivot in every column is certified by its rank alone.
+The same inequality gives rank_Q(M) >= rank_p(M_F) = width, the number
+of columns, so ker(M) = {0}: a homogeneous system has only the zero
+solution, and a full-width [A | -b] is infeasible.  So the fold stops at
+the row whose pivot fills the last column and draws no further row,
+each of which would reduce to 0 mod p; the basis then has no free
+column, and there is nothing to lift or check.  The stop runs only at
+full rank: a prime at which the rank drops mod p never fills every
+column, and folds and checks as before.
+
 A caller that expects some rows to span the row space can pass their
 indices as ``spanning`` (the constraint systems pass the rows of the
 relations with x(1), x(-1) and x(-2), a hint measured to span on most
@@ -63,7 +73,8 @@ rows but fails another lies in ker(M_F) and not in ker(M), so the hint
 does not span.  The fold then continues at the same prime: the nonempty
 rows outside the hint join the hint's echelon basis, which becomes one of
 every row, and the vectors it gives are checked on every row again.
-Each row is folded at most once per prime.
+Each row is folded at most once per prime (a hint of full rank leaves
+nothing to continue, above).
 
 A caller can also pass ``order``, a permutation of the columns of A:
 column order[k] is relabelled k as the rows are folded, so the fold
@@ -103,7 +114,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _fold(rows, p, position, pivots=None):
+def _fold(rows, p, position, width, pivots=None):
     """Leading-column echelon fold mod p of the rows from _exact_rows.
 
     Each row is read as the caller wrote it, a (col -> int dict, rhs)
@@ -117,6 +128,13 @@ def _fold(rows, p, position, pivots=None):
     result is the one a single fold of the earlier rows followed by these
     would build.  The columns of the working row are kept in a heap, so
     the leading column is popped rather than searched for.
+
+    width is the number of columns of the fold: len(position), plus 1
+    when the column of -b is present.  The fold returns as soon as a new
+    pivot makes the basis fill every column, and draws no further row:
+    each later row would reduce to 0 mod p, so the pivots are those of a
+    fold of every row.  A full basis is its own certificate (see the
+    module docstring).
     """
     if pivots is None:
         pivots = {}
@@ -140,6 +158,8 @@ def _fold(rows, p, position, pivots=None):
                 inv = pow(factor, -1, p)
                 pivots[lead] = [(c, r) for c, v in row.items()
                                 if (r := v * inv % p)]
+                if len(pivots) == width:
+                    return pivots
                 break
             for c, v in tail:
                 old = get(c)
@@ -287,10 +307,10 @@ def _attempt(folded, rest, position, width, p):
     echelon basis of folded at the same p.  The basis is local, so that
     the next prime never folds while this one is held.
     """
-    pivots = _fold(folded, p, position)
+    pivots = _fold(folded, p, position, width)
     lifted = _lifted(pivots, position, width, p, folded)
     if lifted and not all(_satisfies(rest, ints) for _, ints in lifted):
-        _fold(rest, p, position, pivots)
+        _fold(rest, p, position, width, pivots)
         lifted = _lifted(pivots, position, width, p, folded + rest)
     return None if lifted is None else [vec for vec, _ in lifted]
 

@@ -17,9 +17,10 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# One fold of linalg._fold: the rows folded, the prime, the pivots it was
-# given (a copy, or None) and the pivots it returned (a copy).
-Fold = namedtuple("Fold", "rows p given pivots")
+# One fold of linalg._fold: the rows it was given, the prime, the pivots
+# it was given (a copy, or None), the pivots it returned (a copy) and how
+# many of the rows it drew (fewer than all once its basis is full).
+Fold = namedtuple("Fold", "rows p given pivots drawn")
 
 
 def pytest_configure(config):
@@ -37,10 +38,13 @@ def folds(monkeypatch):
     seen = []
     fold = linalg._fold
 
-    def recording_fold(rows, p, position, pivots=None):
+    def recording_fold(rows, p, position, width, pivots=None):
         given = None if pivots is None else dict(pivots)
-        result = fold(rows, p, position, pivots)
-        seen.append(Fold(list(rows), p, given, dict(result)))
+        rows = list(rows)
+        unread = iter(rows)
+        result = fold(unread, p, position, width, pivots)
+        drawn = len(rows) - len(list(unread))
+        seen.append(Fold(rows, p, given, dict(result), drawn))
         return result
 
     monkeypatch.setattr(linalg, "_fold", recording_fold)

@@ -1012,7 +1012,7 @@ class TestSpanningRows:
         assert [len(fold.rows) for fold in folds] == sizes
         # the second fold continues the first at the same prime: it is
         # given the first fold's pivots and keeps each of them
-        (_, p, given, first), (_, q, pivots, second) = folds
+        (_, p, given, first, _), (_, q, pivots, second, _) = folds
         assert p == q == 2**61 - 1
         assert given is None and pivots == first
         assert all(second[col] == tail for col, tail in first.items())

@@ -254,6 +254,16 @@ def test_infeasibility_after_later_rows():
     assert kernel == []
 
 
+def test_inconsistent_rows_stop_the_fold_at_full_rank(folds):
+    # x = 1, y = 1 and x + y = 3 give [A | -b] rank 3, its full width:
+    # the system is infeasible by rank alone, and the fourth row is
+    # never drawn.
+    equations = [({0: 1}, 1), ({1: 1}, 1), ({0: 1, 1: 1}, 3), ({0: 2}, 5)]
+    assert solve_sparse(equations, 2) == (False, None, [])
+    assert sizes(folds) == [4]
+    assert [fold.drawn for fold in folds] == [3]
+
+
 def test_hint_that_does_not_span_falls_back(folds):
     # Folding x + y = 1 alone gives the kernel vector (-1, 1), which fails
     # y = 2: the hint misses a row, so that row joins the hint's echelon

@@ -210,11 +210,13 @@ def integer_rows(draw):
 
     Entries include multiples of p, and rows are repeated, left empty or
     built as integer combinations of earlier rows, so that they cancel
-    exactly or mod p.
+    exactly or mod p.  Half of the systems have every rhs 0, so that the
+    fold has no column of -b and fills its columns with fewer rows.
     """
     p = draw(st.sampled_from([7, P]))
     ncols = draw(st.integers(1, 8))
     entry = st.integers(-9, 9) | st.integers(-3, 3).map(lambda k: k * p)
+    rhs_entry = st.just(0) if draw(st.booleans()) else st.just(0) | entry
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(
@@ -235,13 +237,18 @@ def integer_rows(draw):
             ))
         else:
             row = draw(st.dictionaries(st.integers(0, ncols - 1), entry,
-                                       max_size=ncols))
+                                       min_size=1, max_size=ncols))
             rows.append((
-                dict(draw(st.permutations(list(row.items())))),
-                draw(st.just(0) | entry),
+                dict(draw(st.permutations(list(row.items())))), draw(rhs_entry)
             ))
     position = draw(st.permutations(range(ncols)))
     return rows, p, position
+
+
+def fold_width(rows, position):
+    """The width the solver passes: the columns, and the column of -b when
+    some rhs is not 0."""
+    return len(position) + any(rhs for _, rhs in rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,20 +257,32 @@ def integer_rows(draw):
 # and a right-hand side that vanishes mod 7
 @example(([({0: 1, 2: 3}, 1), ({0: 2, 2: 6}, 2), ({1: 7, 2: 14}, 7),
            ({}, 0), ({2: 1, 1: 2}, 0)], 7, [0, 1, 2]))
+# full rank at the second of three rows
+@example(([({1: 2}, 0), ({0: 1, 1: 1}, 0), ({0: 3}, 0)], 7, [1, 0]))
 def test_heap_fold_builds_the_identical_pivots(case):
     rows, p, position = case
-    assert _fold(rows, p, position) == reference_fold(rows, p, position)
+    width = fold_width(rows, position)
+    unread = iter(rows)
+    pivots = _fold(unread, p, position, width)
+    drawn = len(rows) - len(list(unread))
+    assert pivots == reference_fold(rows, p, position)
+    # the fold draws every row, or stops at the one that fills the basis
+    if len(pivots) < width:
+        assert drawn == len(rows)
+    else:
+        assert len(reference_fold(rows[:drawn - 1], p, position)) < width
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_rows(), st.data())
 def test_continued_fold_is_one_fold_of_all_rows(case, data):
     rows, p, position = case
+    width = fold_width(rows, position)
     cut = data.draw(st.integers(0, len(rows)))
     earlier, later = rows[:cut], rows[cut:]
-    assert _fold(later, p, position, _fold(earlier, p, position)) == (
-        _fold(rows, p, position)
-    ) == reference_fold(rows, p, position)
+    assert _fold(
+        later, p, position, width, _fold(earlier, p, position, width)
+    ) == _fold(rows, p, position, width) == reference_fold(rows, p, position)
 
 
 def reference_reconstruct(r, m, bound):

@@ -221,6 +221,37 @@ class TestJointKernel:
         mirrored = HighestWeightParams(F(2), F(1), F(2), F(-6))
         assert joint_kernel(mirrored, 3) == []
 
+    def test_full_rank_stops_the_fold(self, folds):
+        # At a generic point the 112 rows of level 6 fill the 65 columns
+        # of its basis before the last row, and the fold draws no row
+        # after the one that fills them: the kernel is {0} by rank alone.
+        params = HighestWeightParams(F(3, 7), F(-5, 3), F(2, 9), F(-7, 5))
+        assert joint_kernel(params, 6) == []
+        (fold,) = folds
+        assert (len(fold.rows), len(fold.pivots)) == (112, 65)
+        assert fold.drawn < len(fold.rows)
+        # sympy's exact rank of the same rows, a test oracle
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        matrix = DomainMatrix(
+            [[sympy.ZZ(row.get(c, 0)) for c in range(65)]
+             for row, _ in fold.rows],
+            (112, 65),
+            sympy.ZZ,
+        )
+        assert matrix.rank() == 65
+
+    def test_singular_level_folds_every_row(self, folds):
+        # On the m = 1 locus c0 = 0, I(-1) v is singular: [I(1), I(-1)]
+        # = 0 and [x(1), I(-1)] = -2 I(0), which acts as -2 c0 = 0.  The
+        # level-1 rows have rank 1 of 2, so no fold stops early.
+        params = HighestWeightParams(F(2), F(1), F(0), F(7))
+        assert joint_kernel(params, 1) == [[F(1), F(0)]]
+        assert folds and all(
+            fold.drawn == len(fold.rows) for fold in folds
+        )
+
     def test_kernel_locus_is_lambda_independent(self):
         for lam in (F(0), F(9, 4)):
             params = HighestWeightParams(lam, F(3), F(1), F(8))

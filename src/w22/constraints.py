@@ -511,19 +511,28 @@ def verify_x_action(a_mat, window):
 
     Raises ValueError at the first windowed triple, in the order i, j, n,
     where the candidate x-action breaks the x-bracket.
-    The check is exact and runs on integers.  The triples read A(k, m)
-    exactly for |k| <= window, |m| <= 2 window and |k + m| <= 2 window: a
-    read A(i, j+n) or A(j, i+n) has |i + j + n| <= |i + j| + |n|, and each
-    such (k, m) is A(i, j+n) for some windowed j and n.  Each of these
-    matrices is read once, and ``clear_table`` writes it as M(k, m) / D
+    The check is exact and runs on integers.  Every matrix that a windowed
+    triple reads is read once: A(k, m) for |k| <= window, |m| <= 2 window
+    and |k + m| <= 2 window (a read A(i, j+n) or A(j, i+n) has
+    |i + j + n| <= |i + j| + |n|, and each such (k, m) is A(i, j+n) for
+    some windowed j and n).  ``clear_table`` writes each as M(k, m) / D
     with integer entries and one common denominator D, the lcm of all
     their denominators.  With A(i, j+n) = P/D, A(j, n) = Q/D,
     A(j, i+n) = U/D, A(i, n) = V/D and A(i+j, n) = W/D the relation reads
     (PQ - UV) / D^2 = (j - i) W / D, which is checked in the form
     PQ - UV = (j - i) D W.
+
+    Only the triples with i < j are evaluated.  For any matrices the
+    defect E(i, j, n) = A(i, j+n) A(j, n) - A(j, i+n) A(i, n)
+    - (j - i) A(i+j, n) has E(j, i, n) = -E(i, j, n): swapping i and j
+    swaps the two products and negates j - i.  So E(i, i, n) = 0, and a
+    triple with i > j breaks the relation exactly when (j, i, n) does,
+    which comes before it in the order i, j, n.  The first violating
+    triple therefore has i < j, and the check names the same one.
+
     A window that is not an int, or is below 1, raises ValueError: at
-    window 0 only the triple (0, 0, 0) is checked, which every family of
-    matrices passes.
+    window 0 the only triple is (0, 0, 0), which every family of matrices
+    passes.
     """
     check_int(window, 1, "window")
     rng = range(-window, window + 1)
@@ -534,7 +543,7 @@ def verify_x_action(a_mat, window):
     })
     mat = {key: [v for _, v in pairs] for key, pairs in table.items()}
     for i in rng:
-        for j in rng:
+        for j in range(i + 1, window + 1):
             if abs(i + j) > window:
                 continue
             scale = (j - i) * den

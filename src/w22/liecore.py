@@ -213,8 +213,13 @@ def bracket(a, b):
     """Bilinear extension of the defining brackets (``pair_bracket`` table).
 
     Each argument is a generator, read as the one term {g: 1}, or a
-    ``LieElement``, read as its terms.
+    ``LieElement``, read as its terms.  On two generators the bilinear sum
+    has the one summand 1 * 1 * [a, b], so the bracket is the table entry
+    itself; it is returned as a fresh ``LieElement`` over a copy of the
+    entry's terms, so the shared table is never handed out.
     """
+    if isinstance(a, BasisElement) and isinstance(b, BasisElement):
+        return LieElement(pair_bracket(a, b).terms)
     a = {a: 1} if isinstance(a, BasisElement) else a.terms
     b = {b: 1} if isinstance(b, BasisElement) else b.terms
     out = {}
@@ -241,10 +246,20 @@ def basis_window(window):
 def jacobi_check(window, pair=pair_bracket):
     """Evaluate the Jacobi identity on every generator triple in the window.
 
-    Returns the list of violating triples; empty means the structure
+    Returns the list of violating triples (a, b, c), ordered by the
+    positions of a, b and c in ``basis_window``; empty means the structure
     constants are consistent on the window.  Pairwise brackets come from
     ``pair``, by default the memoized ``pair_bracket`` table; each result
     is read once and never mutated.
+
+    The Jacobi sum J(a, b, c) = [a, [b, c]] + [b, [c, a]] + [c, [a, b]]
+    is evaluated once per cyclic class.  The rotation (b, c, a) has the
+    summands [b, [c, a]], [c, [a, b]] and [a, [b, c]]: the same three, in
+    another order, whatever ``pair`` returns (antisymmetry is not used, so
+    a table that breaks it is checked as well).  So J is summed only for
+    the rotation whose first position is least, the tie in (a, a, b) going
+    to (a, a, b) over (a, b, a), and a nonzero sum records all the
+    rotations of its class.
 
     The check runs on integers.  One table holds [g, h] for every pair of
     window generators and for every g of the window paired with a generator
@@ -263,10 +278,13 @@ def jacobi_check(window, pair=pair_bracket):
     table, _ = clear_table(
         {(g, h): pair(g, h).terms for g in gens for h in reached}
     )
-    violations = []
-    for a in gens:
-        for b in gens:
-            for c in gens:
+    size = len(gens)
+    found = []
+    for ia, a in enumerate(gens):
+        for ib in range(ia, size):
+            b = gens[ib]
+            for ic in range(ia + (ib > ia), size):
+                c = gens[ic]
                 total = {}
                 cyclic = ((a, table[b, c]), (b, table[c, a]), (c, table[a, b]))
                 for g, terms in cyclic:
@@ -274,8 +292,8 @@ def jacobi_check(window, pair=pair_bracket):
                         for k, ck in table[g, h]:
                             total[k] = total.get(k, 0) + ch * ck
                 if any(total.values()):
-                    violations.append((a, b, c))
-    return violations
+                    found += {(ia, ib, ic), (ib, ic, ia), (ic, ia, ib)}
+    return [(gens[ia], gens[ib], gens[ic]) for ia, ib, ic in sorted(found)]
 
 
 def vir_embed(e, n):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w22 import constraints
 from w22.rationals import clear_table
@@ -410,16 +412,56 @@ def test_verify_x_action_names_the_reference_triple(
     a_mat = make_x_matrices(alpha, betas, ext_type)
     if corruption is not None:
         a_mat = shifted(a_mat, *corruption)
-    first = reference_x_bracket(a_mat, window)
+    first = assert_names_the_reference_triple(a_mat, window)
     assert (first is None) == (corruption is None)
+
+
+def assert_names_the_reference_triple(a_mat, window):
+    """verify_x_action passes exactly when reference_x_bracket finds no
+    violation, and otherwise names its triple; returns that triple."""
+    first = reference_x_bracket(a_mat, window)
     if first is None:
         verify_x_action(a_mat, window)
-        return
+        return None
     with pytest.raises(ValueError) as caught:
         verify_x_action(a_mat, window)
     assert str(caught.value) == (
         "x-action matrices violate the x-bracket at "
         "(i, j, n) = (%d, %d, %d)" % first
+    )
+    return first
+
+
+X_ACTIONS = {
+    ext_type: make_x_matrices(*X_BRACKET_CASES[ext_type][:3])
+    for ext_type in EXT_TYPES
+}
+
+
+@st.composite
+def x_corruptions(draw):
+    """One of the three x-action types at window 3 or 4, and a nonzero
+    delta on one entry of one matrix A(k, m) that the check reads."""
+    ext_type = draw(st.sampled_from(EXT_TYPES))
+    window = draw(st.integers(3, 4))
+    k = draw(st.integers(-window, window))
+    m = draw(st.integers(max(-2 * window, -2 * window - k),
+                         min(2 * window, 2 * window - k)))
+    r, s = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    delta = draw(
+        st.fractions(-3, 3, max_denominator=8).filter(lambda d: d != 0)
+    )
+    return ext_type, window, ((k, m), r, s, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_corruptions())
+def test_verify_x_action_names_the_reference_triple_of_any_corruption(case):
+    # only i < j is evaluated; the message must still name the first
+    # violating triple of the walk over every (i, j, n)
+    ext_type, window, corruption = case
+    assert_names_the_reference_triple(
+        shifted(X_ACTIONS[ext_type], *corruption), window
     )
 
 

@@ -16,6 +16,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from w22 import (
     C,
@@ -250,6 +252,43 @@ def test_jacobi_matches_fraction_reference(coeff, central, count):
     assert violations == reference_jacobi(3, pair)
 
 
+@st.composite
+def corruptions(draw):
+    """A window 1-3, a pair (g, h) with g in it and h at most twice as far
+    out (an outer-only read), a generator term and a nonzero delta."""
+    window = draw(st.integers(1, 3))
+    g = draw(st.sampled_from(basis_window(window)))
+    h = draw(st.sampled_from(basis_window(2 * window)))
+    term = draw(st.sampled_from(basis_window(2 * window)))
+    delta = draw(
+        st.fractions(-3, 3, max_denominator=8).filter(lambda d: d != 0)
+    )
+    return window, (g, h), term, delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(corruptions())
+# [x(2), x(-1)] changed alone: the table is no longer antisymmetric
+@example((2, (x(2), x(-1)), x(1), Fraction(1)))
+# a central term added to an [x, I] entry at the window's edge
+@example((3, (x(-1), I(3)), C1, Fraction(1, 5)))
+def test_jacobi_orbits_match_the_full_loop(corruption):
+    # jacobi_check sums one rotation per cyclic class; on any table, and
+    # in the same order, it must report what the sum over every triple does
+    window, key, term, delta = corruption
+
+    def broken(g, h):
+        out = pair_bracket(g, h)
+        if (g, h) == key:
+            return out + LieElement({term: delta})
+        return out
+
+    violations = jacobi_check(window, pair=broken)
+    assert violations == reference_jacobi(window, broken)
+    found = set(violations)
+    assert all((b, c, a) in found for a, b, c in violations)
+
+
 def test_shared_pair_table_is_never_mutated():
     # Every consumer reads the one memoized pair_bracket table; after a run
     # of each, every entry on the window must still equal a fresh bracket.
@@ -261,8 +300,25 @@ def test_shared_pair_table_is_never_mutated():
     for word in [(x(2), x(-2)), (x(3), I(-1), x(-2)), (I(2), x(1), x(-3))]:
         normal_order(word)
     gens = basis_window(8)
+    # the antisymmetry sweep of the benchmark's structure workload
+    assert all(
+        (bracket(g, h) + bracket(h, g)).is_zero for g in gens for h in gens
+    )
     for g in gens:
         for h in gens:
+            assert pair_bracket(g, h) == pair_bracket.__wrapped__(g, h), (g, h)
+
+
+def test_generator_bracket_is_the_bilinear_bracket_on_a_copy():
+    gens = basis_window(6)
+    for g in gens:
+        for h in gens:
+            got = bracket(g, h)
+            want = bracket(LieElement({g: 1}), LieElement({h: 1}))
+            assert got == want, (g, h)
+            assert list(got.terms.items()) == list(want.terms.items())
+            got.terms.clear()
+            got.terms[C] = Fraction(7)
             assert pair_bracket(g, h) == pair_bracket.__wrapped__(g, h), (g, h)
 
 

@@ -20,6 +20,11 @@ spaces: x(n) v_t = (a + t + b n) v_{n+t} and I(m) v_t = f(m, t) v_{m+t}.
 
 ``build_matrix_system(alpha, betas, ext_type, window)`` is d = 2,
 V_n = span(v_n^1, v_n^2), with one of the known x-actions A(i, n).
+``verify_x_action`` checks that action against the x-bracket before any
+row is written; it is the d = 2 call of the one integer x-bracket check,
+``intermediate._x_bracket_defects``, whose d = 1 call is
+``intermediate.bracket_compatibility_check``.  The check and the rows of
+``_build`` read A(i, n) through one flattening, ``intermediate._flat``.
 
 Inside a system, unknowns are integer columns: equation rows and
 quadratic terms index ``ConstraintSystem.unknowns``, which holds the
@@ -35,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .intermediate import _flat, _products, _x_bracket_defects
 from .linalg import solve_sparse
 from .rationals import check_int, clear_denominators, clear_table, rat, rat_str
 
@@ -254,11 +260,7 @@ def _build(cleared, d, window, names):
         origin + j * step + n * dd + e
         for j in rng for n in reversed(rng) for e in range(dd)
     ) + (c1,)
-    # Entry e = r d + s of a product P Q is the sum over k of P[r][k] Q[k][s]:
-    # products[e] lists the flat index pairs (r d + k, k d + s).
-    products = [
-        [(r * d + k, k * d + s) for k in blocks] for r in blocks for s in blocks
-    ]
+    products = _products(d)
     diagonal = range(0, dd, d + 1)
 
     # tables[i] = (D_i, {n: terms}), where terms holds, per entry e, the
@@ -496,66 +498,36 @@ def make_x_matrices(alpha, betas, ext_type):
     return a_mat
 
 
-def _int_mul(p, q):
-    """Product of two 2x2 integer matrices given as four ints, row by row."""
-    return (
-        p[0] * q[0] + p[1] * q[2],
-        p[0] * q[1] + p[1] * q[3],
-        p[2] * q[0] + p[3] * q[2],
-        p[2] * q[1] + p[3] * q[3],
-    )
-
-
 def verify_x_action(a_mat, window):
     """Check A(i, j+n) A(j, n) - A(j, i+n) A(i, n) = (j - i) A(i+j, n).
 
     Raises ValueError at the first windowed triple, in the order i, j, n,
-    where the candidate x-action breaks the x-bracket.
-    The check is exact and runs on integers.  Every matrix that a windowed
-    triple reads is read once: A(k, m) for |k| <= window, |m| <= 2 window
-    and |k + m| <= 2 window (a read A(i, j+n) or A(j, i+n) has
-    |i + j + n| <= |i + j| + |n|, and each such (k, m) is A(i, j+n) for
-    some windowed j and n).  ``clear_table`` writes each as M(k, m) / D
-    with integer entries and one common denominator D, the lcm of all
-    their denominators.  With A(i, j+n) = P/D, A(j, n) = Q/D,
-    A(j, i+n) = U/D, A(i, n) = V/D and A(i+j, n) = W/D the relation reads
-    (PQ - UV) / D^2 = (j - i) W / D, which is checked in the form
-    PQ - UV = (j - i) D W.
+    where the candidate x-action breaks the x-bracket.  The windowed
+    triples are those with |i|, |j|, |n| <= window and |i + j| <= window,
+    and the right side is [x(i), x(j)] = (j - i) x(i+j) + central acting
+    on V_n, the central term as 0: this is the d = 2 call of
+    ``intermediate._x_bracket_defects``, which checks it exactly on
+    integers over one denominator.
 
-    Only the triples with i < j are evaluated.  For any matrices the
-    defect E(i, j, n) = A(i, j+n) A(j, n) - A(j, i+n) A(i, n)
+    The left side is computed once per unordered pair {i, j}.  For any
+    matrices the defect E(i, j, n) = A(i, j+n) A(j, n) - A(j, i+n) A(i, n)
     - (j - i) A(i+j, n) has E(j, i, n) = -E(i, j, n): swapping i and j
-    swaps the two products and negates j - i.  So E(i, i, n) = 0, and a
-    triple with i > j breaks the relation exactly when (j, i, n) does,
-    which comes before it in the order i, j, n.  The first violating
-    triple therefore has i < j, and the check names the same one.
+    swaps the two products and negates j - i.  So E(i, i, n) = 0, and no
+    corruption of any matrix can break a triple with i = j; a triple with
+    i > j breaks the relation exactly when (j, i, n) does.  The kernel
+    evaluates no pair i = j, as [x(i), x(i)] = 0, so the matrices read are
+    those of the triples with i != j, each once: A(i, j+n), A(j, n),
+    A(j, i+n), A(i, n) and A(i+j, n).  At an even window w that leaves out
+    A(+-w/2, +-3w/2), which only (+-w/2, +-w/2, n) would read.
 
     A window that is not an int, or is below 1, raises ValueError: at
     window 0 the only triple is (0, 0, 0), which every family of matrices
     passes.
     """
-    check_int(window, 1, "window")
-    rng = range(-window, window + 1)
-    far = range(-2 * window, 2 * window + 1)
-    table, den = clear_table({
-        (k, m): dict(enumerate(v for row in a_mat(k, m) for v in row))
-        for k in rng for m in far if abs(k + m) <= 2 * window
-    })
-    mat = {key: [v for _, v in pairs] for key, pairs in table.items()}
-    for i in rng:
-        for j in range(i + 1, window + 1):
-            if abs(i + j) > window:
-                continue
-            scale = (j - i) * den
-            for n in rng:
-                pq = _int_mul(mat[i, j + n], mat[j, n])
-                uv = _int_mul(mat[j, i + n], mat[i, n])
-                right = [scale * z for z in mat[i + j, n]]
-                if [x - y for x, y in zip(pq, uv)] != right:
-                    raise ValueError(
-                        "x-action matrices violate the x-bracket at "
-                        "(i, j, n) = (%d, %d, %d)" % (i, j, n)
-                    )
+    defects = _x_bracket_defects(a_mat, 2, window, window)
+    if defects:
+        raise ValueError("x-action matrices violate the x-bracket at "
+                         "(i, j, n) = (%d, %d, %d)" % defects[0])
 
 
 def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
@@ -588,10 +560,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         )
     verify_x_action(a_mat, window)
     unknowns, equations, quadratics, spanning, order = _build(
-        lambda i, weights: clear_table({
-            n: dict(enumerate(v for row in a_mat(i, n) for v in row))
-            for n in weights
-        }),
+        lambda i, ns: clear_table({n: _flat(a_mat(i, n)) for n in ns}),
         2, window, lambda i, n, r, s: _mat_name(i, n, r + 1, s + 1),
     )
     if normalized:

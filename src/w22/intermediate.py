@@ -16,13 +16,19 @@ dropped).
 and ``bracket_compatibility_check`` read the module only through it.  The
 simple subquotient of Aab(0, 1) -- everything off the v_0 line -- is the
 masked table returned by ``simple_subquotient``.
+
+The x-bracket identity A(i, j+n) A(j, n) - A(j, i+n) A(i, n) = [x(i), x(j)]
+on V_n has one integer check here, ``_x_bracket_defects``, for an action
+by d x d matrices A(k, m).  ``bracket_compatibility_check`` is its d = 1
+call, with A(m, i) = ``coefficient(spec, m, i)``, and
+``constraints.verify_x_action`` its d = 2 call.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .liecore import X_KIND, pair_bracket, x
-from .rationals import check_int, clear_denominators, clear_table, rat, rat_str
+from .rationals import check_int, clear_table, rat, rat_str
 
 FAMILIES = ("Aab", "Aa", "Ba")
 
@@ -72,6 +78,98 @@ def coefficient(spec, m, i):
     return -Fraction(m) * (m + spec.a)
 
 
+def _flat(matrix):
+    """A d x d matrix, given by its rows, as the flat {r d + s: entry} dict
+    of ``rationals.clear_table``: the one form in which the x-bracket check
+    and the rows of ``constraints.build_matrix_system`` read A(i, n)."""
+    return dict(enumerate(v for row in matrix for v in row))
+
+
+def _products(d):
+    """products[r d + s] lists the pairs (r d + k, k d + s) of flat indices
+    of the terms P[r][k] Q[k][s] of entry (r, s) of a d x d product P Q."""
+    return [[(r * d + k, k * d + s) for k in range(d)]
+            for r in range(d) for s in range(d)]
+
+
+def _x_bracket_defects(a_mat, d, window, reach):
+    """Every (i, j, n), sorted, at which a d x d x-action breaks
+
+        A(i, j+n) A(j, n) - A(j, i+n) A(i, n) = [x(i), x(j)] on V_n,
+
+    over |i|, |j|, |n| <= window with |i + j| <= reach.  ``a_mat(k, m)``
+    gives A(k, m) by its rows, each of d rationals, and is read through
+    ``_flat``; the right side is the sum of c A(b, n) over the x-terms
+    c x(b) of ``pair_bracket(x(i), x(j))``, and central terms act as 0.
+
+    The check is exact and runs on integers.  Every entry the triples read
+    is cleared once, as A(k, m) = M(k, m) / D over the lcm D of all their
+    denominators, and the x-terms as c = e / E over theirs.  So the
+    relation, multiplied through by D^2 E != 0, reads
+
+        E (M(i, j+n) M(j, n) - M(j, i+n) M(i, n)) = D sum e M(b, n).
+
+    The left side L(i, j, n) is computed once per unordered pair {i, j}.
+    For any matrices, swapping i and j swaps the two products, so
+    L(j, i, n) = -L(i, j, n) and L(i, i, n) = 0.  So a pair i = j is
+    evaluated only when its bracket has x-terms: 0 = 0 otherwise.  L is
+    compared with the table's right side of each order, as no
+    antisymmetry of the table is assumed; where the (j, i) terms are the
+    negatives of the (i, j) terms, as in W(2,2), the (j, i, n) comparison
+    is the (i, j, n) one negated.  Each A(k, m) is read once, and only
+    where an evaluated triple reads it.  A window that is not an int, or is
+    below 1, raises ValueError before anything is read.
+    """
+    check_int(window, 1, "window")
+    rng = range(-window, window + 1)
+    g = {i: x(i) for i in rng}
+    xterms, xden = clear_table({
+        (i, j): {b.index: c for b, c in pair_bracket(g[i], g[j]).terms.items()
+                 if b.kind == X_KIND}
+        for i in rng for j in rng if abs(i + j) <= reach
+    })
+    pairs = [(i, j) for i, j in xterms if i < j or i == j and xterms[i, j]]
+    # need[k] holds the weights of the A(k, .) read: each triple (i, j, n)
+    # of a pair reads A(k, m + n) at (k, m) = (i, j), (i, 0), (j, i) and
+    # (j, 0) for the products and at (b, 0) for each x-term c x(b)
+    need = {}
+    for i, j in pairs:
+        term_reads = [(b, 0) for b, _ in xterms[i, j] + xterms[j, i]]
+        for k, m in [(i, j), (i, 0), (j, i), (j, 0)] + term_reads:
+            need.setdefault(k, set()).update(range(m - window, m + window + 1))
+    cleared, den = clear_table(
+        {(k, m): _flat(a_mat(k, m)) for k, ms in need.items() for m in ms})
+    rows = {k: {m: [v for _, v in cleared[k, m]] for m in ms}
+            for k, ms in need.items()}
+    products = list(enumerate(_products(d)))
+
+    def breaks(p, q, u, v, n, terms):
+        for e, prod in products:
+            left = 0
+            for a, b in prod:
+                left += p[a] * q[b] - u[a] * v[b]
+            right = 0
+            for row, c in terms:
+                right += c * row[n][e]
+            if xden * left != right:
+                return True
+        return False
+
+    defects = []
+    for i, j in pairs:
+        mirrored = xterms[j, i] == [(b, -c) for b, c in xterms[i, j]]
+        right = [(rows[b], den * c) for b, c in xterms[i, j]]
+        flipped = [(rows[b], -den * c) for b, c in xterms[j, i]]
+        ai, aj = rows[i], rows[j]
+        for n in rng:
+            p, q, u, v = ai[j + n], aj[n], aj[i + n], ai[n]
+            if breaks(p, q, u, v, n, right):
+                defects += [(i, j, n), (j, i, n)] if mirrored else [(i, j, n)]
+            if i != j and not mirrored and breaks(p, q, u, v, n, flipped):
+                defects.append((j, i, n))
+    return sorted(defects)
+
+
 def act(spec, gen, vec):
     """Apply one generator to an indexed vector {index: coeff}.
 
@@ -92,52 +190,27 @@ def bracket_compatibility_check(spec, window):
     |i| <= window.  I(n), C and C1 act as zero and [x, I] lies in the span
     of I and C1, so every pair with a non-x side compares 0 with 0.  Both
     sides are multiples of the one basis vector v_{i + deg g + deg h}, so
-    each check compares two scalars built from ``coefficient`` and the
-    ``pair_bracket`` table.  Returns violation triples (g, h, i); empty
-    means the table is a Lie module on the window.
+    with A(m, i) the 1 x 1 matrix ``coefficient(spec, m, i)`` the check is
+    the d = 1 x-bracket identity
 
-    The check runs on integers, cleared through ``rationals``.  The scalars
-    s(m, i) of x(m) v_i that the comparisons read are tabled once, as
-    S(m, i) = D s(m, i) with D the lcm of their denominators
-    (``clear_denominators``).  The x-terms c x(b) of the brackets form one
-    table that ``clear_table`` turns into integers e = E c over the lcm E
-    of its denominators (central terms act as 0).  With g = x(dg) and
-    h = x(dh) the comparison
+        A(dg, i+dh) A(dh, i) - A(dh, i+dg) A(dg, i) = [x(dg), x(dh)] v_i,
 
-        s(dg, i+dh) s(dh, i) - s(dh, i+dg) s(dg, i) = sum c s(b, i)
-
-    multiplied through by D^2 E reads
-
-        E (S(dg, i+dh) S(dh, i) - S(dh, i+dg) S(dg, i)) = D sum e S(b, i),
-
-    and as D^2 E != 0 the two decide the same.
+    on every pair, as |dg + dh| <= 2 window always holds.
+    ``_x_bracket_defects`` checks it on integers over one denominator, with
+    the left side computed once per unordered pair {dg, dh}: it changes
+    sign when dg and dh swap and is 0 at dg = dh, for any scalars.  The
+    right side is read from ``pair_bracket`` for each order, so a table
+    that is not antisymmetric is checked as it is.  So the scalars read are
+    A(dg, i+dh), A(dh, i), A(dh, i+dg) and A(dg, i) for dg != dh, and A(b, i)
+    for the x-terms c x(b) of [x(dg), x(dh)].  With the W(2,2) brackets,
+    b = dg + dh and no pair dg = dh is evaluated, so that is every A(m, i)
+    with |m| <= window and |i| <= 2 window but A(+-window, +-2 window),
+    and every A(b, i) with |b| < 2 window and |i| <= window.
+    Returns violation triples (g, h, i), sorted by (deg g, deg h, i);
+    empty means the table is a Lie module on the window.
     """
-    check_int(window, 1, "window")
-    near = range(-window, window + 1)
-    far = range(-2 * window, 2 * window + 1)
-    keys = [
-        (m, i) for m in far for i in far if abs(m) <= window or abs(i) <= window
-    ]
-    ints, den = clear_denominators([coefficient(spec, m, i) for m, i in keys])
-    s = dict(zip(keys, ints))
-    xterms, xden = clear_table({
-        (dg, dh): {
-            b.index: c for b, c in pair_bracket(x(dg), x(dh)).terms.items()
-            if b.kind == X_KIND
-        }
-        for dg in near
-        for dh in near
-    })
-    violations = []
-    for dg in near:
-        for dh in near:
-            terms = xterms[dg, dh]
-            for i in near:
-                lhs = s[dg, i + dh] * s[dh, i] - s[dh, i + dg] * s[dg, i]
-                rhs = sum(c * s[n, i] for n, c in terms)
-                if xden * lhs != den * rhs:
-                    violations.append((x(dg), x(dh), i))
-    return violations
+    return [(x(dg), x(dh), i) for dg, dh, i in _x_bracket_defects(
+        lambda m, i: [[coefficient(spec, m, i)]], 1, window, 2 * window)]
 
 
 @dataclass

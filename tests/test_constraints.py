@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w22 import constraints
+from w22 import constraints, intermediate
 from w22.rationals import clear_table
 from w22 import (
     EXT_TYPES,
@@ -22,6 +22,7 @@ from w22 import (
     coefficient,
     f_family_assignment,
     make_x_matrices,
+    pair_bracket,
     report,
     solve_linear,
     verify_x_action,
@@ -466,7 +467,9 @@ def test_verify_x_action_names_the_reference_triple_of_any_corruption(case):
 
 
 def test_verify_x_action_reads_each_matrix_the_triples_read_once():
-    # exactly the matrices of the windowed triples, each read once
+    # exactly the matrices of the windowed triples with i != j, each read
+    # once: E(i, i, n) = 0 for any matrices, so no corruption of a matrix
+    # that only an i = j triple reads could ever be caught
     clean = make_x_matrices(F(9, 8), (F(0), F(0)), "ext_b")
     calls = []
 
@@ -481,11 +484,27 @@ def test_verify_x_action_reads_each_matrix_the_triples_read_once():
         key
         for i in rng
         for j in rng
-        if abs(i + j) <= window
+        if abs(i + j) <= window and i != j
         for n in rng
         for key in ((i, j + n), (j, n), (j, i + n), (i, n), (i + j, n))
     }
     assert sorted(calls) == sorted(expected)
+
+
+def test_verify_x_action_reads_the_bracket_from_pair_bracket(monkeypatch):
+    # Halving every bracket gives x-terms over E = 2; the modules of the
+    # halved algebra are the halved actions, so each clean type fails and
+    # its half passes.
+    monkeypatch.setattr(intermediate, "pair_bracket",
+                        lambda g, h: F(1, 2) * pair_bracket(g, h))
+    for ext_type, a_mat in X_ACTIONS.items():
+        with pytest.raises(ValueError, match="violate the x-bracket"):
+            verify_x_action(a_mat, 4)
+
+        def halved(i, n, a_mat=a_mat):
+            return tuple(tuple(v / 2 for v in row) for row in a_mat(i, n))
+
+        verify_x_action(halved, 4)
 
 
 class TestXMatrices:

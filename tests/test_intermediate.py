@@ -1,13 +1,17 @@
 """Weight modules with one-dimensional weight spaces: tables and probes."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from w22 import (
     C,
     C1,
     I,
+    LieElement,
     ModuleSpec,
     act,
     action_table_rows,
@@ -217,6 +221,93 @@ class TestCompatibilityReference:
         monkeypatch.setattr(intermediate, "coefficient",
                             lambda spec, m, i: original(spec, m, i) / 2)
         assert bracket_compatibility_check(spec, 3) == []
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_compatibility_reads_each_scalar_the_triples_read_once(
+    monkeypatch, window
+):
+    # exactly the scalars of the triples with g != h and of the bracket's
+    # x-terms x(g + h), each read once: at g = h the left side is 0 for any
+    # scalars and [x(g), x(g)] = 0, so those triples are not evaluated
+    spec = ModuleSpec("Aab", F(7, 9), F(-5, 6))
+    original = intermediate.coefficient
+    calls = []
+
+    def recorded(spec, m, i):
+        calls.append((m, i))
+        return original(spec, m, i)
+
+    monkeypatch.setattr(intermediate, "coefficient", recorded)
+    assert bracket_compatibility_check(spec, window) == []
+    rng = range(-window, window + 1)
+    expected = {
+        key
+        for g in rng
+        for h in rng
+        if g != h
+        for i in rng
+        for key in ((g, i + h), (h, i), (h, i + g), (g, i), (g + h, i))
+    }
+    assert sorted(calls) == sorted(expected)
+
+
+@st.composite
+def module_corruptions(draw):
+    """A family, a window 1-4 and one corruption: a nonzero delta, of
+    denominator up to 8, on the coefficient at one (m, i) that
+    reference_compatibility reads, or a delta x(b) added to one ordered
+    x-x pair [x(g), x(h)] alone, which breaks the table's antisymmetry."""
+    spec = draw(st.sampled_from(TestCompatibilityReference.SPECS))
+    window = draw(st.integers(1, 4))
+    delta = draw(
+        st.fractions(-3, 3, max_denominator=8).filter(lambda d: d != 0)
+    )
+    if draw(st.booleans()):
+        m = draw(st.integers(-2 * window, 2 * window))
+        reach = 2 * window if abs(m) <= window else window
+        i = draw(st.integers(-reach, reach))
+        return spec, window, ("coefficient", (m, i), delta)
+    g = draw(st.integers(-window, window))
+    h = draw(st.integers(-window, window))
+    b = draw(st.integers(-2 * window, 2 * window))
+    return spec, window, ("bracket", (g, h, b), delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_corruptions())
+# [x(1), x(1)] = x(2): the left side is 0 at g = h, the right side is not
+@example((ModuleSpec("Aab", F(7, 9), F(-5, 6)), 2,
+          ("bracket", (1, 1, 2), F(1))))
+# [x(2), x(-1)] changed alone, so [x(-1), x(2)] no longer mirrors it
+@example((ModuleSpec("Aa", F(5, 8)), 3, ("bracket", (2, -1, 1), F(1, 2))))
+# a 1/7 on one coefficient, a denominator no other entry has
+@example((ModuleSpec("Ba", F(5, 8)), 4, ("coefficient", (-5, 3), F(1, 7))))
+def test_compatibility_matches_reference_on_any_corruption(case):
+    # the kernel evaluates each unordered pair {g, h} once and reads only
+    # what an evaluated triple reads; it must still list every violation
+    # of the walk over every (g, h, i)
+    spec, window, (kind, key, delta) = case
+    coefficient_of, bracket_of = intermediate.coefficient, pair_bracket
+    if kind == "coefficient":
+        def corrupted(spec, m, i):
+            return coefficient_of(spec, m, i) + (delta if (m, i) == key else 0)
+
+        patch = mock.patch.object(intermediate, "coefficient", corrupted)
+    else:
+        g, h, b = key
+
+        def corrupted(left, right):
+            out = bracket_of(left, right)
+            if (left, right) == (x(g), x(h)):
+                return out + LieElement({x(b): delta})
+            return out
+
+        patch = mock.patch.object(intermediate, "pair_bracket", corrupted)
+    with patch:
+        assert bracket_compatibility_check(spec, window) == (
+            reference_compatibility(spec, window)
+        )
 
 
 @pytest.mark.parametrize(

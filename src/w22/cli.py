@@ -17,10 +17,16 @@ Exit codes: 0 on success, 1 when ``--strict`` is set and the verb found
 something to complain about (bracket violations, singular vectors,
 candidate submodules, infeasible or quadratically surviving systems),
 2 on usage errors: one line ``w22 <verb>: error: <message>`` under the
-verb's usage.
+verb's usage, or ``w22: error: <message>`` under the top-level usage when
+the verb is missing or unknown.
+
+``main(argv)`` is the in-process entry point.  It builds the parser on its
+first call and reuses it for every later call; ``build_parser()`` gives a
+fresh one to a caller that wants its own.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -222,6 +228,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser that main reuses, built on main's first call."""
+    return build_parser()
+
+
 def _module_spec(args):
     return im.ModuleSpec(args.family, args.a, args.b, masked=args.mask)
 
@@ -344,11 +356,19 @@ def _run_verify(args):
 def main(argv=None):
     """Run one verb; each runner returns whether it found something.
 
-    A ValueError from the runner, which is a refusal of the library call
-    it makes or of a combination of im-act options, exits 2 as the verb's
-    usage error.
+    Returns 0, or 1 when ``--strict`` is set and the verb found something.
+    A usage error raises ``SystemExit(2)`` with one error line on stderr:
+    argparse's, or a ValueError from the runner, which is a refusal of the
+    library call it makes or of a combination of im-act options, under the
+    verb's usage; a missing or unknown verb reads ``w22: error: ...``
+    under the top-level usage.
+
+    The parser is built on the first call and reused by every later one.
+    It holds the functions it was built with (the ``_run_*`` runners and
+    the verify builders), so replacing one of them after the first call
+    does not change what main runs.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         found = args.run(args)
     except ValueError as exc:

@@ -21,13 +21,21 @@ deepest Verma searches, a generic point to level 6 (no kernel), the
 m = 3 line to level 5 (witness at level 3) and c0 = 0 to level 5 (a
 kernel at every level).  A change that keeps the answers keeps
 these digests; a change of the output contract must update them and say
-so.  Every command runs in under a second."""
+so.  Every command runs in under a second.
 
+The same commands also run in one process through ``w22.cli.main``,
+forward and then reversed, so that the parser ``main`` reuses keeps every
+byte and no call leaves anything behind for the next."""
+
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
 
 import pytest
+
+from w22.cli import main
 
 GOLDEN = [
     (("verify-f", "--a", "1/2", "--b", "1/3", "--window", "5", "--full"),
@@ -112,3 +120,11 @@ def test_stdout_digest(argv, digest):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_in_process_digests_in_both_orders():
+    for argv, digest in GOLDEN + GOLDEN[::-1]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv

@@ -31,10 +31,17 @@ quadratic terms index ``ConstraintSystem.unknowns``, which holds the
 names ("f(m,t)", "F(i,n)[k,l]", "C1").  Names appear only there and in
 what ``solve_linear`` and ``report`` return, so solution assignments and
 reports stay readable.
+
+The columns, the row layout, the quadratics, ``spanning`` and ``order``
+depend on (d, window) alone.  ``_build`` keeps them in one frame per
+(d, window), built on first use, so a sweep over parameters at a fixed
+window pays only for the coefficients at each point, and every system
+of that (d, window) shares the frame's immutable tuple of quadratics.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -54,13 +61,14 @@ class ConstraintSystem:
     ``unknowns`` names the columns.  ``equations`` holds linear
     constraints as (col -> coeff, rhs) pairs, all to be read as
     sum(coeff * unknown[col]) = rhs.  ``quadratics`` holds bilinear
-    constraints as lists of (col, col, coeff) triples, to be read as
-    sum(coeff * unknown[col1] * unknown[col2]) = 0.  Coefficients are
-    exact ints or Fractions, and zero coefficients are omitted.  The
-    builders write every equation with int coefficients and an int
-    right-hand side: a row of x(i) is D_i times the relation of x(i)
-    (see ``_build``), and the pinning row of a normalized matrix system
-    is q F(1, 0)[2, 1] = p for alpha = p/q.
+    constraints as tuples of (col, col, coeff) triples, to be read as
+    sum(coeff * unknown[col1] * unknown[col2]) = 0; the builders' systems
+    at one (d, window) share one such tuple of tuples, so it is never
+    changed in place.  Coefficients are exact ints or Fractions, and zero
+    coefficients are omitted.  The builders write every equation with int
+    coefficients and an int right-hand side: a row of x(i) is D_i times
+    the relation of x(i) (see ``_build``), and the pinning row of a
+    normalized matrix system is q F(1, 0)[2, 1] = p for alpha = p/q.
     ``spanning`` lists the indices of equations expected to span the
     linear part (see ``linalg.solve_sparse``); None means every equation.
     ``order`` lists the columns in the order the solver eliminates them;
@@ -72,7 +80,7 @@ class ConstraintSystem:
 
     unknowns: tuple
     equations: list
-    quadratics: list
+    quadratics: tuple
     meta: dict = field(default_factory=dict)
     spanning: tuple | None = None
     order: tuple | None = None
@@ -237,38 +245,40 @@ def _build(cleared, d, window, names):
     ascending, n descending inside each j, the d x d entries ascending, C1
     last.  The fold takes the smallest column left in a row as its pivot;
     in this order a row reaches a new pivot or 0 in about half the
-    reduction steps of the natural one (n ascending): 17 447 -> 8 762 for
-    the ext_a system at alpha = -7/2, window 4, and 4 596 -> 1 994 for the
-    f-system (2, -3/5) at window 5.  The solver maps its answer back to
-    the natural columns, so the order changes no output.
+    reduction steps of the natural one (n ascending).  Counting the
+    reductions of a row by a pivot row in the fold of the hint, it is
+    13 656 -> 6 141 for the ext_a system at alpha = -7/2, window 4, and
+    3 352 -> 1 393 for the f-system (2, -3/5) at window 5.  The solver
+    maps its answer back to the natural columns, so the order changes no
+    output.
+
+    Everything here but the coefficient values depends on (d, window)
+    alone, so it lives in a frame (``_frame``), built on the first call
+    at each (d, window) and shared by every later one.  A call reads each
+    x(i) through ``cleared`` once, scales it by D_i, and walks the frame's
+    rows, writing each coefficient from the entries of A(i, j+n) and
+    A(i, n) that ``intermediate._products`` names for its (r, s).
+    ``spanning``, ``order`` and ``quadratics`` are the frame's own tuples,
+    so every system built at one (d, window) holds the same objects.
 
     Returns (unknowns, equations, quadratics, spanning, order).
     """
     rng = range(-window, window + 1)
-    dd = d * d
     blocks = range(d)
     unknowns = tuple(
         names(j, n, r, s) for j in rng for n in rng for r in blocks
         for s in blocks
     ) + ("C1",)
-    # F(j, n) holds columns base(j, n) + r d + s, base(j, n) = origin +
-    # j step + n dd, and C1 comes last
-    step = (2 * window + 1) * dd
-    origin = window * (step + dd)
     c1 = len(unknowns) - 1
-    order = tuple(
-        origin + j * step + n * dd + e
-        for j in rng for n in reversed(rng) for e in range(dd)
-    ) + (c1,)
-    products = _products(d)
-    diagonal = range(0, dd, d + 1)
+    products = list(enumerate(_products(d)))
+    diagonal = range(0, d * d, d + 1)
+    frame = _frame(d, window)
 
-    # tables[i] = (D_i, {n: terms}), where terms holds, per entry e, the
-    # nonzero terms of D_i A(i, n) F and of -D_i F A(i, n) as (flat index
-    # into F, int), built once per matrix the rows read: j and n run over
-    # [lo, hi], so the rows read A(i, j + n) and A(i, n) for weights in
-    # [2 lo, 2 hi].
-    tables = {}
+    # flats[i] = (D_i, central, {n: the entries of D_i A(i, n), flat}),
+    # with central the C1 coefficient -(i^3 - i)/12 D_i of the rows with
+    # i + j = 0.  j and n run over [lo, hi], so the rows read A(i, j + n)
+    # and A(i, n) for weights in [2 lo, 2 hi].
+    flats = {}
     for i in rng:
         if not i:
             continue
@@ -276,52 +286,82 @@ def _build(cleared, d, window, names):
         matrices, den = cleared(i, range(2 * lo, 2 * hi + 1))
         scale = lcm(den, 12 // gcd(i**3 - i, 12))
         up = scale // den
-        table = {}
-        tables[i] = scale, table
-        for n, pairs in matrices.items():
-            flat = [v * up for _, v in pairs]
-            table[n] = (
-                [tuple((y, flat[x]) for x, y in prod if flat[x])
-                 for prod in products],
-                [tuple((x, -flat[y]) for x, y in prod if flat[y])
-                 for prod in products],
-            )
+        flats[i] = scale, -(i**3 - i) * scale // 12, {
+            n: [v * up for _, v in pairs] for n, pairs in matrices.items()
+        }
 
     equations = []
+    for i, factor, pinned, cells in frame.rows:
+        if not i:
+            equations.extend(({}, 0) for _ in range(len(cells) * d * d))
+            continue
+        scale, central, table = flats[i]
+        shift = factor * scale
+        for m, n, left, right, shifted in cells:
+            a_left, a_right = table[m], table[n]
+            for e, prod in products:
+                coeffs = {}
+                for x, y in prod:
+                    v = a_left[x]
+                    if v:
+                        coeffs[left + y] = v
+                for x, y in prod:
+                    v = a_right[y]
+                    if v:
+                        coeffs[right + x] = -v
+                if shift:
+                    coeffs[shifted + e] = shift
+                if pinned and e in diagonal:
+                    coeffs[c1] = central
+                equations.append((coeffs, 0))
+    return unknowns, equations, frame.quadratics, frame.spanning, frame.order
+
+
+# The parameter-free part of ``_build`` at one (d, window).  ``rows``
+# holds one (i, i - j, pinned, cells) group per windowed pair (j, i), in
+# the order j, i; pinned says that i + j = 0 and x(i) has a C1 term, and
+# cells holds one (j + n, n, left, right, shifted) per windowed n: the
+# weights of the two matrices A(i, j + n) and A(i, n) that the rows read,
+# and the first columns of the blocks F(j, n), F(j, i + n) and F(i + j, n).
+# Each cell stands for the d^2 rows of its entries (r, s); a group with
+# i = 0 stands for as many empty rows.
+_Frame = namedtuple("_Frame", "rows quadratics spanning order")
+
+
+@lru_cache(maxsize=None)
+def _frame(d, window):
+    """The ``_Frame`` of ``_build`` at (d, window)."""
+    rng = range(-window, window + 1)
+    dd = d * d
+    # F(j, n) holds columns base(j, n) + r d + s, base(j, n) = origin +
+    # j step + n dd, and C1 comes last
+    step = (2 * window + 1) * dd
+    origin = window * (step + dd)
+    c1 = len(rng) * step
+    order = tuple(
+        origin + j * step + n * dd + e
+        for j in rng for n in reversed(rng) for e in range(dd)
+    ) + (c1,)
+
+    rows = []
     spanning = []
+    count = 0
     for j in rng:
         bj = origin + j * step
         for i in rng:
             if abs(i + j) > window:
                 continue
-            if not i:
-                equations.extend(({}, 0) for _ in range(len(rng) * dd))
-                continue
-            scale, table = tables[i]
-            central = -(i**3 - i) * scale // 12 if i + j == 0 else 0
-            shift = (i - j) * scale
-            spans = i in (1, -1, -2)
             bij = bj + i * step
-            for n in rng:
-                if abs(i + n) > window:
-                    continue
-                a_left, a_right = table[j + n][0], table[n][1]
-                bjn, bijn = bj + n * dd, bij + n * dd
-                bjin = bjn + i * dd
-                if spans:
-                    spanning.extend(range(len(equations), len(equations) + dd))
-                for e in range(dd):
-                    coeffs = {}
-                    for y, v in a_left[e]:
-                        coeffs[bjn + y] = v
-                    for x, v in a_right[e]:
-                        coeffs[bjin + x] = v
-                    if shift:
-                        coeffs[bijn + e] = shift
-                    if central and e in diagonal:
-                        coeffs[c1] = central
-                    equations.append((coeffs, 0))
+            cells = tuple(
+                (j + n, n, bj + n * dd, bj + (n + i) * dd, bij + n * dd)
+                for n in rng if abs(i + n) <= window
+            )
+            rows.append((i, i - j, i + j == 0 and i**3 != i, cells))
+            if i in (1, -1, -2):
+                spanning.extend(range(count, count + len(cells) * dd))
+            count += len(cells) * dd
 
+    products = _products(d)
     quadratics = []
     for i in rng:
         for j in rng:
@@ -339,8 +379,8 @@ def _build(cleared, d, window, names):
                     for x, y in prod:
                         quad.append((p + x, q + y, 1))
                         quad.append((u + x, v + y, -1))
-                    quadratics.append(quad)
-    return unknowns, equations, quadratics, spanning, order
+                    quadratics.append(tuple(quad))
+    return _Frame(tuple(rows), tuple(quadratics), tuple(spanning), order)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +424,7 @@ def build_f_system(a, b, window):
         "window": window,
     }
     return ConstraintSystem(
-        unknowns, equations, quadratics, meta, spanning=tuple(spanning),
-        order=order,
+        unknowns, equations, quadratics, meta, spanning=spanning, order=order,
     )
 
 
@@ -564,7 +603,7 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         2, window, lambda i, n, r, s: _mat_name(i, n, r + 1, s + 1),
     )
     if normalized:
-        spanning.append(len(equations))
+        spanning += (len(equations),)
         pin = unknowns.index(_mat_name(1, 0, 2, 1))
         equations.append(({pin: alpha.denominator}, alpha.numerator))
     meta = {
@@ -576,6 +615,5 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
         "normalized": normalized,
     }
     return ConstraintSystem(
-        unknowns, equations, quadratics, meta, spanning=tuple(spanning),
-        order=order,
+        unknowns, equations, quadratics, meta, spanning=spanning, order=order,
     )

@@ -197,11 +197,15 @@ def _reconstruct(r, m, bound):
 def _lift(residues, cols, modulus, vec):
     """Write the reconstructions of residues at cols into vec.
 
+    vec holds 0 at cols, and a residue of 0 lifts to 0, so it is skipped.
     Returns False when an entry has no reconstruction within the bound.
     """
     bound = isqrt(modulus // 2)
     for i in cols:
-        value = _reconstruct(residues[i], modulus, bound)
+        residue = residues[i]
+        if not residue:
+            continue
+        value = _reconstruct(residue, modulus, bound)
         if value is None:
             return False
         vec[i] = value

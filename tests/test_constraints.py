@@ -1,6 +1,8 @@
 """Constraint-system generators, solvers, and classification results."""
 
 import dataclasses
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -1166,3 +1168,89 @@ def _ray_sector(ray):
     }
     assert len(sectors) == 1
     return sectors.pop()
+
+
+def _frame_builds():
+    """(label, build) pairs over d = 1 and 2, interleaved: f-systems at
+    windows 3-6 and matrix systems at windows 4-6, normalized and not."""
+    builds = []
+    for window in (3, 4, 5, 6):
+        builds.append((
+            "f %d" % window,
+            lambda w=window: build_f_system(F(2), F(-3, 5), w),
+        ))
+        if window < 4:
+            continue
+        for ext_type, normalized in [
+            ("ext_a", True), ("decomposable", False), ("ext_b", False),
+            ("ext_b", True),
+        ]:
+            builds.append((
+                "%s %d %s" % (ext_type, window, normalized),
+                lambda w=window, t=ext_type, z=normalized: build_matrix_system(
+                    F(9, 8), (F(0), F(0)), t, w, normalized=z
+                ),
+            ))
+        builds.append((
+            "f %d again" % window,
+            lambda w=window: build_f_system(F(0), F(1), w),
+        ))
+    return builds
+
+
+def _frame_outputs(system):
+    return (
+        system.unknowns,
+        [(list(row.items()), rhs) for row, rhs in system.equations],
+        [list(terms) for terms in system.quadratics],
+        system.spanning,
+        system.order,
+    )
+
+
+class TestFrame:
+    """``_build`` shares one parameter-free frame per (d, window)."""
+
+    def test_memoized_builds_equal_fresh_ones(self):
+        builds = _frame_builds()
+        built = [build() for _, build in builds]
+        for (label, build), system in zip(builds, built):
+            constraints._frame.cache_clear()
+            assert _frame_outputs(build()) == _frame_outputs(system), label
+
+    def test_systems_at_one_window_share_their_quadratics(self):
+        first = build_f_system(F(1, 2), F(1, 3), 5)
+        second = build_f_system(F(0), F(0), 5)
+        assert first.quadratics is second.quadratics
+        assert type(first.quadratics) is tuple
+        assert all(type(terms) is tuple for terms in first.quadratics)
+        matrix = build_matrix_system(F(1, 3), (F(1), F(2)), "decomposable", 4)
+        extension = build_matrix_system(F(9, 8), None, "ext_b", 4)
+        assert matrix.quadratics is extension.quadratics
+        assert matrix.quadratics is not first.quadratics
+
+    def test_the_pin_stays_out_of_the_shared_spanning(self):
+        constraints._frame.cache_clear()
+        extension = build_matrix_system(F(9, 8), None, "ext_a", 4)
+        pin = len(extension.equations) - 1
+        assert extension.spanning[-1] == pin
+        decomposable = build_matrix_system(
+            F(9, 8), (F(0), F(0)), "decomposable", 4
+        )
+        assert len(decomposable.equations) == pin
+        assert pin not in decomposable.spanning
+        assert decomposable.spanning == extension.spanning[:-1]
+
+
+def test_import_builds_no_frame():
+    # a fresh interpreter, so that no earlier test has built a frame
+    script = (
+        "import w22, w22.cli\n"
+        "from w22 import constraints\n"
+        "print(constraints._frame.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout == "0\n"

@@ -33,10 +33,12 @@ what ``solve_linear`` and ``report`` return, so solution assignments and
 reports stay readable.
 
 The columns, the row layout, the quadratics, ``spanning`` and ``order``
-depend on (d, window) alone.  ``_build`` keeps them in one frame per
-(d, window), built on first use, so a sweep over parameters at a fixed
-window pays only for the coefficients at each point, and every system
-of that (d, window) shares the frame's immutable tuple of quadratics.
+depend on (d, window) alone, and the names on the builder too.
+``_build`` keeps them in one frame per (d, window), and the names in one
+tuple per (d, window) and builder, each built on first use, so a sweep
+over parameters at a fixed window pays only for the coefficients at
+each point, and every system of that (d, window) shares the frame's
+immutable tuple of quadratics and the builder's tuple of names.
 """
 
 from __future__ import annotations
@@ -225,19 +227,29 @@ def _build(cleared, d, window, names):
     equation count, the row indices and the outputs read from them stay
     those of the full relation.
 
-    The rows with i in (1, -1, -2) are listed as ``spanning``.  x(1),
-    x(-1) and x(-2) generate only the x(n) with n <= 1, so no theorem says
-    these rows carry the whole linear part.  Their rank mod p equalled
-    that of all rows on most systems it was measured on (f-systems at
-    windows 3-6 over generic, integral and degenerate (a, b), matrix
-    systems of each type at windows 4-5, d = 3 and 4 actions, and the Aa
-    and Ba coefficient actions), while the best pairs of x-indices,
-    (1, -2) and (-1, 2), fell short on about a third of them and the
-    other pairs on all.  It falls short on some decomposable systems at
-    positive integral alpha: alpha = 3 with betas (1, 2) at window 4 is
-    one.  The solver checks every row regardless; when the hint does not
-    span, the rows outside it join the same echelon basis at the same
-    prime, so a short hint costs only the fold of those rows.
+    ``spanning`` lists the rows the solver folds first, a hint that they
+    carry the linear part.  A row of x(1) with j != 1 has coefficient
+    1 - j != 0 on F(j + 1, n) and reads only F(j, .) besides, so these
+    rows solve for each block from blocks of lower j: they are triangular,
+    and all of them are listed.  They leave free the blocks F(j', n') with
+    j' = -window, j' = 2 or n' = window.  The j = 1 rows of x(1) have
+    coefficient 0 there and are left out.  A row of x(-1) or x(-2) is
+    listed when its cell names a free block among F(j, n), F(j, i + n)
+    and F(i + j, n); C1's rows (i = -2, j = 2) name F(2, .), so they are
+    in.  That is 440 of the 1716 rows of a matrix system at window 4 and
+    160 of the 781 of an f-system at window 5.  x(1), x(-1) and x(-2)
+    generate only the x(n) with n <= 1, so no theorem says the hint
+    spans; it is measured, not proved.  Over 126 systems (f-systems at
+    windows 3-6 over 7 generic, integral and degenerate (a, b), and at
+    windows 4-5 the decomposable systems at 9 alphas and 4 betas, ext_a
+    at the 9 alphas and ext_b at the 4 non-integral ones), its rank mod
+    p equalled that of all rows on 120.  It fell short on the other 6,
+    the decomposable systems at alpha = 3 and 4 with betas (1, 2) and
+    (2, 1), by exactly as much as the hint of every x(1), x(-1) and x(-2)
+    row, which it replaces at about 3/5 of the size.  The solver checks
+    every row regardless; when the hint does not span, the rows outside
+    it join the same echelon basis at the same prime, so a short hint
+    costs only the fold of those rows.
     Quadratics are the entries of
     [I(i), I(j)] v = F(i, j+n) F(j, n) - F(j, i+n) F(i, n) = 0 for i < j.
 
@@ -247,8 +259,8 @@ def _build(cleared, d, window, names):
     in this order a row reaches a new pivot or 0 in about half the
     reduction steps of the natural one (n ascending).  Counting the
     reductions of a row by a pivot row in the fold of the hint, it is
-    13 656 -> 6 141 for the ext_a system at alpha = -7/2, window 4, and
-    3 352 -> 1 393 for the f-system (2, -3/5) at window 5.  The solver
+    8 102 -> 3 921 for the ext_a system at alpha = -7/2, window 4, and
+    1 862 -> 838 for the f-system (2, -3/5) at window 5.  The solver
     maps its answer back to the natural columns, so the order changes no
     output.
 
@@ -259,16 +271,14 @@ def _build(cleared, d, window, names):
     rows, writing each coefficient from the entries of A(i, j+n) and
     A(i, n) that ``intermediate._products`` names for its (r, s).
     ``spanning``, ``order`` and ``quadratics`` are the frame's own tuples,
-    so every system built at one (d, window) holds the same objects.
+    so every system built at one (d, window) holds the same objects.  So
+    is ``unknowns``, formatted once per (d, window) and ``names`` by
+    ``_unknowns``.
 
     Returns (unknowns, equations, quadratics, spanning, order).
     """
     rng = range(-window, window + 1)
-    blocks = range(d)
-    unknowns = tuple(
-        names(j, n, r, s) for j in rng for n in rng for r in blocks
-        for s in blocks
-    ) + ("C1",)
+    unknowns = _unknowns(d, window, names)
     c1 = len(unknowns) - 1
     products = list(enumerate(_products(d)))
     diagonal = range(0, d * d, d + 1)
@@ -328,38 +338,48 @@ def _build(cleared, d, window, names):
 _Frame = namedtuple("_Frame", "rows quadratics spanning order")
 
 
+def _column(d, window, j, n, e=0):
+    """The column of flat entry e = r d + s of the unknown F(j, n) in the
+    systems of ``_build`` at (d, window): the blocks run j ascending, then
+    n ascending, d^2 columns each, and C1 comes after the last one."""
+    return ((window + j) * (2 * window + 1) + window + n) * d * d + e
+
+
 @lru_cache(maxsize=None)
 def _frame(d, window):
     """The ``_Frame`` of ``_build`` at (d, window)."""
     rng = range(-window, window + 1)
     dd = d * d
-    # F(j, n) holds columns base(j, n) + r d + s, base(j, n) = origin +
-    # j step + n dd, and C1 comes last
-    step = (2 * window + 1) * dd
-    origin = window * (step + dd)
-    c1 = len(rng) * step
+    c1 = len(rng) ** 2 * dd
     order = tuple(
-        origin + j * step + n * dd + e
+        _column(d, window, j, n, e)
         for j in rng for n in reversed(rng) for e in range(dd)
     ) + (c1,)
+
+    def free(j, n):
+        # a block F(j, n) that no x(1) row with j != 1 solves for
+        return j in (-window, 2) or n == window
 
     rows = []
     spanning = []
     count = 0
     for j in rng:
-        bj = origin + j * step
+        bj = _column(d, window, j, 0)
         for i in rng:
             if abs(i + j) > window:
                 continue
-            bij = bj + i * step
+            bij = _column(d, window, i + j, 0)
+            ns = [n for n in rng if abs(i + n) <= window]
             cells = tuple(
                 (j + n, n, bj + n * dd, bj + (n + i) * dd, bij + n * dd)
-                for n in rng if abs(i + n) <= window
+                for n in ns
             )
             rows.append((i, i - j, i + j == 0 and i**3 != i, cells))
-            if i in (1, -1, -2):
-                spanning.extend(range(count, count + len(cells) * dd))
-            count += len(cells) * dd
+            for n in ns:
+                if (i == 1 and j != 1 or i in (-1, -2) and (
+                        free(j, n) or free(j, i + n) or free(i + j, n))):
+                    spanning.extend(range(count, count + dd))
+                count += dd
 
     products = _products(d)
     quadratics = []
@@ -367,7 +387,7 @@ def _frame(d, window):
         for j in rng:
             if j <= i:
                 continue
-            bi, bj = origin + i * step, origin + j * step
+            bi, bj = _column(d, window, i, 0), _column(d, window, j, 0)
             for n in rng:
                 if abs(i + n) > window or abs(j + n) > window:
                     continue
@@ -383,6 +403,20 @@ def _frame(d, window):
     return _Frame(tuple(rows), tuple(quadratics), tuple(spanning), order)
 
 
+@lru_cache(maxsize=64)
+def _unknowns(d, window, names):
+    """The column names of ``_build`` at (d, window): ``names(j, n, r, s)``
+    for the entries of every F(j, n) in column order, then "C1".  The
+    builders name through module-level functions, so each (d, window)
+    formats its names once."""
+    rng = range(-window, window + 1)
+    blocks = range(d)
+    return tuple(
+        names(j, n, r, s) for j in rng for n in rng for r in blocks
+        for s in blocks
+    ) + ("C1",)
+
+
 # ---------------------------------------------------------------------------
 # One-dimensional weight spaces: the f(m, t) system.
 # ---------------------------------------------------------------------------
@@ -390,6 +424,10 @@ def _frame(d, window):
 
 def _f_name(m, t):
     return "f(%d,%d)" % (m, t)
+
+
+def _f_column_name(m, t, r, s):
+    return _f_name(m, t)
 
 
 def build_f_system(a, b, window):
@@ -415,7 +453,7 @@ def build_f_system(a, b, window):
         return {t: [(0, base + den * t)] for t in weights}, den
 
     unknowns, equations, quadratics, spanning, order = _build(
-        cleared, 1, window, lambda m, t, r, s: _f_name(m, t),
+        cleared, 1, window, _f_column_name,
     )
     meta = {
         "kind": "f-system",
@@ -453,8 +491,8 @@ def f_family_assignment(a, b, window):
 # ---------------------------------------------------------------------------
 
 
-def _mat_name(i, n, row, colm):
-    return "F(%d,%d)[%d,%d]" % (i, n, row, colm)
+def _mat_column_name(i, n, r, s):
+    return "F(%d,%d)[%d,%d]" % (i, n, r + 1, s + 1)
 
 
 def _beta_pair(betas):
@@ -600,11 +638,12 @@ def build_matrix_system(alpha, betas, ext_type, window, normalized=True):
     verify_x_action(a_mat, window)
     unknowns, equations, quadratics, spanning, order = _build(
         lambda i, ns: clear_table({n: _flat(a_mat(i, n)) for n in ns}),
-        2, window, lambda i, n, r, s: _mat_name(i, n, r + 1, s + 1),
+        2, window, _mat_column_name,
     )
     if normalized:
         spanning += (len(equations),)
-        pin = unknowns.index(_mat_name(1, 0, 2, 1))
+        # F(1, 0)[2, 1] is flat entry 2 of F(1, 0)
+        pin = _column(2, window, 1, 0, 2)
         equations.append(({pin: alpha.denominator}, alpha.numerator))
     meta = {
         "kind": "matrix-system",

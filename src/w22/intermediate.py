@@ -26,6 +26,7 @@ call, with A(m, i) = ``coefficient(spec, m, i)``, and
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .liecore import X_KIND, pair_bracket, x
 from .rationals import check_int, clear_table, rat, rat_str
@@ -92,6 +93,43 @@ def _products(d):
             for r in range(d) for s in range(d)]
 
 
+@lru_cache(maxsize=16)
+def _x_terms(bracket, window, reach):
+    """The part of ``_x_bracket_defects`` that no action changes, for the
+    bracket table ``bracket`` (``pair_bracket``, read at each call, so a
+    patched table gets its own entry): (E, pairs, need).
+
+    The x-terms c x(b) of every ``bracket(x(i), x(j))`` with |i|, |j| <=
+    window and |i + j| <= reach are cleared once over their lcm E, as
+    c = e / E.  pairs holds (i, j, the (b, e) of (i, j), those of (j, i),
+    whether the latter are the negatives of the former) for each pair
+    evaluated: i < j, and i = j when its bracket has x-terms.  need[k] is
+    the sorted tuple of the weights m at which an evaluated triple reads
+    A(k, m).  Built on first use at each key, never at import.
+    """
+    rng = range(-window, window + 1)
+    g = {i: x(i) for i in rng}
+    xterms, xden = clear_table({
+        (i, j): {b.index: c for b, c in bracket(g[i], g[j]).terms.items()
+                 if b.kind == X_KIND}
+        for i in rng for j in rng if abs(i + j) <= reach
+    })
+    pairs = tuple(
+        (i, j, tuple(xterms[i, j]), tuple(xterms[j, i]),
+         xterms[j, i] == [(b, -c) for b, c in xterms[i, j]])
+        for i, j in xterms if i < j or i == j and xterms[i, j]
+    )
+    # need[k] holds the weights of the A(k, .) read: each triple (i, j, n)
+    # of a pair reads A(k, m + n) at (k, m) = (i, j), (i, 0), (j, i) and
+    # (j, 0) for the products and at (b, 0) for each x-term c x(b)
+    need = {}
+    for i, j, terms, mirror_terms, _ in pairs:
+        term_reads = [(b, 0) for b, _ in terms + mirror_terms]
+        for k, m in [(i, j), (i, 0), (j, i), (j, 0)] + term_reads:
+            need.setdefault(k, set()).update(range(m - window, m + window + 1))
+    return xden, pairs, {k: tuple(sorted(ms)) for k, ms in need.items()}
+
+
 def _x_bracket_defects(a_mat, d, window, reach):
     """Every (i, j, n), sorted, at which a d x d x-action breaks
 
@@ -117,26 +155,14 @@ def _x_bracket_defects(a_mat, d, window, reach):
     antisymmetry of the table is assumed; where the (j, i) terms are the
     negatives of the (i, j) terms, as in W(2,2), the (j, i, n) comparison
     is the (i, j, n) one negated.  Each A(k, m) is read once, and only
-    where an evaluated triple reads it.  A window that is not an int, or is
-    below 1, raises ValueError before anything is read.
+    where an evaluated triple reads it.  The x-terms, the pairs evaluated
+    and the weights read depend on window, reach and the bracket table
+    alone, so ``_x_terms`` computes them once per key, and a call clears
+    only the entries of A.  A window that is not an int, or is below 1,
+    raises ValueError before anything is read.
     """
     check_int(window, 1, "window")
-    rng = range(-window, window + 1)
-    g = {i: x(i) for i in rng}
-    xterms, xden = clear_table({
-        (i, j): {b.index: c for b, c in pair_bracket(g[i], g[j]).terms.items()
-                 if b.kind == X_KIND}
-        for i in rng for j in rng if abs(i + j) <= reach
-    })
-    pairs = [(i, j) for i, j in xterms if i < j or i == j and xterms[i, j]]
-    # need[k] holds the weights of the A(k, .) read: each triple (i, j, n)
-    # of a pair reads A(k, m + n) at (k, m) = (i, j), (i, 0), (j, i) and
-    # (j, 0) for the products and at (b, 0) for each x-term c x(b)
-    need = {}
-    for i, j in pairs:
-        term_reads = [(b, 0) for b, _ in xterms[i, j] + xterms[j, i]]
-        for k, m in [(i, j), (i, 0), (j, i), (j, 0)] + term_reads:
-            need.setdefault(k, set()).update(range(m - window, m + window + 1))
+    xden, pairs, need = _x_terms(pair_bracket, window, reach)
     cleared, den = clear_table(
         {(k, m): _flat(a_mat(k, m)) for k, ms in need.items() for m in ms})
     rows = {k: {m: [v for _, v in cleared[k, m]] for m in ms}
@@ -156,12 +182,11 @@ def _x_bracket_defects(a_mat, d, window, reach):
         return False
 
     defects = []
-    for i, j in pairs:
-        mirrored = xterms[j, i] == [(b, -c) for b, c in xterms[i, j]]
-        right = [(rows[b], den * c) for b, c in xterms[i, j]]
-        flipped = [(rows[b], -den * c) for b, c in xterms[j, i]]
+    for i, j, terms, mirror_terms, mirrored in pairs:
+        right = [(rows[b], den * c) for b, c in terms]
+        flipped = [(rows[b], -den * c) for b, c in mirror_terms]
         ai, aj = rows[i], rows[j]
-        for n in rng:
+        for n in range(-window, window + 1):
             p, q, u, v = ai[j + n], aj[n], aj[i + n], ai[n]
             if breaks(p, q, u, v, n, right):
                 defects += [(i, j, n), (j, i, n)] if mirrored else [(i, j, n)]

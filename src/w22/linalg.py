@@ -65,14 +65,16 @@ full rank: a prime at which the rank drops mod p never fills every
 column, and folds and checks as before.
 
 A caller that expects some rows to span the row space can pass their
-indices as ``spanning`` (the constraint systems pass the rows of the
-relations with x(1), x(-1) and x(-2), a hint measured to span on most
-systems, not proved to); only those rows are folded first, and the exact
-check still runs on every row of M.  A vector that passes the folded
-rows but fails another lies in ker(M_F) and not in ker(M), so the hint
-does not span.  The fold then continues at the same prime: the nonempty
-rows outside the hint join the hint's echelon basis, which becomes one of
-every row, and the vectors it gives are checked on every row again.
+indices as ``spanning`` (the constraint systems pass the x(1) rows with
+j != 1, which are triangular, and the x(-1) and x(-2) rows that name a
+block those leave free: a hint measured to span on most systems, not
+proved to; see ``constraints._build``); only those rows are folded
+first, and the exact check still runs on every row of M.  A vector that
+passes the folded rows but fails another lies in ker(M_F) and not in
+ker(M), so the hint does not span.  The fold then continues at the same
+prime: the nonempty rows outside the hint join the hint's echelon basis,
+which becomes one of every row, and the vectors it gives are checked on
+every row again.
 Each row is folded at most once per prime (a hint of full rank leaves
 nothing to continue, above).
 

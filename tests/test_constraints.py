@@ -509,6 +509,23 @@ def test_verify_x_action_reads_the_bracket_from_pair_bracket(monkeypatch):
         verify_x_action(halved, 4)
 
 
+def test_x_terms_are_cleared_once_per_bracket_table(monkeypatch):
+    # the memo is keyed on the table read at call time: a patched table
+    # gets its own entry, and the package's own entry is reused after it
+    a_mat = X_ACTIONS["ext_b"]
+    verify_x_action(a_mat, 4)
+    hits = intermediate._x_terms.cache_info().hits
+    verify_x_action(a_mat, 4)
+    assert intermediate._x_terms.cache_info().hits == hits + 1
+    with monkeypatch.context() as patch:
+        patch.setattr(intermediate, "pair_bracket",
+                      lambda g, h: F(1, 2) * pair_bracket(g, h))
+        with pytest.raises(ValueError, match="violate the x-bracket"):
+            verify_x_action(a_mat, 4)
+    verify_x_action(a_mat, 4)
+    assert intermediate._x_terms.cache_info().hits == hits + 2
+
+
 class TestXMatrices:
     def test_decomposable_is_diagonal(self):
         a_mat = make_x_matrices(F(1, 3), (F(1), F(2)), "decomposable")
@@ -980,35 +997,82 @@ def test_built_rows_are_integer_and_solve_as_the_relation(act, d, window):
     assert solve_linear(system) == solve_linear(rational)
 
 
-class TestSpanningRows:
-    """The solver folds only the rows of x(1), x(-1) and x(-2).
+def _cell_triples(window):
+    """(i, j, n) of each cell of the relation's rows, in row order (j, i,
+    n), over the windowed triples; a cell stands for d^2 rows."""
+    rng = range(-window, window + 1)
+    return [(i, j, n) for j in rng for i in rng if abs(i + j) <= window
+            for n in rng if abs(i + n) <= window]
 
-    These three generate only the x(n) with n <= 1, so the hint is not a
-    theorem.  The row counts below follow from the hint.  On most systems
-    here it spans, so the solver folds it once and nothing else; on the
-    decomposable systems at alpha = 3 and 4 with betas 1 and 2 it falls
-    short, and the solver folds the other nonempty rows into the hint's
-    echelon basis, at the same prime.  Either way the answer equals the
-    one found by folding every row.
+
+def _free(window, j, n):
+    """Whether F(j, n) is a block that no x(1) row with j != 1 solves for:
+    such a row has coefficient 1 - j on F(j + 1, n), and reads only F(j, .)
+    besides, so it leaves F(-window, .), F(2, .) and F(., window) free."""
+    return j in (-window, 2) or n == window
+
+
+class TestSpanningRows:
+    """The solver folds only the hint: the x(1) rows with j != 1, and the
+    x(-1) and x(-2) rows whose cell names a block those leave free.
+
+    x(1), x(-1) and x(-2) generate only the x(n) with n <= 1, so the hint
+    is not a theorem.  The row counts below follow from the hint.  On most
+    systems here it spans, so the solver folds it once and nothing else;
+    on the decomposable systems at alpha = 3 and 4 with betas 1 and 2 it
+    falls short, and the solver folds the other nonempty rows into the
+    hint's echelon basis, at the same prime.  Either way the answer equals
+    the one found by folding every row.
     """
+
+    @pytest.mark.parametrize(
+        "d, window", [(1, 3), (1, 5), (1, 7), (2, 4), (2, 5), (2, 6), (3, 4)]
+    )
+    def test_hint_is_the_x1_rows_and_the_rows_at_a_free_block(
+        self, d, window
+    ):
+        spanning = constraints._frame(d, window).spanning
+        chosen = set(spanning)
+        hinted = []
+        for cell, (i, j, n) in enumerate(_cell_triples(window)):
+            rows = range(cell * d * d, (cell + 1) * d * d)
+            if i == 1:
+                # coefficient 1 - j on F(j + 1, n): in the hint unless 0
+                expected = j != 1
+            else:
+                # the blocks the cell names, F(i + j, n) included even
+                # where its coefficient i - j is 0
+                expected = i in (-1, -2) and any(
+                    _free(window, *block)
+                    for block in [(j, n), (j, i + n), (i + j, n)]
+                )
+            assert [row in chosen for row in rows] == [expected] * (d * d), (
+                i, j, n)
+            if expected:
+                hinted.extend(rows)
+        assert list(spanning) == hinted
 
     @pytest.mark.parametrize(
         "build, size",
         [
-            # 4 (9 - |i|)^2 rows for each i = 1, -1, -2 at a non-integral
-            # alpha (every triple regular), plus the pinning row
+            # 4 rows per cell at a non-integral alpha (every triple
+            # regular), plus the pinning row.  x(1): 7 values of j != 1
+            # times 8 of n; x(-1): the 8 n at j = -3, 2, 3 and n = 4 at
+            # the 5 other j, 29 cells; x(-2): the 7 n at j = -2, 2, 4 and
+            # n = 4 at the 4 other j, 25 cells.
             (
                 lambda: build_matrix_system(F(9, 8), (F(0), F(0)), "ext_a", 4),
-                4 * (2 * 8**2 + 7**2) + 1,
+                4 * (7 * 8 + 29 + 25) + 1,
             ),
             (
                 lambda: build_matrix_system(
                     F(9, 8), (F(0), F(0)), "decomposable", 4
                 ),
-                4 * (2 * 8**2 + 7**2),
+                4 * (7 * 8 + 29 + 25),
             ),
-            # (11 - |n|)^2 rows for each n = 1, -1, -2
-            (lambda: build_f_system(F(1, 2), F(1, 3), 5), 2 * 10**2 + 9**2),
+            # the same count at window 5, one row per cell: 9 * 10 cells
+            # of x(1), 3 * 10 + 7 of x(-1) and 3 * 9 + 6 of x(-2)
+            (lambda: build_f_system(F(1, 2), F(1, 3), 5), 9 * 10 + 37 + 33),
         ],
         ids=["matrix-ext_a", "matrix-decomposable", "f-system"],
     )
@@ -1031,7 +1095,7 @@ class TestSpanningRows:
 
     # The relation holds on every weight, so an integral alpha gets every
     # row: the answers are those of alpha = 1/3 (dimension 4 / 3 / 2 for
-    # the three betas), and the x(1), x(-1), x(-2) rows span, folded once.
+    # the three betas), and the hint spans, folded once.
     @pytest.mark.parametrize("alpha", [0, 1, -1, 2, -2])
     def test_integral_alpha_folds_the_spanning_rows_once(self, folds, alpha):
         for betas, dimension, survivors in [
@@ -1041,28 +1105,31 @@ class TestSpanningRows:
         ]:
             system = build_matrix_system(F(alpha), betas, "decomposable", 4)
             solution = solve_linear(system)
-            assert [len(fold.rows) for fold in folds] == [708]
+            assert [len(fold.rows) for fold in folds] == [440]
             assert solution.dimension == dimension
             assert len(check_quadratic(system, solution)) == survivors
             folds.clear()
         if alpha:
             system = build_matrix_system(F(alpha), (F(0), F(0)), "ext_a", 4)
             assert not solve_linear(system).feasible
-            assert [len(fold.rows) for fold in folds] == [709]
+            assert [len(fold.rows) for fold in folds] == [441]
 
     # The only package-built systems here on which a row outside the hint
     # fails a kernel vector of the hint.  The rows left to fold are the
-    # nonempty ones outside the hint: 1716 - 708 - 324 empty x(0) rows at
-    # window 4, 3124 - 1124 - 484 at window 5.
+    # nonempty ones outside the hint: 1716 - 440 - 325 at window 4 and
+    # 3124 - 640 - 486 at window 5.  The empty ones are the 324 and 484
+    # x(0) rows, and 1 and 2 rows of a cell (i, i, n), i = -1 or -2,
+    # whose two coefficients alpha + j + n + i beta_r and
+    # alpha + n + i beta_s both vanish at these integral alphas.
     @pytest.mark.parametrize(
         "alpha, betas, window, sizes",
         [
-            pytest.param(alpha, betas, 4, [708, 684],
+            pytest.param(alpha, betas, 4, [440, 951],
                          id="betas%d-%d" % (k, alpha))
             for alpha in (3, 4)
             for k, betas in enumerate([(1, 2), (2, 1)])
         ] + [
-            pytest.param(4, (1, 2), 5, [1124, 1516], id="window5-betas0-4"),
+            pytest.param(4, (1, 2), 5, [640, 1998], id="window5-betas0-4"),
         ],
     )
     def test_hint_that_falls_short_is_refolded(
@@ -1099,6 +1166,12 @@ class TestSpanningRows:
             ]
         ] + [
             pytest.param(
+                lambda a=a, b=b: build_f_system(a, b, 7),
+                id="f-%s,%s-w7" % (a, b),
+            )
+            for a, b in [(F(3, 7), F(-2, 5)), (F(0), F(1))]
+        ] + [
+            pytest.param(
                 lambda w=w, alpha=alpha, betas=betas, ext=ext:
                 build_matrix_system(alpha, betas, ext, w),
                 id="%s-%s-%s-w%d" % (ext, alpha, betas[0], w),
@@ -1110,6 +1183,17 @@ class TestSpanningRows:
                 (F(-2), (F(1), F(2)), "decomposable"),
                 (F(-7, 2), (F(0), F(0)), "ext_a"),
                 (F(2), (F(0), F(0)), "ext_a"),
+                (F(5, 7), (F(0), F(0)), "ext_b"),
+            ]
+        ] + [
+            pytest.param(
+                lambda alpha=alpha, betas=betas, ext=ext:
+                build_matrix_system(alpha, betas, ext, 6),
+                id="%s-%s-%s-w6" % (ext, alpha, betas[0]),
+            )
+            for alpha, betas, ext in [
+                (F(1, 3), (F(1, 2), F(-1, 3)), "decomposable"),
+                (F(-7, 2), (F(0), F(0)), "ext_a"),
                 (F(5, 7), (F(0), F(0)), "ext_b"),
             ]
         ] + [
@@ -1229,6 +1313,22 @@ class TestFrame:
         assert matrix.quadratics is extension.quadratics
         assert matrix.quadratics is not first.quadratics
 
+    def test_systems_at_one_window_share_their_names(self):
+        first = build_f_system(F(1, 2), F(1, 3), 5)
+        assert first.unknowns is build_f_system(F(0), F(0), 5).unknowns
+        matrix = build_matrix_system(F(1, 3), (F(1), F(2)), "decomposable", 4)
+        extension = build_matrix_system(F(9, 8), None, "ext_b", 4)
+        assert matrix.unknowns is extension.unknowns
+        assert matrix.unknowns[:2] == ("F(-4,-4)[1,1]", "F(-4,-4)[1,2]")
+        assert first.unknowns[:2] == ("f(-5,-5)", "f(-5,-4)")
+
+    @pytest.mark.parametrize("window", [4, 5, 6])
+    def test_the_pin_is_written_on_its_named_column(self, window):
+        extension = build_matrix_system(F(9, 8), None, "ext_a", window)
+        row, rhs = extension.equations[-1]
+        assert [extension.unknowns[col] for col in row] == ["F(1,0)[2,1]"]
+        assert (list(row.values()), rhs) == ([8], 9)
+
     def test_the_pin_stays_out_of_the_shared_spanning(self):
         constraints._frame.cache_clear()
         extension = build_matrix_system(F(9, 8), None, "ext_a", 4)
@@ -1254,3 +1354,17 @@ def test_import_builds_no_frame():
         check=True,
     )
     assert proc.stdout == "0\n"
+
+
+def test_import_names_no_columns_and_clears_no_x_terms():
+    script = (
+        "import w22, w22.cli\n"
+        "from w22 import constraints, intermediate\n"
+        "print(constraints._unknowns.cache_info().currsize,\n"
+        "      intermediate._x_terms.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout == "0 0\n"
